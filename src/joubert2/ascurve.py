@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DomainError
 from .fastscan import run_chunked
-from .ffield import ExtDesc, FElt, make_ext, rel_trace
-from .jsearch import _check_budget, _ext_scan, _require_pow2
+from .ffield import (ExtDesc, FElt, check_budget, make_ext, rel_frobenius,
+                     rel_trace)
+from .jsearch import _ext_scan, _require_pow2
 
 _CHUNK = 1 << 16
 
@@ -83,12 +84,8 @@ def fiber_size(c: FElt, ext: ExtDesc) -> int:
 
 def rhs_value(x: FElt, ext: ExtDesc) -> FElt:
     """The covering map's right side at x, in factored form."""
-    xq = rel_frobenius_elt(x, ext)
+    xq = rel_frobenius(x, ext)
     return x * xq * (xq + x)
-
-
-def rel_frobenius_elt(x: FElt, ext: ExtDesc) -> FElt:
-    return FElt(ext.big, ext.frob_val(x.val))
 
 
 def curve_census(q: int, budget: int | None = None,
@@ -102,7 +99,7 @@ def curve_census(q: int, budget: int | None = None,
     """
     k = _require_pow2(q)
     total = q**6
-    _check_budget("curve census scan", total, budget)
+    check_budget("curve census scan", total, budget)
     t0 = time.perf_counter()
     scan = _ext_scan(2, k, 6)
 
@@ -150,7 +147,7 @@ def trace_identity_check(q: int, budget: int | None = None,
     Returns the number of points checked."""
     k = _require_pow2(q)
     total = q**6
-    _check_budget("trace identity scan", total, budget)
+    check_budget("trace identity scan", total, budget)
     scan = _ext_scan(2, k, 6)
 
     def check(lo: int, hi: int) -> int:
@@ -169,7 +166,7 @@ def good_fiber_witness(q: int, budget: int | None = None) -> FElt | None:
     None when no such x exists."""
     k = _require_pow2(q)
     total = q**6
-    _check_budget("good fiber search", total, budget)
+    check_budget("good fiber search", total, budget)
     ext = make_ext(2, k, 6)
     for xv in range(total):
         yv = ext.big.add_val(ext.frob_val(xv), xv)

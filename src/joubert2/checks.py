@@ -2,8 +2,9 @@
 CLI subcommands.
 
 Every check re-derives the facts its witness reports before the witness is
-serialized; a failed assertion becomes a "fail" outcome rather than an
-exception, and a blown budget becomes a "skip" (never a silent downgrade).
+serialized; a failed assertion, or any other exception, becomes a "fail"
+outcome rather than escaping, and a blown budget becomes a "skip" (never a
+silent downgrade).
 Thread count is accepted for speed but kept out of manifests, because it
 can never change a result.
 """
@@ -11,7 +12,9 @@ can never change a result.
 from __future__ import annotations
 
 import random
+import sys
 import time
+import traceback
 
 from . import __version__, ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError
@@ -34,6 +37,9 @@ def _run(check_id: str, anchor: str, params: dict, body) -> CheckResult:
         outcome, witness = "skip", {"reason": str(e)}
     except (AssertionError, DomainError) as e:
         outcome, witness = "fail", {"error": str(e) or type(e).__name__}
+    except Exception as e:  # one faulty check must not lose the manifest
+        traceback.print_exc(file=sys.stderr)
+        outcome, witness = "fail", {"error": f"{type(e).__name__}: {e}"}
     return CheckResult(check_id=check_id, anchor=anchor, params=params,
                        outcome=outcome, witness=witness,
                        elapsed_ms=(time.perf_counter() - t0) * 1000)

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "projective quotient")
     sp.add_argument("--q", type=int, required=True,
                     help="base field size, a power of 2")
-    sp.add_argument("--smooth-deg", type=int, default=None,
+    sp.add_argument("--smooth-deg", type=int, choices=[1, 2], default=None,
                     help="also scan for singular points with coordinates "
                          "in the degree-D extension")
     common(sp)
@@ -121,9 +121,6 @@ def _validate(ap: argparse.ArgumentParser, args) -> None:
                 raise DomainError(f"p = {args.p} must be an odd prime")
             if args.m < 1:
                 raise DomainError(f"m = {args.m} must be positive")
-        if args.command == "surface" and args.smooth_deg is not None:
-            if args.smooth_deg < 1:
-                raise DomainError("--smooth-deg must be positive")
         if args.budget is not None and args.budget < 1:
             raise DomainError("--budget must be positive")
         if args.threads < 1:

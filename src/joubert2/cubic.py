@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .ffield import DEFAULT_LIMIT, ExtDesc, make_ext
+from .errors import DomainError
+from .ffield import ExtDesc, _unpack, check_budget, make_ext
 from .fastscan import run_chunked, span_vals
 from .jsearch import _ext_scan, _require_pow2
 
@@ -83,9 +83,6 @@ def build_frame(q: int) -> QuotientFrame:
     k = _require_pow2(q)
     ext = make_ext(2, k, 6)
     big = ext.big
-    kappas = [1]
-    for _ in range(k - 1):
-        kappas.append(big.mul_val(kappas[-1], ext.kappa_val))
     pivots: dict[int, int] = {}
     basis = []
     v = 1
@@ -94,7 +91,7 @@ def build_frame(q: int) -> QuotientFrame:
             # K-independence: insert the whole K-line kappa^l * v
             fresh = False
             if _f2_reduce(pivots, v):
-                for kp in kappas:
+                for kp in ext.kappa_powers:
                     if _f2_insert(pivots, big.mul_val(kp, v)):
                         fresh = True
             if fresh:
@@ -118,12 +115,7 @@ def _projective_reps(q: int):
     for lead in range(4):
         free = 3 - lead
         for rest in range(q**free):
-            coords = [0] * lead + [1]
-            r = rest
-            for _ in range(free):
-                coords.append(r % q)
-                r //= q
-            yield tuple(coords)
+            yield tuple([0] * lead + [1] + _unpack(rest, q, free))
 
 
 def surface_census(q: int, budget: int | None = None,
@@ -136,9 +128,7 @@ def surface_census(q: int, budget: int | None = None,
     """
     start = time.monotonic()
     k = _require_pow2(q)
-    cap = DEFAULT_LIMIT if budget is None else budget
-    if q**5 > cap:
-        raise BudgetError("q^5", q**5, cap)
+    check_budget("q^5", q**5, budget)
     frame = build_frame(q)
     ext = frame.ext
     big = ext.big
@@ -188,17 +178,8 @@ def surface_census(q: int, budget: int | None = None,
 def _l0_basis_vals(frame: QuotientFrame) -> list[int]:
     # F_2-basis of L_0 as kappa-multiples of the K-basis
     ext = frame.ext
-    big = ext.big
-    out = []
-    kp = 1
-    kappas = [1]
-    for _ in range(ext.base_deg - 1):
-        kp = big.mul_val(kp, ext.kappa_val)
-        kappas.append(kp)
-    for b in frame.basis:
-        for kpow in kappas:
-            out.append(big.mul_val(kpow, b))
-    return out
+    return [ext.big.mul_val(kp, b)
+            for b in frame.basis for kp in ext.kappa_powers]
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +269,7 @@ def smoothness_scan(q: int, ext_deg: int = 1,
         raise DomainError(f"scan degree must be 1 or 2, got {ext_deg}")
     k = _require_pow2(q)
     qq = q**ext_deg
-    cap = DEFAULT_LIMIT if budget is None else budget
-    if qq**4 > cap:
-        raise BudgetError("(q^ext_deg)^4", qq**4, cap)
+    check_budget("(q^ext_deg)^4", qq**4, budget)
     frame = build_frame(q)
     ext = frame.ext
     big = ext.big

@@ -95,10 +95,6 @@ class Gf2Scan:
         """Tables for any F_2-linear scalar map val -> val."""
         return _linear_tables([scalar_fn(1 << j) for j in range(self.m)])
 
-    @staticmethod
-    def apply(tables: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        return _apply_tables(tables, v)
-
 
 class ExtScan:
     """Gf2Scan plus relative Frobenius / trace tables for one extension."""

@@ -25,6 +25,14 @@ DEFAULT_LIMIT = 2**28
 _MUL_TABLE_MAX = 512
 
 
+def check_budget(what: str, needed: int, budget: int | None) -> None:
+    """Raise BudgetError if `needed` elements exceed the budget; None means
+    DEFAULT_LIMIT."""
+    cap = DEFAULT_LIMIT if budget is None else budget
+    if needed > cap:
+        raise BudgetError(what, needed, cap)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -51,8 +59,9 @@ def prime_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over the prime field, used only to find canonical moduli.
-# GF(2) polynomials are packed integers; odd characteristic uses digit lists.
+# Polynomials over the prime field: GF(2) polynomials are packed integers,
+# odd characteristic uses digit lists.  Element products and the GF(2)
+# modulus search share them.
 
 
 def _clmul(a: int, b: int) -> int:
@@ -83,10 +92,6 @@ def _gcd2(a: int, b: int) -> int:
 def _irreducible_gf2(f: int, deg: int) -> bool:
     # Frobenius criterion: t^(2^deg) = t mod f, and t^(2^(deg/r)) - t coprime
     # to f for every prime r | deg.
-    if deg == 1:
-        return True
-    if not (f & 1):
-        return False
     cur = _mod2(2, f)
     pows = {}
     for i in range(1, deg + 1):
@@ -109,82 +114,26 @@ def _polymul_p(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def _polymod_p(a: list[int], f: list[int], p: int) -> list[int]:
-    a = a[:]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < df:
-            break
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a if a else [0]
-
-
-def _polygcd_p(a: list[int], b: list[int], p: int) -> list[int]:
-    while any(b):
-        a, b = b, _polymod_p(a, b, p)
-    return a
-
-
-def _polypowmod_p(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _polymod_p(base, f, p)
-    while e:
-        if e & 1:
-            result = _polymod_p(_polymul_p(result, base, p), f, p)
-        base = _polymod_p(_polymul_p(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _irreducible_fp(digits: list[int], p: int) -> bool:
-    deg = len(digits) - 1
-    if deg == 1:
-        return True
-    t = [0, 1]
-    pows = {}
-    cur = _polymod_p(t, digits, p)
-    for i in range(1, deg + 1):
-        cur = _polypowmod_p(cur, p, digits, p)
-        pows[i] = cur
-    t_red = _polymod_p(t, digits, p)
-    if pows[deg] != t_red:
-        return False
-    for r in prime_divisors(deg):
-        g = [(x - y) % p for x, y in
-             zip(pows[deg // r] + [0] * len(t_red), t_red + [0] * len(pows[deg // r]))]
-        while g and g[-1] == 0:
-            g.pop()
-        gc = _polygcd_p(g if g else [0], digits, p)
-        while gc and gc[-1] == 0:
-            gc.pop()
-        if len(gc) != 1:
-            return False
-    return True
-
-
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over GF(p).
 
     Coefficient tuples (c_{m-1}, ..., c_0) are compared left to right, which
-    is the same as comparing the packed integers sum(c_i * p**i).
+    is the same as comparing the packed integers sum(c_i * p**i).  GF(2)
+    candidates are tested as packed ints, odd-p ones by fpoly over GF(p).
     """
     if m == 1:
         return (0, 1)
+    if p != 2:
+        from .fpoly import UPoly, is_irreducible  # fpoly imports this module
+        prime = make_field(p, 1)
     for packed in range(p**m):
+        if packed % p == 0:
+            continue  # divisible by t
         digits = _unpack(packed, p, m) + [1]
         if p == 2:
-            f_int = packed | (1 << m)
-            ok = _irreducible_gf2(f_int, m)
+            ok = _irreducible_gf2(packed | (1 << m), m)
         else:
-            ok = _irreducible_fp(digits, p)
+            ok = is_irreducible(UPoly(prime, digits))
         if ok:
             return tuple(digits)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -476,9 +425,7 @@ def make_field(p: int, m: int, limit: int | None = None) -> FieldDesc:
         raise DomainError(f"p = {p} is not prime")
     if m < 1:
         raise DomainError(f"m = {m} must be positive")
-    cap = DEFAULT_LIMIT if limit is None else limit
-    if p**m > cap:
-        raise BudgetError("field order", p**m, cap)
+    check_budget("field order", p**m, limit)
     return _build_field(p, m)
 
 
@@ -608,15 +555,24 @@ class ExtDesc:
                 self._cache["kappa"] = root
         return self._cache["kappa"]
 
+    @property
+    def kappa_powers(self) -> tuple[int, ...]:
+        """Power basis (1, kappa, ..., kappa^(base_deg-1)) of K over the
+        prime field."""
+        if "kappa_powers" not in self._cache:
+            powers = [1]
+            for _ in range(self.base_deg - 1):
+                powers.append(self.big.mul_val(powers[-1], self.kappa_val))
+            self._cache["kappa_powers"] = tuple(powers)
+        return self._cache["kappa_powers"]
+
     def k_elements(self) -> list[int]:
         """K's packed values in digit order: index sum(c_i p^i) maps to
         sum(c_i kappa^i)."""
         if "k_elements" not in self._cache:
             big = self.big
             p, k = big.p, self.base_deg
-            powers = [1]
-            for _ in range(k - 1):
-                powers.append(big.mul_val(powers[-1], self.kappa_val))
+            powers = self.kappa_powers
             out = []
             for idx in range(self.q):
                 digits = _unpack(idx, p, k)
@@ -647,22 +603,19 @@ class ExtDesc:
         g the class of t."""
         if "rel_solver" not in self._cache:
             big = self.big
-            p, m, n, k = big.p, big.m, self.n, self.base_deg
-            kappas = [1]
-            for _ in range(k - 1):
-                kappas.append(big.mul_val(kappas[-1], self.kappa_val))
+            p, m, n = big.p, big.m, self.n
+            kappas = self.kappa_powers
             gpows = [1]
             for _ in range(n - 1):
                 gpows.append(big.mul_val(gpows[-1], big.p))
             cols = []
             for i in range(n):
-                for l in range(k):
-                    cols.append(_unpack(big.mul_val(gpows[i], kappas[l]), p, m))
+                for kp in kappas:
+                    cols.append(_unpack(big.mul_val(gpows[i], kp), p, m))
             matrix = [[cols[j][i] for j in range(m)] for i in range(m)]
             self._cache["rel_solver"] = gflinalg.FpSolver(matrix, p)
-            self._cache["rel_kappas"] = kappas
         solver = self._cache["rel_solver"]
-        kappas = self._cache["rel_kappas"]
+        kappas = self.kappa_powers
         big = self.big
         sol = solver.solve(_unpack(v, big.p, big.m))
         k = self.base_deg

@@ -14,7 +14,7 @@ import itertools
 import re
 
 from .errors import DomainError
-from .ffield import ExtDesc, FElt, FieldDesc, prime_divisors
+from .ffield import ExtDesc, FElt, FieldDesc, _pack, _unpack, prime_divisors
 
 
 class UPoly:
@@ -347,7 +347,6 @@ def _format_coeff(val: int, field: FieldDesc, ext: ExtDesc | None) -> str:
         return str(val)
     if ext is not None:
         return "[" + ",".join(str(d) for d in ext.k_coordinates(val)) + "]"
-    from .ffield import _unpack
     return "[" + ",".join(str(d) for d in _unpack(val, field.p, field.m)) + "]"
 
 
@@ -382,17 +381,10 @@ def _parse_coeff(text: str, field: FieldDesc, ext: ExtDesc | None) -> int:
         if ext is not None:
             if len(digits) > ext.base_deg:
                 raise DomainError(f"too many digits in coefficient {text!r}")
-            digits += [0] * (ext.base_deg - len(digits))
-            idx = 0
-            for d in reversed(digits):
-                idx = idx * field.p + d
-            return ext.k_elements()[idx]
+            return ext.k_elements()[_pack(digits, field.p)]
         if len(digits) > field.m:
             raise DomainError(f"too many digits in coefficient {text!r}")
-        val = 0
-        for d in reversed(digits):
-            val = val * field.p + d
-        return val
+        return _pack(digits, field.p)
     c = int(text)
     if c >= field.p:
         raise DomainError(f"bare coefficient {c} exceeds characteristic")

@@ -34,11 +34,6 @@ def _rref_fp(matrix: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     return m, pivots
 
 
-def rank_fp(matrix: list[list[int]], p: int) -> int:
-    _, pivots = _rref_fp(matrix, p)
-    return len(pivots)
-
-
 def kernel_fp(matrix: list[list[int]], p: int) -> list[list[int]]:
     """Basis of the right kernel of `matrix` mod p (list of column vectors)."""
     if not matrix:
@@ -54,22 +49,6 @@ def kernel_fp(matrix: list[list[int]], p: int) -> list[list[int]]:
             vec[pc] = (-rref[r][fc]) % p
         basis.append(vec)
     return basis
-
-
-def solve_fp(matrix: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of matrix @ x = rhs mod p, or None if inconsistent."""
-    aug = [row + [b] for row, b in zip(matrix, rhs)]
-    rref, pivots = _rref_fp(aug, p)
-    cols = len(matrix[0])
-    for row in rref:
-        if not any(row[:cols]) and row[cols] % p:
-            return None
-    x = [0] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None  # pivot in the augmented column
-        x[pc] = rref[r][cols]
-    return x
 
 
 class FpSolver:

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .ffield import DEFAULT_LIMIT, ExtDesc, FElt, is_prime, make_ext, make_field
+from .errors import DomainError
+from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
+                     make_field)
 from .fastscan import ExtScan, run_chunked
 from .fpoly import UPoly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
@@ -67,13 +68,6 @@ def _ext_scan(p: int, base_deg: int, n: int) -> ExtScan:
     return ExtScan(make_ext(p, base_deg, n))
 
 
-def _check_budget(what: str, needed: int, budget: int | None) -> int:
-    cap = DEFAULT_LIMIT if budget is None else budget
-    if needed > cap:
-        raise BudgetError(what, needed, cap)
-    return cap
-
-
 def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     # re-derive everything the report claims about the witness
     assert is_joubert(y, ext)
@@ -96,7 +90,7 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
         raise DomainError(f"only degree-6 searches are supported, got n = {n}")
     k = _require_pow2(q)
     start = time.monotonic()
-    _check_budget("q^6", q**6, budget)
+    check_budget("q^6", q**6, budget)
     ext = make_ext(2, k, n)
     scan = _ext_scan(2, k, n)
 
@@ -142,7 +136,7 @@ def count_joubert_generators(q: int, budget: int | None = None,
     """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
     k = _require_pow2(q)
     start = time.monotonic()
-    _check_budget("q^6", q**6, budget)
+    check_budget("q^6", q**6, budget)
     ext = make_ext(2, k, 6)
     scan = _ext_scan(2, k, 6)
 
@@ -173,7 +167,7 @@ def enumerate_joubert_polys(q: int, budget: int | None = None) -> list[UPoly]:
     """All irreducible monic sextics t^6 + a t^4 + b t^2 + c t + d over F_q,
     ordered by ascending (a, b, c, d) packed-value tuples."""
     p, k = _split_prime_power(q)
-    _check_budget("q^4", q**4, budget)
+    check_budget("q^4", q**4, budget)
     field = make_field(p, k)
     field.build_tables()
     out = []
@@ -195,7 +189,7 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
     """
     p, k = _split_prime_power(q)
     start = time.monotonic()
-    _check_budget("q^5", q**5, budget)
+    check_budget("q^5", q**5, budget)
     ext = make_ext(p, k, 5)
     big = ext.big
     found = None
@@ -231,7 +225,7 @@ def explore_trace_conditions(q: int, p: int, m: int,
     k = _require_pow2(q)
     n = 2 * p**m
     start = time.monotonic()
-    _check_budget("q^n", q**n, budget)
+    check_budget("q^n", q**n, budget)
     ext = make_ext(2, k, n)
     big = ext.big
     base = set(ext.subfield_vals(1))

@@ -21,8 +21,9 @@ import time
 from dataclasses import dataclass
 
 from . import gflinalg
-from .errors import BudgetError, DomainError
-from .ffield import DEFAULT_LIMIT, FieldDesc, is_prime, make_field
+from .errors import DomainError
+from .ffield import (FieldDesc, _pack, _unpack, check_budget, is_prime,
+                     make_field)
 
 REDUCTION_NOTE = (
     "containment in the power-sum variety is tested over the finite field "
@@ -102,30 +103,13 @@ class PowerSumVariety:
         return self.violation(vec) is None
 
 
-def _digits(idx: int, p: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        out.append(idx % p)
-        idx //= p
-    return tuple(out)
-
-
-def _index(digits, p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
-
-
 def build_group(p: int, m: int, budget: int | None = None) -> GroupG:
     """Translation generators for each block, mixed-radix index order."""
     if p == 2 or not is_prime(p):
         raise DomainError(f"p = {p} must be an odd prime")
     if m < 1:
         raise DomainError(f"m = {m} must be positive")
-    cap = DEFAULT_LIMIT if budget is None else budget
-    if p**m > cap:
-        raise BudgetError("p^m", p**m, cap)
+    check_budget("p^m", p**m, budget)
     size = p**m
     n = 2 * size
     gens = []
@@ -134,9 +118,9 @@ def build_group(p: int, m: int, budget: int | None = None) -> GroupG:
         for j in range(m):
             perm = list(range(n))
             for local in range(size):
-                digits = list(_digits(local, p, m))
+                digits = _unpack(local, p, m)
                 digits[j] = (digits[j] + 1) % p
-                perm[off + local] = off + _index(digits, p)
+                perm[off + local] = off + _pack(digits, p)
             gens.append(tuple(perm))
     g = GroupG(p=p, m=m, n=n, gens=tuple(gens))
     _validate_group(g)
@@ -217,10 +201,10 @@ def eigen_decomposition(g: GroupG, field: FieldDesc) -> list[CharLine]:
     for block in (1, 2):
         off = (block - 1) * size
         for a_idx in range(size):
-            a = _digits(a_idx, g.p, g.m)
+            a = tuple(_unpack(a_idx, g.p, g.m))
             vec = [0] * g.n
             for i in range(size):
-                b = _digits(i, g.p, g.m)
+                b = _unpack(i, g.p, g.m)
                 e = sum(x * y for x, y in zip(a, b)) % g.p
                 vec[off + i] = field.pow_val(omega, e)
             line = CharLine(block=block, chi=a, vector=tuple(vec))
@@ -370,9 +354,7 @@ def brute_force_oracle(g: GroupG, field: FieldDesc,
     entries right of the pivots.  Independent of the structured enumeration.
     """
     total = count_2planes(g.n, field.order)
-    cap = DEFAULT_LIMIT if budget is None else budget
-    if total > cap:
-        raise BudgetError("2-plane count", total, cap)
+    check_budget("2-plane count", total, budget)
     variety = PowerSumVariety(field=field, p=g.p)
     q = field.order
     n = g.n

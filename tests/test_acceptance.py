@@ -5,6 +5,8 @@ required outcome at its stated tolerance, enforces the stated time limit,
 and prints one PASS/FAIL line straight to the terminal.
 """
 
+import json
+import os
 import time
 
 from joubert2 import checks
@@ -22,6 +24,9 @@ from joubert2.obstruct import (brute_force_oracle, build_group,
                                invariant_planes, no_plane_in_x)
 from joubert2.report import emit_json, strip_timing
 from joubert2.sigma import is_joubert, sigma_profile
+
+REGISTRY_MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "perfbench", "registry_manifest.json")
 
 
 def _criterion(capsys, name, limit_s, body):
@@ -183,6 +188,11 @@ def test_10_verify_all_determinism(capsys):
         m2 = checks.run_all(threads=2)
         assert m1.verdict == "pass"
         assert m1.tally == {"pass": len(m1.checks), "fail": 0, "skip": 0}
-        assert strip_timing(emit_json(m1)) == strip_timing(emit_json(m2))
+        stripped = strip_timing(emit_json(m1))
+        assert stripped == strip_timing(emit_json(m2))
+        # the manifest recorded for the benchmark pins every check's output
+        with open(REGISTRY_MANIFEST, encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        assert json.loads(stripped)["checks"] == recorded["checks"]
 
     _criterion(capsys, "10 verify-all thread determinism", None, body)

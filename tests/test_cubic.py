@@ -119,8 +119,9 @@ def test_census_thread_independent():
 
 
 def test_census_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as exc:
         surface_census(16, budget=1000)
+    assert (exc.value.needed, exc.value.budget) == (16**5, 1000)
 
 
 def test_manin_floor_binding_at_16():
@@ -204,8 +205,9 @@ def test_no_singular_points_found(q, d):
 def test_smoothness_guards():
     with pytest.raises(DomainError):
         smoothness_scan(2, 3)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as exc:
         smoothness_scan(8, 2, budget=10**6)
+    assert (exc.value.needed, exc.value.budget) == (64**4, 10**6)
 
 
 def test_frame_lift_validates_arity():

@@ -12,6 +12,7 @@ from joubert2 import (
     rel_frobenius,
     rel_trace,
 )
+from joubert2.ffield import _pack, _unpack
 
 F64 = make_field(2, 6)
 F9 = make_field(3, 2)
@@ -34,6 +35,14 @@ def test_canonical_moduli_pinned():
     assert canonical_modulus(3, 1) == (0, 1)
     assert canonical_modulus(3, 2) == (1, 0, 1)
     assert canonical_modulus(7, 2) == (1, 0, 1)
+    # the odd-p fields the verify-all registry builds
+    assert canonical_modulus(3, 4) == (2, 1, 0, 0, 1)
+    assert canonical_modulus(3, 5) == (1, 2, 0, 0, 0, 1)
+    assert canonical_modulus(3, 10) == (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert canonical_modulus(5, 2) == (2, 0, 1)
+    assert canonical_modulus(5, 4) == (2, 0, 0, 0, 1)
+    assert canonical_modulus(5, 5) == (1, 4, 0, 0, 0, 1)
+    assert canonical_modulus(5, 6) == (2, 1, 0, 0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -126,13 +135,23 @@ def test_construction_guards():
         make_field(4, 2)
     with pytest.raises(DomainError):
         make_field(2, 0)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as exc:
         make_field(2, 29)
+    assert (exc.value.needed, exc.value.budget) == (2**29, 2**28)
     make_field(2, 29, limit=2**29)  # explicit limit lifts the cap
 
 
 def test_make_field_is_canonicalized():
     assert make_field(2, 6) is F64
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_digit_index_round_trip(p, m, data):
+    idx = data.draw(st.integers(0, p**m - 1))
+    digits = _unpack(idx, p, m)
+    assert len(digits) == m
+    assert _pack(digits, p) == idx
 
 
 def test_mul_table_matches_scalar_route():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from joubert2 import obstruct
 from joubert2.errors import BudgetError, DomainError
-from joubert2.ffield import make_field
+from joubert2.ffield import DEFAULT_LIMIT, make_field
 from joubert2.obstruct import (PowerSumVariety, apply_perm, block_indicators,
                                brute_force_oracle, build_group,
                                choose_char_field, count_2planes,
@@ -52,17 +52,9 @@ class TestGroup:
             build_group(3, 0)
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as exc:
             build_group(3, 20, budget=10**6)
-
-    @given(st.sampled_from([3, 5, 7]), st.integers(1, 3),
-           st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_digit_index_round_trip(self, p, m, data):
-        idx = data.draw(st.integers(0, p**m - 1))
-        digits = obstruct._digits(idx, p, m)
-        assert len(digits) == m
-        assert obstruct._index(digits, p) == idx
+        assert (exc.value.needed, exc.value.budget) == (3**20, 10**6)
 
     def test_pullback_is_compatible_with_composition(self):
         g = build_group(3, 2)
@@ -291,6 +283,7 @@ class TestBruteForce:
         with pytest.raises(BudgetError) as exc:
             brute_force_oracle(g, choose_char_field(5))
         assert exc.value.needed == count_2planes(10, 16)
+        assert exc.value.budget == DEFAULT_LIMIT
 
     def test_invariance_filter_agrees_with_generic_check(self):
         g, E = _setup(3, 1)

@@ -155,6 +155,7 @@ class TestCli:
                      ["hermite"],
                      ["no-such-command"],
                      ["surface", "--q", "2", "--smooth-deg", "0"],
+                     ["surface", "--q", "2", "--smooth-deg", "3"],
                      ["hermite", "--q", "2", "--threads", "0"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -184,6 +185,16 @@ class TestCli:
                             lambda q, budget, threads: broken)
         assert main(["hermite", "--q", "2"]) == 1
         assert "verdict: fail" in capsys.readouterr().out
+
+    def test_unexpected_exception_is_a_fail(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(checks.cubic, "surface_census", broken)
+        res = checks.check_surface(2)
+        assert res.outcome == "fail"
+        assert res.witness == {"error": "KeyError: 'boom'"}
+        assert "KeyError" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
