@@ -36,20 +36,23 @@ def main() -> None:
     print(f"{'q':>4} {'total':>7} {'on line':>8} {'generator':>10} "
           f"{'floor':>7} {'sec':>7}")
     for q in qs:
+        t0 = time.perf_counter()
         c = surface_census(q, threads=args.threads)
         print(f"{q:>4} {c.total:>7} {c.on_line:>8} "
               f"{c.generator_points:>10} {c.manin_floor:>7} "
-              f"{c.elapsed_s:>7.2f}")
+              f"{time.perf_counter() - t0:>7.2f}")
 
     print("\ncurve fibers (u^q - u = x^(2q+1) + x^(q+2))")
     print(f"{'q':>4} {'affine':>8} {'good':>8} {'bad':>8} "
           f"{'weil window':>17} {'bound':>6} {'sec':>7}")
     for q in qs:
+        t0 = time.perf_counter()
         c = curve_census(q, threads=args.threads)
         window = f"[{c.weil_low}, {c.weil_high}]"
         print(f"{q:>4} {c.n_affine:>8} {c.good_points:>8} "
               f"{c.bad_points:>8} {window:>17} "
-              f"{str(bound_inequality(q)):>6} {c.elapsed_s:>7.2f}")
+              f"{str(bound_inequality(q)):>6} "
+              f"{time.perf_counter() - t0:>7.2f}")
 
 
 if __name__ == "__main__":

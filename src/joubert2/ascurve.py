@@ -14,7 +14,6 @@ must exist once q is large enough.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ class CurveCensus:
     weil_high: int
     good_points: int  # fiber points whose y generates the sextic extension
     bad_points: int  # fiber points with y in the cubic subextension
-    elapsed_s: float
 
 
 def genus_of(q: int) -> int:
@@ -100,7 +98,6 @@ def curve_census(q: int, budget: int | None = None,
     k = _require_pow2(q)
     total = q**6
     check_budget("curve census scan", total, budget)
-    t0 = time.perf_counter()
     scan = _ext_scan(2, k, 6)
 
     def tally(lo: int, hi: int) -> tuple[int, int, int]:
@@ -134,8 +131,7 @@ def curve_census(q: int, budget: int | None = None,
     assert lo <= n_smooth <= hi, "smooth count escapes the Weil interval"
     census = CurveCensus(q=q, n_affine=n_affine, n_smooth=n_smooth,
                          genus=genus_of(q), weil_low=lo, weil_high=hi,
-                         good_points=q * good_x, bad_points=q * bad_x,
-                         elapsed_s=time.perf_counter() - t0)
+                         good_points=q * good_x, bad_points=q * bad_x)
     assert census.bad_points <= q**5
     return census
 

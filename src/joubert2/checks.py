@@ -16,13 +16,13 @@ import sys
 import time
 import traceback
 
-from . import __version__, ascurve, cubic, jsearch, obstruct
+from . import ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError
 from .ffield import FElt, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
-                    format_poly, is_irreducible, min_poly, parse_poly)
+                    format_poly, is_irreducible, parse_poly)
 from .jsearch import _ext_scan
-from .report import CheckResult, Manifest
+from .report import CheckResult
 from .sigma import is_joubert, power_traces, sigma_profile
 
 import numpy as np
@@ -425,9 +425,3 @@ def verify_all_checks(budget: int | None = None,
     out.append(check_trace_square(budget, threads))
     out.append(check_charpoly_routes(budget, threads))
     return out
-
-
-def run_all(budget: int | None = None, threads: int = 1) -> Manifest:
-    checks = verify_all_checks(budget=budget, threads=threads)
-    return Manifest(version=__version__, config={"budget": budget},
-                    checks=checks)

@@ -17,7 +17,6 @@ outside the constants.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,6 @@ class SurfaceCensus:
     generator_points: int
     manin_floor: int
     affine_zero_count: int  # |{y in L_0 : Tr(y^3) = 0}|, the second route
-    elapsed_s: float
 
 
 def _f2_reduce(pivots: dict[int, int], v: int) -> int:
@@ -126,7 +124,6 @@ def surface_census(q: int, budget: int | None = None,
     F_{q^3}-line or a generator class, the line has exactly q+1 points, and
     the two counting routes agree.
     """
-    start = time.monotonic()
     k = _require_pow2(q)
     check_budget("q^5", q**5, budget)
     frame = build_frame(q)
@@ -171,8 +168,7 @@ def surface_census(q: int, budget: int | None = None,
     assert total >= manin_floor
     return SurfaceCensus(q=q, total=total, on_line=on_line,
                          generator_points=generator_points,
-                         manin_floor=manin_floor, affine_zero_count=s_count,
-                         elapsed_s=time.monotonic() - start)
+                         manin_floor=manin_floor, affine_zero_count=s_count)
 
 
 def _l0_basis_vals(frame: QuotientFrame) -> list[int]:

@@ -44,6 +44,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"p = {p} must be an odd prime")
+
+
 def prime_divisors(n: int) -> list[int]:
     out = []
     d = 2
@@ -165,7 +170,7 @@ class FieldDesc:
     """
 
     __slots__ = ("p", "m", "modulus", "order", "_mod_int", "_red_rows",
-                 "_mul_table", "_inv_table", "_zero", "_one")
+                 "_mul_table", "_zero", "_one")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -190,7 +195,6 @@ class FieldDesc:
         else:
             self._red_rows = None
         self._mul_table = None
-        self._inv_table = None
         self._zero = None
         self._one = None
 

@@ -10,14 +10,13 @@ independent of thread count.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DomainError
 from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
-                     make_field)
+                     make_field, require_odd_prime)
 from .fastscan import ExtScan, run_chunked
 from .fpoly import UPoly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
@@ -36,7 +35,6 @@ class SearchReport:
     found_min_poly: UPoly | None = None
     count: int | None = None
     scanned: int = 0
-    elapsed_s: float = 0.0
     extra: dict = dc_field(default_factory=dict)
 
 
@@ -89,7 +87,6 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
     if n != 6:
         raise DomainError(f"only degree-6 searches are supported, got n = {n}")
     k = _require_pow2(q)
-    start = time.monotonic()
     check_budget("q^6", q**6, budget)
     ext = make_ext(2, k, n)
     scan = _ext_scan(2, k, n)
@@ -127,7 +124,6 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
         y = ext.big.element(found_val)
         report.found = y
         report.found_min_poly = _verify_joubert_witness(y, ext)
-    report.elapsed_s = time.monotonic() - start
     return report
 
 
@@ -135,7 +131,6 @@ def count_joubert_generators(q: int, budget: int | None = None,
                              threads: int = 1) -> SearchReport:
     """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
     k = _require_pow2(q)
-    start = time.monotonic()
     check_budget("q^6", q**6, budget)
     ext = make_ext(2, k, 6)
     scan = _ext_scan(2, k, 6)
@@ -159,8 +154,7 @@ def count_joubert_generators(q: int, budget: int | None = None,
 
     counts = run_chunked(ext.big.order, tally, chunk=_CHUNK, threads=threads)
     return SearchReport(q=q, n=6, mode="count", count=sum(counts),
-                        scanned=ext.big.order,
-                        elapsed_s=time.monotonic() - start)
+                        scanned=ext.big.order)
 
 
 def enumerate_joubert_polys(q: int, budget: int | None = None) -> list[UPoly]:
@@ -188,7 +182,6 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
     acceptance always goes through the sigma profile.
     """
     p, k = _split_prime_power(q)
-    start = time.monotonic()
     check_budget("q^5", q**5, budget)
     ext = make_ext(p, k, 5)
     big = ext.big
@@ -206,7 +199,6 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
                           found=found)
     if found is not None:
         report.found_min_poly = _verify_joubert_witness(found, ext)
-    report.elapsed_s = time.monotonic() - start
     return report
 
 
@@ -218,13 +210,11 @@ def explore_trace_conditions(q: int, p: int, m: int,
     Purely informational: no outcome is asserted, since the analogous
     function-field statement does not constrain any specific finite field.
     """
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p = {p} must be an odd prime")
+    require_odd_prime(p)
     if m < 1:
         raise DomainError(f"m = {m} must be positive")
     k = _require_pow2(q)
     n = 2 * p**m
-    start = time.monotonic()
     check_budget("q^n", q**n, budget)
     ext = make_ext(2, k, n)
     big = ext.big
@@ -255,6 +245,5 @@ def explore_trace_conditions(q: int, p: int, m: int,
                 first_non = v
     return SearchReport(
         q=q, n=n, mode="count", count=gens + non_gens, scanned=big.order,
-        elapsed_s=time.monotonic() - start,
         extra={"p": p, "m": m, "generators": gens, "non_generators": non_gens,
                "first_generator": first_gen, "first_non_generator": first_non})

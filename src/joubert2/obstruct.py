@@ -17,13 +17,12 @@ is complete because a nonzero binary form of degree <= p cannot vanish at
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import gflinalg
 from .errors import DomainError
-from .ffield import (FieldDesc, _pack, _unpack, check_budget, is_prime,
-                     make_field)
+from .ffield import (FieldDesc, _pack, _unpack, check_budget, make_field,
+                     require_odd_prime)
 
 REDUCTION_NOTE = (
     "containment in the power-sum variety is tested over the finite field "
@@ -105,8 +104,7 @@ class PowerSumVariety:
 
 def build_group(p: int, m: int, budget: int | None = None) -> GroupG:
     """Translation generators for each block, mixed-radix index order."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p = {p} must be an odd prime")
+    require_odd_prime(p)
     if m < 1:
         raise DomainError(f"m = {m} must be positive")
     check_budget("p^m", p**m, budget)
@@ -164,8 +162,7 @@ def choose_char_field(p: int) -> FieldDesc:
     Any such field automatically has more than p elements, which the plane
     containment test needs; asserted anyway.
     """
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p = {p} must be an odd prime")
+    require_odd_prime(p)
     d = 1
     while (2**d - 1) % p:
         d += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .ffield import ExtDesc, FElt, rel_trace
+from .ffield import ExtDesc, FElt
 from .fpoly import char_poly
 
 

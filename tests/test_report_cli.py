@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joubert2 import checks
-from joubert2.cli import main
+from joubert2.cli import COMMANDS, main
 from joubert2.errors import DomainError
 from joubert2.report import (CheckResult, Manifest, emit_csv, emit_json,
                              emit_text, parse_json, strip_timing)
@@ -156,7 +156,12 @@ class TestCli:
                      ["no-such-command"],
                      ["surface", "--q", "2", "--smooth-deg", "0"],
                      ["surface", "--q", "2", "--smooth-deg", "3"],
-                     ["hermite", "--q", "2", "--threads", "0"]):
+                     ["hermite", "--q", "2", "--threads", "0"],
+                     ["hermite", "--q", "2", "--budget", "0"],
+                     ["joubert-enum", "--q", "6"],
+                     ["explore", "--q", "2", "--p", "9", "--m", "1"],
+                     ["obstruction", "--p", "2", "--m", "1"],
+                     ["explore", "--q", "3", "--p", "3", "--m", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -185,6 +190,41 @@ class TestCli:
                             lambda q, budget, threads: broken)
         assert main(["hermite", "--q", "2"]) == 1
         assert "verdict: fail" in capsys.readouterr().out
+
+    def test_refuses_optimize_flag(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "joubert2", "surface", "--q", "2"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "-O" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_every_check_is_reachable(self, capsys, monkeypatch):
+        reached = []
+
+        def recorder(name):
+            def record(*args):
+                reached.append(name)
+                return _result(f"{name}-{len(reached)}")
+            return record
+
+        names = [n for n in vars(checks) if n.startswith("check_")]
+        for name in names:
+            monkeypatch.setattr(checks, name, recorder(name))
+        # every gate open, so each row of the command table runs
+        argvs = [["joubert-search", "--q", "2"],
+                 ["joubert-enum", "--q", "2"],
+                 ["hermite", "--q", "2"],
+                 ["surface", "--q", "2", "--smooth-deg", "1"],
+                 ["obstruction", "--p", "3", "--m", "1", "--brute-force"],
+                 ["curve", "--q", "2"],
+                 ["explore", "--q", "2", "--p", "3", "--m", "1"],
+                 ["verify-all"]]
+        assert {argv[0] for argv in argvs} == set(COMMANDS)
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert sorted(set(names) - set(reached)) == []
 
     def test_unexpected_exception_is_a_fail(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
