@@ -24,8 +24,6 @@ from .ffield import (ExtDesc, FElt, check_budget, make_ext, rel_frobenius,
                      rel_trace)
 from .jsearch import _ext_scan, _require_pow2
 
-_CHUNK = 1 << 16
-
 
 @dataclass(frozen=True)
 class CurveCensus:
@@ -98,7 +96,7 @@ def curve_census(q: int, budget: int | None = None,
     k = _require_pow2(q)
     total = q**6
     check_budget("curve census scan", total, budget)
-    scan = _ext_scan(2, k, 6)
+    scan = _ext_scan(2, k, 6, budget)
 
     def tally(lo: int, hi: int) -> tuple[int, int, int]:
         x = np.arange(lo, hi, dtype=np.uint64)
@@ -118,7 +116,7 @@ def curve_census(q: int, budget: int | None = None,
                 int(np.count_nonzero(solvable & in_cubic)),
                 int(np.count_nonzero(good)))
 
-    parts = run_chunked(total, tally, chunk=_CHUNK, threads=threads)
+    parts = run_chunked(total, tally, threads=threads)
     solvable_x = sum(p[0] for p in parts)
     bad_x = sum(p[1] for p in parts)
     good_x = sum(p[2] for p in parts)
@@ -144,7 +142,7 @@ def trace_identity_check(q: int, budget: int | None = None,
     k = _require_pow2(q)
     total = q**6
     check_budget("trace identity scan", total, budget)
-    scan = _ext_scan(2, k, 6)
+    scan = _ext_scan(2, k, 6, budget)
 
     def check(lo: int, hi: int) -> int:
         x = np.arange(lo, hi, dtype=np.uint64)
@@ -154,7 +152,7 @@ def trace_identity_check(q: int, budget: int | None = None,
         assert np.array_equal(lhs, rhs)
         return int(x.size)
 
-    return sum(run_chunked(total, check, chunk=_CHUNK, threads=threads))
+    return sum(run_chunked(total, check, threads=threads))
 
 
 def good_fiber_witness(q: int, budget: int | None = None) -> FElt | None:
@@ -163,7 +161,7 @@ def good_fiber_witness(q: int, budget: int | None = None) -> FElt | None:
     k = _require_pow2(q)
     total = q**6
     check_budget("good fiber search", total, budget)
-    ext = make_ext(2, k, 6)
+    ext = make_ext(2, k, 6, limit=budget)
     for xv in range(total):
         yv = ext.big.add_val(ext.frob_val(xv), xv)
         if ext.trace_val(ext.big.pow_val(yv, 3)):

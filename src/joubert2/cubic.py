@@ -24,9 +24,8 @@ import numpy as np
 from .errors import DomainError
 from .ffield import ExtDesc, _unpack, check_budget, make_ext
 from .fastscan import run_chunked, span_vals
+from .gflinalg import rref_vals
 from .jsearch import _ext_scan, _require_pow2
-
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,7 @@ class QuotientFrame:
         and zero constant component."""
         if len(coords) != 4:
             raise DomainError(f"need 4 coordinates, got {len(coords)}")
-        big = self.ext.big
-        acc = 0
-        for c, b in zip(coords, self.basis[1:]):
-            if c:
-                acc = big.add_val(acc, big.mul_val(c, b))
-        return acc
+        return self.ext.big.combine(coords, self.basis[1:])
 
 
 @dataclass(frozen=True)
@@ -60,39 +54,20 @@ class SurfaceCensus:
     affine_zero_count: int  # |{y in L_0 : Tr(y^3) = 0}|, the second route
 
 
-def _f2_reduce(pivots: dict[int, int], v: int) -> int:
-    for bit in sorted(pivots, reverse=True):
-        if (v >> bit) & 1:
-            v ^= pivots[bit]
-    return v
-
-
-def _f2_insert(pivots: dict[int, int], v: int) -> bool:
-    v = _f2_reduce(pivots, v)
-    if v == 0:
-        return False
-    pivots[v.bit_length() - 1] = v
-    return True
-
-
-def build_frame(q: int) -> QuotientFrame:
+def build_frame(q: int, budget: int | None = None) -> QuotientFrame:
     """Deterministic K-basis (1, b_1..b_4) of L_0: greedy sweep in value
     order keeping K-linearly independent trace-zero elements."""
     k = _require_pow2(q)
-    ext = make_ext(2, k, 6)
+    ext = make_ext(2, k, 6, limit=budget)
     big = ext.big
-    pivots: dict[int, int] = {}
+    rows = []  # K-coordinates of the basis over the power basis of L/K
     basis = []
     v = 1
     while len(basis) < 5 and v < big.order:
         if ext.trace_val(v) == 0:
-            # K-independence: insert the whole K-line kappa^l * v
-            fresh = False
-            if _f2_reduce(pivots, v):
-                for kp in ext.kappa_powers:
-                    if _f2_insert(pivots, big.mul_val(kp, v)):
-                        fresh = True
-            if fresh:
+            cand = rows + [list(ext.rel_coordinates(v))]
+            if len(rref_vals(cand, big)) == len(cand):
+                rows = cand
                 basis.append(v)
         v += 1
     if len(basis) != 5:
@@ -101,7 +76,8 @@ def build_frame(q: int) -> QuotientFrame:
     frame = QuotientFrame(ext, tuple(basis))
     for b in basis:
         assert ext.trace_val(b) == 0
-    assert len(pivots) == 5 * k  # K-span of the basis is all of L_0
+    # K-span of the basis is all of L_0, a hyperplane of L
+    assert len(rref_vals(rows, big)) == 5
     return frame
 
 
@@ -126,7 +102,7 @@ def surface_census(q: int, budget: int | None = None,
     """
     k = _require_pow2(q)
     check_budget("q^5", q**5, budget)
-    frame = build_frame(q)
+    frame = build_frame(q, budget)
     ext = frame.ext
     big = ext.big
     k_vals = ext.k_elements()
@@ -151,7 +127,7 @@ def surface_census(q: int, budget: int | None = None,
     total = on_line + generator_points
 
     # independent affine route, vectorized: |S| over the 2^(5k) elements
-    scan = _ext_scan(2, k, 6)
+    scan = _ext_scan(2, k, 6, budget)
     l0 = span_vals(_l0_basis_vals(frame))
     assert len(l0) == q**5
 
@@ -159,7 +135,7 @@ def surface_census(q: int, budget: int | None = None,
         v = l0[lo:hi]
         return int(np.count_nonzero(scan.trace(scan.ops.cube(v)) == 0))
 
-    s_count = sum(run_chunked(len(l0), tally, chunk=_CHUNK, threads=threads))
+    s_count = sum(run_chunked(len(l0), tally, threads=threads))
     assert (s_count - q) % (q * q - q) == 0
     assert total == (s_count - q) // (q * q - q)
 
@@ -263,14 +239,12 @@ def smoothness_scan(q: int, ext_deg: int = 1,
     smoothness; the scan degree is part of the report."""
     if ext_deg not in (1, 2):
         raise DomainError(f"scan degree must be 1 or 2, got {ext_deg}")
-    k = _require_pow2(q)
+    _require_pow2(q)
     qq = q**ext_deg
     check_budget("(q^ext_deg)^4", qq**4, budget)
-    frame = build_frame(q)
-    ext = frame.ext
-    big = ext.big
+    frame = build_frame(q, budget)
     coeffs = cubic_form(frame)
-    sub = ext.subfield_vals(ext_deg)
+    sub = frame.ext.subfield_vals(ext_deg)
     assert len(sub) == qq
     singular = []
     for idx_coords in _projective_reps(qq):

@@ -1,7 +1,7 @@
 """Vectorized characteristic-2 kernels for exhaustive scans.
 
-Packed GF(2^m) values ride in uint64 numpy arrays (m <= 26, so a carry-less
-product needs at most 2m-1 <= 51 bits).  Multiplication is a shift-and-xor
+Packed GF(2^m) values ride in uint64 numpy arrays (m <= 32, so a carry-less
+product needs at most 2m-1 <= 63 bits).  Multiplication is a shift-and-xor
 loop plus byte-chunk reduction tables; every F_2-linear map (squaring, the
 relative Frobenius and its powers, the relative trace) becomes a set of
 256-entry gather tables, one per input byte.
@@ -21,6 +21,9 @@ from .errors import DomainError
 from .ffield import ExtDesc, FieldDesc
 
 _BYTE = np.uint64(0xFF)
+
+#: Elements per run_chunked range in the exhaustive scans.
+CHUNK = 1 << 16
 
 
 def _linear_tables(images: list[int]) -> list[np.ndarray]:
@@ -54,7 +57,7 @@ class Gf2Scan:
     def __init__(self, field: FieldDesc):
         if field.p != 2:
             raise DomainError("vector kernels are characteristic-2 only")
-        if field.m > 26:
+        if field.m > 32:
             raise DomainError(f"packed degree {field.m} exceeds uint64 headroom")
         self.field = field
         self.m = field.m
@@ -139,7 +142,7 @@ def span_vals(basis: list[int]) -> np.ndarray:
     return arr
 
 
-def run_chunked(total: int, fn, chunk: int = 1 << 16, threads: int = 1) -> list:
+def run_chunked(total: int, fn, chunk: int = CHUNK, threads: int = 1) -> list:
     """fn(lo, hi) over [0, total) split into ranges; results in range order.
 
     Thread count never changes the output: results are collected by chunk

@@ -278,6 +278,14 @@ class FieldDesc:
             raise ZeroDivisionError(f"division by zero in {self!r}")
         return self.mul_val(a, self.inv_val(b))
 
+    def combine(self, coeffs, vals) -> int:
+        """The linear combination sum(c * v) of packed values."""
+        acc = 0
+        for c, v in zip(coeffs, vals):
+            if c:
+                acc = self.add_val(acc, self.mul_val(c, v))
+        return acc
+
     def build_tables(self) -> None:
         """Precompute the full multiplication table (small fields only)."""
         if self._mul_table is not None or self.order > _MUL_TABLE_MAX:
@@ -298,13 +306,6 @@ class FieldDesc:
         if not 0 <= val < self.order:
             raise DomainError(f"value {val} out of range for {self!r}")
         return FElt(self, val)
-
-    def from_coeffs(self, coeffs) -> "FElt":
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m or any(not 0 <= c < self.p for c in coeffs):
-            raise DomainError(f"bad coefficient vector for {self!r}: {coeffs}")
-        coeffs += [0] * (self.m - len(coeffs))
-        return FElt(self, _pack(coeffs, self.p))
 
     def from_int(self, c: int) -> "FElt":
         return FElt(self, c % self.p)
@@ -519,17 +520,10 @@ class ExtDesc:
                 rows.append(_unpack(img, p, m))
             # columns of the matrix are images of basis vectors
             matrix = [[rows[j][i] for j in range(m)] for i in range(m)]
-            basis = gflinalg.kernel_fp(matrix, p)
-            vals = []
-            for combo in range(p**len(basis)):
-                digits = _unpack(combo, p, len(basis))
-                acc = 0
-                for c, b in zip(digits, basis):
-                    if c:
-                        term = _pack([(c * x) % p for x in b], p)
-                        acc = big.add_val(acc, term)
-                vals.append(acc)
-            vals.sort()
+            basis = [_pack(b, p)
+                     for b in gflinalg.kernel(matrix, make_field(p, 1))]
+            vals = sorted(big.combine(_unpack(combo, p, len(basis)), basis)
+                          for combo in range(p**len(basis)))
             assert len(vals) == self.q**d
             self._cache[key] = vals
         return self._cache[key]
@@ -542,17 +536,12 @@ class ExtDesc:
             if self.base_deg == 1:
                 self._cache["kappa"] = 1
             else:
-                digits = canonical_modulus(self.big.p, self.base_deg)
+                big = self.big
+                digits = canonical_modulus(big.p, self.base_deg)
                 root = None
                 for v in self.subfield_vals(1):
-                    acc = 0
-                    vp = 1
-                    for c in digits:
-                        if c:
-                            acc = self.big.add_val(
-                                acc, self.big.mul_val(c % self.big.p, vp))
-                        vp = self.big.mul_val(vp, v)
-                    if acc == 0:
+                    powers = [big.pow_val(v, i) for i in range(len(digits))]
+                    if big.combine(digits, powers) == 0:
                         root = v
                         break
                 assert root is not None
@@ -575,16 +564,8 @@ class ExtDesc:
         sum(c_i kappa^i)."""
         if "k_elements" not in self._cache:
             big = self.big
-            p, k = big.p, self.base_deg
-            powers = self.kappa_powers
-            out = []
-            for idx in range(self.q):
-                digits = _unpack(idx, p, k)
-                acc = 0
-                for c, kp in zip(digits, powers):
-                    if c:
-                        acc = big.add_val(acc, big.mul_val(c, kp))
-                out.append(acc)
+            out = [big.combine(_unpack(idx, big.p, self.base_deg),
+                               self.kappa_powers) for idx in range(self.q)]
             assert len(set(out)) == self.q
             self._cache["k_elements"] = out
         return self._cache["k_elements"]
@@ -617,21 +598,13 @@ class ExtDesc:
                 for kp in kappas:
                     cols.append(_unpack(big.mul_val(gpows[i], kp), p, m))
             matrix = [[cols[j][i] for j in range(m)] for i in range(m)]
-            self._cache["rel_solver"] = gflinalg.FpSolver(matrix, p)
-        solver = self._cache["rel_solver"]
-        kappas = self.kappa_powers
+            self._cache["rel_solver"] = gflinalg.Solver(matrix,
+                                                        make_field(p, 1))
         big = self.big
-        sol = solver.solve(_unpack(v, big.p, big.m))
+        sol = self._cache["rel_solver"].solve(_unpack(v, big.p, big.m))
         k = self.base_deg
-        out = []
-        for i in range(self.n):
-            acc = 0
-            for l in range(k):
-                c = sol[i * k + l]
-                if c:
-                    acc = big.add_val(acc, big.mul_val(c, kappas[l]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(big.combine(sol[i * k:(i + 1) * k], self.kappa_powers)
+                     for i in range(self.n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,11 +17,9 @@ import numpy as np
 from .errors import DomainError
 from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
                      make_field, require_odd_prime)
-from .fastscan import ExtScan, run_chunked
+from .fastscan import CHUNK, ExtScan, run_chunked
 from .fpoly import UPoly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
-
-_CHUNK = 1 << 16
 
 
 @dataclass
@@ -61,9 +59,16 @@ def _require_pow2(q: int) -> int:
     return k
 
 
+def _ext_scan(p: int, base_deg: int, n: int,
+              limit: int | None = None) -> ExtScan:
+    """Vector kernels for make_ext(p, base_deg, n, limit), built once per
+    extension whatever the limit."""
+    return _scan_of(make_ext(p, base_deg, n, limit))
+
+
 @functools.lru_cache(maxsize=None)
-def _ext_scan(p: int, base_deg: int, n: int) -> ExtScan:
-    return ExtScan(make_ext(p, base_deg, n))
+def _scan_of(ext: ExtDesc) -> ExtScan:
+    return ExtScan(ext)
 
 
 def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
@@ -88,8 +93,8 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
         raise DomainError(f"only degree-6 searches are supported, got n = {n}")
     k = _require_pow2(q)
     check_budget("q^6", q**6, budget)
-    ext = make_ext(2, k, n)
-    scan = _ext_scan(2, k, n)
+    ext = make_ext(2, k, n, limit=budget)
+    scan = _ext_scan(2, k, n, budget)
 
     def hunt(lo: int, hi: int):
         vals = np.arange(lo, hi, dtype=np.uint64)
@@ -105,12 +110,12 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
     # hit in chunk order, so the witness is the global minimum-value one
     found_val = None
     scanned = 0
-    window = max(1, threads) * _CHUNK
+    window = max(1, threads) * CHUNK
     for wlo in range(0, ext.big.order, window):
         whi = min(wlo + window, ext.big.order)
         hits = run_chunked(whi - wlo,
                            lambda lo, hi: hunt(wlo + lo, wlo + hi),
-                           chunk=_CHUNK, threads=threads)
+                           threads=threads)
         scanned = whi
         for hit in hits:
             if hit is not None:
@@ -132,8 +137,8 @@ def count_joubert_generators(q: int, budget: int | None = None,
     """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
     k = _require_pow2(q)
     check_budget("q^6", q**6, budget)
-    ext = make_ext(2, k, 6)
-    scan = _ext_scan(2, k, 6)
+    ext = make_ext(2, k, 6, limit=budget)
+    scan = _ext_scan(2, k, 6, budget)
 
     def tally(lo: int, hi: int) -> int:
         vals = np.arange(lo, hi, dtype=np.uint64)
@@ -152,7 +157,7 @@ def count_joubert_generators(q: int, budget: int | None = None,
             assert not is_joubert(ext.big.element(int(vals[i])), ext)
         return int(np.count_nonzero(keep))
 
-    counts = run_chunked(ext.big.order, tally, chunk=_CHUNK, threads=threads)
+    counts = run_chunked(ext.big.order, tally, threads=threads)
     return SearchReport(q=q, n=6, mode="count", count=sum(counts),
                         scanned=ext.big.order)
 
@@ -183,7 +188,7 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
     """
     p, k = _split_prime_power(q)
     check_budget("q^5", q**5, budget)
-    ext = make_ext(p, k, 5)
+    ext = make_ext(p, k, 5, limit=budget)
     big = ext.big
     found = None
     scanned = 0
@@ -216,7 +221,7 @@ def explore_trace_conditions(q: int, p: int, m: int,
     k = _require_pow2(q)
     n = 2 * p**m
     check_budget("q^n", q**n, budget)
-    ext = make_ext(2, k, n)
+    ext = make_ext(2, k, n, limit=budget)
     big = ext.big
     base = set(ext.subfield_vals(1))
     gens = 0

@@ -6,11 +6,9 @@ from itertools import product
 
 import pytest
 
-from joubert2 import ascurve
-from joubert2.ascurve import (CurveCensus, bound_inequality, curve_census,
-                              fiber_size, genus_of, good_fiber_witness,
-                              rhs_value, trace_identity_check,
-                              weil_window)
+from joubert2.ascurve import (bound_inequality, curve_census, fiber_size,
+                              genus_of, good_fiber_witness, rhs_value,
+                              trace_identity_check, weil_window)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, DomainError
 from joubert2.ffield import FElt, make_ext, make_field, rel_frobenius

@@ -2,7 +2,6 @@ import pytest
 
 from joubert2 import BudgetError, DomainError, iter_elements, make_field
 from joubert2.cubic import (
-    QuotientFrame,
     _l0_basis_vals,
     build_frame,
     cubic_form,
@@ -12,12 +11,28 @@ from joubert2.cubic import (
     surface_census,
 )
 from joubert2.fastscan import span_vals
+from joubert2.ffield import DEFAULT_LIMIT
 from joubert2.jsearch import count_joubert_generators
 
 
-def test_frame_q2_pinned():
-    fr = build_frame(2)
-    assert fr.basis == (1, 2, 4, 8, 16)
+@pytest.mark.parametrize("q,basis", [(2, (1, 2, 4, 8, 16)),
+                                     (4, (1, 2, 4, 16, 32)),
+                                     (8, (1, 2, 4, 16, 32)),
+                                     (16, (1, 14, 18, 38, 70))])
+def test_frame_bases_pinned(q, basis):
+    assert build_frame(q).basis == basis
+
+
+def test_frame_honours_budget():
+    # GF(2^30) is above the default cap, so only a granted budget builds it
+    with pytest.raises(BudgetError) as exc:
+        build_frame(32)
+    assert exc.value.budget == DEFAULT_LIMIT
+    with pytest.raises(BudgetError) as exc:
+        surface_census(32, budget=2**29)
+    assert (exc.value.needed, exc.value.budget) == (2**30, 2**29)
+    fr = build_frame(32, budget=2**30)
+    assert len(fr.basis) == 5 and fr.basis[0] == 1
     for b in fr.basis:
         assert fr.ext.trace_val(b) == 0
 

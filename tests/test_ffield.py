@@ -154,6 +154,20 @@ def test_digit_index_round_trip(p, m, data):
     assert _pack(digits, p) == idx
 
 
+@pytest.mark.parametrize("field", [F64, F9, F49], ids=repr)
+@given(data=st.data())
+@settings(max_examples=30)
+def test_combine_is_sum_of_products(field, data):
+    vals = data.draw(st.lists(_elt(field), max_size=5))
+    coeffs = data.draw(st.lists(_elt(field), min_size=len(vals),
+                                max_size=len(vals)))
+    expect = field.zero
+    for c, v in zip(coeffs, vals):
+        expect = expect + c * v
+    assert field.combine([c.val for c in coeffs],
+                         [v.val for v in vals]) == expect.val
+
+
 def test_mul_table_matches_scalar_route():
     f = make_field(2, 4)
     expected = {(a, b): f.mul_val(a, b) for a in range(16) for b in range(16)}

@@ -7,7 +7,6 @@ from joubert2.fpoly import (
     embed_poly,
     format_poly,
     is_irreducible,
-    min_poly,
 )
 from joubert2.jsearch import (
     count_joubert_generators,

@@ -2,8 +2,6 @@
 enumeration, and the brute-force subspace sweep."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from joubert2 import obstruct
 from joubert2.errors import BudgetError, DomainError

@@ -171,6 +171,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SKIP" in out
 
+    def test_budget_reaches_field_construction(self, capsys):
+        # q^5 = 2^25 fits the budget; the field GF(2^30) does not
+        argv = ["surface", "--q", "32", "--budget", "536870912",
+                "--format", "json"]
+        assert main(argv) == 3
+        (result,) = json.loads(capsys.readouterr().out)["checks"]
+        assert result["outcome"] == "skip"
+        assert "budget 536870912" in result["witness"]["reason"]
+
     def test_env_budget_and_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JOUBERT2_BUDGET", "5")
         assert main(["joubert-enum", "--q", "2"]) == 3

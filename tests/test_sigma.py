@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from joubert2 import DomainError, iter_elements, make_ext, make_field, rel_trace
 from joubert2.fpoly import conjugates, format_poly, min_poly
 from joubert2.sigma import (
-    SigmaProfile,
     is_generator,
     is_joubert,
     power_traces,
