@@ -325,15 +325,17 @@ def check_newton_identities(budget: int | None = None,
         assert power_traces(y, ext, 3)[2] == rhs.val
 
     def body():
+        fulls = [make_ext(p, k, n, limit=budget)
+                 for p, k, n in ((5, 1, 4), (7, 1, 2))]
+        pools = [make_ext(p, k, n, limit=budget)
+                 for p, k, n in ((2, 1, 12), (3, 1, 5), (5, 1, 6))]
         exhaustive = {}
-        for p, k, n in ((5, 1, 4), (7, 1, 2)):
-            ext = make_ext(p, k, n)
+        for ext in fulls:
             for v in range(ext.big.order):
                 between(FElt(ext.big, v), ext)
-            exhaustive[f"GF({p}^{k * n})"] = ext.big.order
+            exhaustive[f"GF({ext.big.p}^{ext.big.m})"] = ext.big.order
         rng = random.Random(99991)
         sampled = 0
-        pools = [make_ext(2, 1, 12), make_ext(3, 1, 5), make_ext(5, 1, 6)]
         for _ in range(10000):
             ext = pools[sampled % len(pools)]
             between(FElt(ext.big, rng.randrange(ext.big.order)), ext)
@@ -351,9 +353,10 @@ def check_newton_identities(budget: int | None = None,
 def check_trace_square(budget: int | None = None,
                        threads: int = 1) -> CheckResult:
     def body():
+        scans = {q: _ext_scan(2, k, 6, budget)
+                 for q, k in ((2, 1), (4, 2), (8, 3))}
         checked = {}
-        for q, k in ((2, 1), (4, 2), (8, 3)):
-            scan = _ext_scan(2, k, 6)
+        for q, scan in scans.items():
             z = np.arange(q**6, dtype=np.uint64)
             lhs = scan.trace(scan.ops.square(z))
             rhs = scan.ops.square(scan.trace(z))

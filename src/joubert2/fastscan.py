@@ -6,9 +6,10 @@ loop plus byte-chunk reduction tables; every F_2-linear map (squaring, the
 relative Frobenius and its powers, the relative trace) becomes a set of
 256-entry gather tables, one per input byte.
 
-Scalar ffield arithmetic stays the source of truth: every table is built
-from it, and the test suite cross-validates the two layers element by
-element.
+Every table is derived from the field's modulus alone, through the
+kernels' own reduction and squaring, so the vector layer builds nothing in
+the scalar `ffield` backends; the test suite cross-validates the two
+layers element by element.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
-from .ffield import ExtDesc, FieldDesc
+from .ffield import ExtDesc, FieldDesc, _pack
 
 _BYTE = np.uint64(0xFF)
 
@@ -63,16 +64,17 @@ class Gf2Scan:
         self.m = field.m
         # t^(m+j) mod modulus for the high bits of a carry-less product
         hi = []
-        cur = field._mod_int ^ (1 << field.m)  # t^m mod f
+        cur = _pack(field.modulus, 2) ^ (1 << field.m)  # t^m mod f
         for _ in range(field.m - 1):
             hi.append(cur)
             cur <<= 1
             if cur >> field.m & 1:
                 cur = (cur & ((1 << field.m) - 1)) ^ hi[0]
         self._red = _linear_tables(hi)
-        self._sqr = _linear_tables(
-            [field.mul_val(1 << j, 1 << j) for j in range(field.m)])
         self._low_mask = np.uint64((1 << field.m) - 1)
+        # (t^j)^2 = t^(2j), reduced
+        wide = np.array([1 << 2 * j for j in range(field.m)], dtype=np.uint64)
+        self._sqr = _linear_tables(self.reduce_wide(wide).tolist())
 
     def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
         """Reduce a (2m-1)-bit carry-less product to the canonical value."""
@@ -94,10 +96,6 @@ class Gf2Scan:
     def cube(self, a: np.ndarray) -> np.ndarray:
         return self.mul(a, self.square(a))
 
-    def linear_map(self, scalar_fn) -> list[np.ndarray]:
-        """Tables for any F_2-linear scalar map val -> val."""
-        return _linear_tables([scalar_fn(1 << j) for j in range(self.m)])
-
 
 class ExtScan:
     """Gf2Scan plus relative Frobenius / trace tables for one extension."""
@@ -105,10 +103,19 @@ class ExtScan:
     def __init__(self, ext: ExtDesc):
         self.ext = ext
         self.ops = Gf2Scan(ext.big)
-        self._frob = [None] + [
-            self.ops.linear_map(lambda v, i=i: ext.frob_iter_val(v, i))
-            for i in range(1, ext.n)]
-        self._trace = self.ops.linear_map(ext.trace_val)
+        # images of the basis t^j under x -> x^(q^i), squared by the product
+        # kernel so that the square tables stay a second, independent route
+        images = [np.array([1 << j for j in range(ext.big.m)],
+                           dtype=np.uint64)]
+        for _ in range(1, ext.n):
+            cur = images[-1]
+            for _ in range(ext.base_deg):
+                cur = self.ops.mul(cur, cur)
+            images.append(cur)
+        self._frob = [None] + [_linear_tables(img.tolist())
+                               for img in images[1:]]
+        self._trace = _linear_tables(
+            np.bitwise_xor.reduce(images).tolist())
 
     def frob(self, v: np.ndarray, i: int = 1) -> np.ndarray:
         i %= self.ext.n

@@ -2,9 +2,16 @@
 
 Elements are encoded as integers: the element with coefficient vector
 (c_0, ..., c_{m-1}) over GF(p) -- c_i the coefficient of t^i modulo the
-field's modulus polynomial -- is packed as sum(c_i * p**i).  For p = 2 this
-is plain bit packing and arithmetic runs on machine integers (carry-less
-multiply, shift reduction); other characteristics use digit vectors.
+field's modulus polynomial -- is packed as sum(c_i * p**i).  Each field
+has one arithmetic backend, fixed by its order:
+
+- prime fields GF(p): residues mod p;
+- GF(p^m) with m > 1 and at most _TABLE_MAX elements, any p: log/antilog
+  tables for products, quotients and powers, and Zech logarithms for sums
+  in odd characteristic (Lidl & Niederreiter, *Finite Fields*, ch. 9),
+  built on first use;
+- larger fields: carry-less products of machine integers for p = 2, digit
+  vectors reduced by the modulus for odd p.
 
 A relative extension L/K is never represented by materializing K: K is the
 fixed set of the relative Frobenius x -> x^q inside the one big field L.
@@ -13,7 +20,11 @@ fixed set of the relative Frobenius x -> x^q inside the one big field L.
 from __future__ import annotations
 
 import functools
+import threading
+from array import array
 from typing import Iterator
+
+import numpy as np
 
 from .errors import BudgetError, DomainError
 from . import gflinalg
@@ -21,8 +32,11 @@ from . import gflinalg
 #: Default cap on field order for construction and exhaustive scans.
 DEFAULT_LIMIT = 2**28
 
-# Multiplication tables are only built for fields at most this large.
-_MUL_TABLE_MAX = 512
+#: Non-prime fields of at most this order get log/Zech tables.
+_TABLE_MAX = 2**14
+
+# serializes first-use table builds across threads
+_TABLE_LOCK = threading.Lock()
 
 
 def check_budget(what: str, needed: int, budget: int | None) -> None:
@@ -64,9 +78,8 @@ def prime_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over the prime field: GF(2) polynomials are packed integers,
-# odd characteristic uses digit lists.  Element products and the GF(2)
-# modulus search share them.
+# GF(2) polynomials as packed integers, shared by products in GF(2^m) above
+# the table cap and by the GF(2) modulus search.
 
 
 def _clmul(a: int, b: int) -> int:
@@ -108,15 +121,6 @@ def _irreducible_gf2(f: int, deg: int) -> bool:
         if _gcd2(pows[deg // r] ^ _mod2(2, f), f) != 1:
             return False
     return True
-
-
-def _polymul_p(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -166,35 +170,17 @@ class FieldDesc:
     """A concrete finite field GF(p^m) with its canonical modulus.
 
     Immutable after construction; all element operations are pure.  Obtain
-    instances through :func:`make_field` so equal parameters share one object.
+    instances through :func:`make_field`, which picks the backend subclass
+    for the field's order and shares one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "modulus", "order", "_mod_int", "_red_rows",
-                 "_mul_table", "_zero", "_one")
+    __slots__ = ("p", "m", "modulus", "order", "_zero", "_one")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.modulus = modulus
         self.order = p**m
-        self._mod_int = _pack(modulus, p) if p == 2 else None
-        if p != 2 and m > 1:
-            # digits of t^(m+j) mod modulus, for reducing products
-            rows = []
-            cur = [(-c) % p for c in modulus[:m]]  # t^m mod f
-            rows.append(cur[:])
-            for _ in range(m - 2):
-                cur = [0] + cur
-                if cur[m]:
-                    c = cur[m]
-                    cur = [(x + c * r) % p for x, r in zip(cur[:m], rows[0])]
-                else:
-                    cur = cur[:m]
-                rows.append(cur[:])
-            self._red_rows = rows
-        else:
-            self._red_rows = None
-        self._mul_table = None
         self._zero = None
         self._one = None
 
@@ -209,51 +195,8 @@ class FieldDesc:
         return hash((self.p, self.m, self.modulus))
 
     # -- value-level arithmetic (packed ints) --
-
-    def add_val(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        return _pack([(x + y) % p for x, y in
-                      zip(_unpack(a, p, self.m), _unpack(b, p, self.m))], p)
-
-    def sub_val(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a - b) % self.p
-        p = self.p
-        return _pack([(x - y) % p for x, y in
-                      zip(_unpack(a, p, self.m), _unpack(b, p, self.m))], p)
-
-    def neg_val(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return _pack([(-x) % p for x in _unpack(a, p, self.m)], p)
-
-    def mul_val(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is not None:
-            return table[a * self.order + b]
-        if self.p == 2:
-            return _mod2(_clmul(a, b), self._mod_int)
-        if self.m == 1:
-            return (a * b) % self.p
-        p, m = self.p, self.m
-        prod = _polymul_p(_unpack(a, p, m), _unpack(b, p, m), p)
-        prod += [0] * (2 * m - 1 - len(prod))
-        acc = prod[:m]
-        for j in range(m - 2, -1, -1):
-            c = prod[m + j]
-            if c:
-                row = self._red_rows[j]
-                acc = [(x + c * r) % p for x, r in zip(acc, row)]
-        return _pack(acc, p)
+    # Each backend defines add_val, sub_val, neg_val and mul_val; powers,
+    # inverses and quotients default to square-and-multiply over mul_val.
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:
@@ -287,18 +230,8 @@ class FieldDesc:
         return acc
 
     def build_tables(self) -> None:
-        """Precompute the full multiplication table (small fields only)."""
-        if self._mul_table is not None or self.order > _MUL_TABLE_MAX:
-            return
-        n = self.order
-        table = [0] * (n * n)
-        for a in range(n):
-            base = a * n
-            for b in range(a, n):
-                v = self.mul_val(a, b)
-                table[base + b] = v
-                table[b * n + a] = v
-        self._mul_table = table
+        """Build the field's lookup tables now instead of on first use; only
+        the table backend has any."""
 
     # -- element constructors --
 
@@ -328,6 +261,248 @@ class FieldDesc:
         if self.m == 1:
             raise DomainError("prime field has no modulus root")
         return FElt(self, self.p)
+
+
+class _PrimeField(FieldDesc):
+    """GF(p): residues mod p."""
+
+    __slots__ = ()
+
+    def add_val(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub_val(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg_val(self, a: int) -> int:
+        return -a % self.p
+
+    def mul_val(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+
+def _log_tables(p: int, m: int, modulus: tuple[int, ...]):
+    """(exp, log, zech) for GF(p^m), m > 1, to the base g, the least
+    primitive element by packed value.  With N = p^m - 1:
+
+    - exp[k] = g^(k mod N) for k < 2N and 0 from 2N on (length 4N + 1);
+    - log[a] = log_g(a) in [0, N), and log[0] = 2N;
+    - zech[k] = log_g(1 + g^k), period N and stored twice, so that any
+      index in [-2N, 2N) wraps; where 1 + g^k = 0 it is log[0] = 2N.
+
+    So a log plus a log or a zech entry stays inside exp, and reads 0
+    there when either term is the 2N of a zero.  Primitivity is tested by
+    the over-cap backend; the powers of g come from walking x -> g*x, a map
+    computed for all x at once on digit vectors.
+    """
+    q = p**m
+    n = q - 1
+    # int32 holds every intermediate below: p <= 127 here, so < 2p^2 + p
+    weights = p ** np.arange(m, dtype=np.int32)
+    digits = np.arange(q, dtype=np.int32)[:, None] // weights % p
+    tail = np.array([(-c) % p for c in modulus[:m]], dtype=np.int32)
+
+    def times_t(d):  # t*x mod modulus, row by row
+        up = np.roll(d, 1, axis=1)
+        top = up[:, :1].copy()
+        up[:, 0] = 0
+        return up + top * tail
+
+    slow = (_ClmulField if p == 2 else _DigitField)(p, m, modulus)
+    g = next(g for g in range(p, q)  # values below p lie in GF(p)
+             if all(slow.pow_val(g, n // r) != 1 for r in prime_divisors(n)))
+    acc = np.zeros_like(digits)
+    for c in reversed(_unpack(g, p, m)):  # Horner in t
+        acc = (times_t(acc) + c * digits) % p
+    times_g = (acc @ weights).tolist()
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(times_g[powers[-1]])
+    assert len(set(powers)) == n
+    exp = np.zeros(4 * n + 1, dtype=np.uint16)
+    exp[:n] = exp[n:2 * n] = powers
+    log = np.empty(q, dtype=np.uint16)
+    log[exp[:n]] = np.arange(n)
+    log[0] = 2 * n
+    # 1 + x raises digit 0 of x by one, mod p
+    one_plus = exp[:n] + 1 - p * (exp[:n] % p == p - 1)
+    zech = np.tile(log[one_plus], 2)
+    return tuple(array("H", t.tobytes()) for t in (exp, log, zech))
+
+
+class _TableField(FieldDesc):
+    """GF(p^m), m > 1, of order at most _TABLE_MAX: each operation is one or
+    two lookups in the tables of _log_tables; a sum is
+    g^(la + zech[lb - la]) for la, lb the logs of its terms.
+
+    Fields start as _UnbuiltTableField, which builds the tables on first
+    use; the built class reads them with no check on the way.
+    """
+
+    __slots__ = ("_exp", "_log", "_zech", "_log_neg1")
+
+    def add_val(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
+
+    def sub_val(self, a: int, b: int) -> int:
+        lnb = self._log[b] + self._log_neg1  # log of -b
+        if not a:
+            return self._exp[lnb]
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[lnb - la]]
+
+    def neg_val(self, a: int) -> int:
+        return self._exp[self._log[a] + self._log_neg1]
+
+    def mul_val(self, a: int, b: int) -> int:
+        log = self._log
+        return self._exp[log[a] + log[b]]
+
+    def inv_val(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inversion of zero in {self!r}")
+        return self._exp[self.order - 1 - self._log[a]]
+
+    def pow_val(self, a: int, e: int) -> int:
+        if a:
+            return self._exp[self._log[a] * e % (self.order - 1)]
+        if e < 0:
+            raise ZeroDivisionError(f"inversion of zero in {self!r}")
+        return 0 if e else 1
+
+
+class _Char2:
+    """Sums in characteristic 2: xor of packed values."""
+
+    __slots__ = ()
+
+    def add_val(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub_val = add_val
+
+    def neg_val(self, a: int) -> int:
+        return a
+
+
+class _Char2TableField(_Char2, _TableField):
+    """GF(2^m) of order at most _TABLE_MAX: table products, xor sums."""
+
+    __slots__ = ()
+
+
+class _UnbuiltTableField(_TableField):
+    """A table field before its first operation.  That operation builds
+    the tables, then moves the field to its built class and runs there."""
+
+    __slots__ = ()
+
+    def build_tables(self) -> None:
+        with _TABLE_LOCK:
+            if type(self) is not _UnbuiltTableField:
+                return  # another thread built them meanwhile
+            self._exp, self._log, self._zech = _log_tables(
+                self.p, self.m, self.modulus)
+            self._log_neg1 = self._log[self.p - 1]
+            # last, so that no thread reaches a lookup before its table
+            self.__class__ = _Char2TableField if self.p == 2 else _TableField
+
+    def add_val(self, a: int, b: int) -> int:
+        self.build_tables()
+        return self.add_val(a, b)
+
+    def sub_val(self, a: int, b: int) -> int:
+        self.build_tables()
+        return self.sub_val(a, b)
+
+    def neg_val(self, a: int) -> int:
+        self.build_tables()
+        return self.neg_val(a)
+
+    def mul_val(self, a: int, b: int) -> int:
+        self.build_tables()
+        return self.mul_val(a, b)
+
+    def inv_val(self, a: int) -> int:
+        self.build_tables()
+        return self.inv_val(a)
+
+    def pow_val(self, a: int, e: int) -> int:
+        self.build_tables()
+        return self.pow_val(a, e)
+
+
+class _ClmulField(_Char2, FieldDesc):
+    """GF(2^m) above the table cap: carry-less products of packed ints."""
+
+    __slots__ = ("_mod_int",)
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        super().__init__(p, m, modulus)
+        self._mod_int = _pack(modulus, 2)
+
+    def mul_val(self, a: int, b: int) -> int:
+        return _mod2(_clmul(a, b), self._mod_int)
+
+
+class _DigitField(FieldDesc):
+    """GF(p^m), odd p, above the table cap: digit vectors over GF(p)."""
+
+    __slots__ = ("_red_rows",)
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        super().__init__(p, m, modulus)
+        # digits of t^(m+j) mod modulus, for reducing products
+        rows = []
+        cur = [(-c) % p for c in modulus[:m]]  # t^m mod f
+        rows.append(cur[:])
+        for _ in range(m - 2):
+            cur = [0] + cur
+            if cur[m]:
+                c = cur[m]
+                cur = [(x + c * r) % p for x, r in zip(cur[:m], rows[0])]
+            else:
+                cur = cur[:m]
+            rows.append(cur[:])
+        self._red_rows = rows
+
+    def add_val(self, a: int, b: int) -> int:
+        p = self.p
+        return _pack([(x + y) % p for x, y in
+                      zip(_unpack(a, p, self.m), _unpack(b, p, self.m))], p)
+
+    def sub_val(self, a: int, b: int) -> int:
+        p = self.p
+        return _pack([(x - y) % p for x, y in
+                      zip(_unpack(a, p, self.m), _unpack(b, p, self.m))], p)
+
+    def neg_val(self, a: int) -> int:
+        p = self.p
+        return _pack([(-x) % p for x in _unpack(a, p, self.m)], p)
+
+    def mul_val(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        db = _unpack(b, p, m)
+        for i, x in enumerate(_unpack(a, p, m)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        acc = prod[:m]
+        for j in range(m - 2, -1, -1):
+            c = prod[m + j]
+            if c:
+                row = self._red_rows[j]
+                acc = [(x + c * r) % p for x, r in zip(acc, row)]
+        return _pack(acc, p)
 
 
 class FElt:
@@ -421,7 +596,13 @@ class FElt:
 
 @functools.lru_cache(maxsize=None)
 def _build_field(p: int, m: int) -> FieldDesc:
-    return FieldDesc(p, m, canonical_modulus(p, m))
+    if m == 1:
+        backend = _PrimeField
+    elif p**m <= _TABLE_MAX:
+        backend = _UnbuiltTableField
+    else:
+        backend = _ClmulField if p == 2 else _DigitField
+    return backend(p, m, canonical_modulus(p, m))
 
 
 def make_field(p: int, m: int, limit: int | None = None) -> FieldDesc:
@@ -490,9 +671,7 @@ class ExtDesc:
         return self.big.pow_val(v, self.q)
 
     def frob_iter_val(self, v: int, i: int) -> int:
-        for _ in range(i % self.n):
-            v = self.frob_val(v)
-        return v
+        return self.big.pow_val(v, self.q ** (i % self.n))
 
     def trace_val(self, v: int) -> int:
         acc = 0

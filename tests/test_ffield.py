@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +16,9 @@ from joubert2 import (
     rel_frobenius,
     rel_trace,
 )
+from joubert2 import ffield
 from joubert2.ffield import _pack, _unpack
+from joubert2.fpoly import UPoly, pow_mod
 
 F64 = make_field(2, 6)
 F9 = make_field(3, 2)
@@ -168,13 +174,118 @@ def test_combine_is_sum_of_products(field, data):
                          [v.val for v in vals]) == expect.val
 
 
-def test_mul_table_matches_scalar_route():
-    f = make_field(2, 4)
-    expected = {(a, b): f.mul_val(a, b) for a in range(16) for b in range(16)}
-    f.build_tables()
-    assert f._mul_table is not None
-    for (a, b), v in expected.items():
-        assert f.mul_val(a, b) == v
+# -- table backend ------------------------------------------------------------
+
+# every non-prime field of order <= 2^14 that the verify-all registry builds
+TABLED = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 10), (2, 12), (3, 5),
+          (5, 4), (5, 5), (5, 6), (7, 2)]
+
+
+@pytest.mark.parametrize("p,m", TABLED)
+def test_tables_match_polynomial_route(p, m):
+    # the independent route: UPoly arithmetic over GF(p), reduced mod the
+    # canonical modulus; every pair for order <= 243, else 2000 seeded pairs
+    field = make_field(p, m)
+    q = field.order
+    prime = make_field(p, 1)
+    modulus = UPoly(prime, field.modulus)
+
+    def poly(v):
+        return UPoly(prime, _unpack(v, p, m))
+
+    def val(f):
+        return _pack(f.coeffs, p)
+
+    if q <= 243:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        fa, fb = poly(a), poly(b)
+        assert field.mul_val(a, b) == val((fa * fb) % modulus)
+        assert field.add_val(a, b) == val(fa + fb)
+        assert field.sub_val(a, b) == val(fa - fb)
+    # one exponent per element, negative ones included
+    for a, e in dict(pairs).items():
+        fa = poly(a)
+        e -= q // 2
+        assert field.neg_val(a) == val(-fa)
+        if a:
+            assert val((fa * poly(field.inv_val(a))) % modulus) == 1
+            assert field.pow_val(a, e) == val(pow_mod(fa, e % (q - 1),
+                                                      modulus))
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 2), (5, 4), (7, 2), (5, 1),
+                                 (2, 15), (3, 10)])
+def test_zero_and_negation_edge_cases(p, m):
+    # tabled and prime fields exhaustively (Zech sentinels included), the
+    # over-cap backends on their first 200 values
+    field = make_field(p, m)
+    q = field.order
+    for a in range(q if q <= ffield._TABLE_MAX else 200):
+        na = field.neg_val(a)
+        assert field.add_val(a, na) == field.add_val(na, a) == 0
+        assert field.sub_val(a, a) == 0
+        assert field.add_val(a, 0) == field.add_val(0, a) == a
+        assert field.sub_val(a, 0) == a
+        assert field.sub_val(0, a) == na
+        assert field.mul_val(a, 0) == field.mul_val(0, a) == 0
+        assert field.pow_val(a, 0) == 1
+        if a:
+            assert field.div_val(0, a) == 0
+            assert field.pow_val(a, -1) == field.inv_val(a)
+            assert field.mul_val(field.pow_val(a, -3),
+                                 field.pow_val(a, 3)) == 1
+            assert field.pow_val(a, -(q - 1)) == 1
+    assert field.neg_val(0) == 0
+    assert field.pow_val(0, 0) == 1
+    assert field.pow_val(0, 5) == 0
+    with pytest.raises(ZeroDivisionError):
+        field.inv_val(0)
+    with pytest.raises(ZeroDivisionError):
+        field.pow_val(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        field.div_val(1, 0)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_first_use_from_threads(workers):
+    # a fresh, unbuilt GF(5^6): threads that all start with arithmetic see
+    # exactly the single-thread results, whichever of them builds the tables
+    fresh = ffield._build_field.__wrapped__
+    rng = random.Random(workers)
+    pairs = [(rng.randrange(5**6), rng.randrange(5**6)) for _ in range(2000)]
+
+    def work(field):
+        return [(field.mul_val(a, b), field.add_val(a, b),
+                 field.sub_val(a, b), field.neg_val(a)) for a, b in pairs]
+
+    expect = work(fresh(5, 6))
+    field = fresh(5, 6)
+    assert isinstance(field, ffield._UnbuiltTableField)
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def run(i):
+        start.wait(timeout=30)
+        results[i] = work(field)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expect] * workers
+    assert not isinstance(field, ffield._UnbuiltTableField)
 
 
 # -- enumeration ------------------------------------------------------------

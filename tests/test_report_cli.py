@@ -180,6 +180,16 @@ class TestCli:
         assert result["outcome"] == "skip"
         assert "budget 536870912" in result["witness"]["reason"]
 
+    def test_budget_reaches_scalar_audits(self, capsys):
+        # both checks scan fields of order above 1000 (up to 5^6 and 2^18),
+        # so a budget of 1000 must skip them
+        argv = ["verify-all", "--budget", "1000", "--format", "json"]
+        assert main(argv) == 3
+        got = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        for cid in ("newton-identities", "trace-square-frobenius"):
+            assert got[cid]["outcome"] == "skip"
+            assert "budget 1000" in got[cid]["witness"]["reason"]
+
     def test_env_budget_and_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JOUBERT2_BUDGET", "5")
         assert main(["joubert-enum", "--q", "2"]) == 3
