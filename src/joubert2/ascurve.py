@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fastscan import run_chunked
+from .fastscan import Workspace, run_chunked
 from .ffield import (ExtDesc, FElt, check_budget, make_ext, rel_frobenius,
                      rel_trace)
 from .jsearch import _ext_scan, _require_pow2
@@ -98,16 +98,20 @@ def curve_census(q: int, budget: int | None = None,
     check_budget("curve census scan", total, budget)
     scan = _ext_scan(2, k, 6, budget)
 
+    ws = Workspace()
+
     def tally(lo: int, hi: int) -> tuple[int, int, int]:
-        x = np.arange(lo, hi, dtype=np.uint64)
-        xq = scan.frob(x, 1)
-        y = x ^ xq
-        c = scan.ops.mul(scan.ops.mul(x, xq), y)
-        solvable = scan.trace(c) == 0
+        n = hi - lo
+        x = ws.arange("x", lo, hi)
+        xq = scan.frob(x, 1, out=ws.get("xq", n))
+        y = np.bitwise_xor(x, xq, out=ws.get("y", n))
+        c = scan.ops.mul(x, xq, out=ws.get("c", n))
+        solvable = scan.trace(scan.ops.mul(c, y, out=c), out=c) == 0
         # same criterion through the trace identity, as a cross-check
-        assert np.array_equal(solvable, scan.trace(scan.ops.cube(y)) == 0)
-        in_cubic = scan.frob(y, 3) == y
-        in_quadratic = scan.frob(y, 2) == y
+        t = scan.trace(scan.ops.cube(y, out=c), out=c)
+        assert np.array_equal(solvable, t == 0)
+        in_cubic = scan.frob(y, 3, out=c) == y
+        in_quadratic = scan.frob(y, 2, out=c) == y
         assert not np.any(in_cubic & ~solvable)
         # trace-qualifying y in the quadratic subextension is already in F_q
         assert not np.any(solvable & in_quadratic & ~in_cubic)
@@ -144,13 +148,18 @@ def trace_identity_check(q: int, budget: int | None = None,
     check_budget("trace identity scan", total, budget)
     scan = _ext_scan(2, k, 6, budget)
 
+    ws = Workspace()
+
     def check(lo: int, hi: int) -> int:
-        x = np.arange(lo, hi, dtype=np.uint64)
-        y = x ^ scan.frob(x, 1)
-        lhs = scan.trace(scan.ops.cube(y))
-        rhs = scan.trace(scan.power(x, 2 * q + 1) ^ scan.power(x, q + 2))
-        assert np.array_equal(lhs, rhs)
-        return int(x.size)
+        n = hi - lo
+        x = ws.arange("x", lo, hi)
+        y = scan.frob(x, 1, out=ws.get("y", n))
+        y ^= x
+        lhs = scan.trace(scan.ops.cube(y, out=y), out=y)
+        r = scan.power(x, 2 * q + 1, out=ws.get("r", n))
+        r ^= scan.power(x, q + 2, out=ws.get("r2", n))
+        assert np.array_equal(lhs, scan.trace(r, out=r))
+        return n
 
     return sum(run_chunked(total, check, threads=threads))
 

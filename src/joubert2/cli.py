@@ -10,6 +10,7 @@ CLI refuses to run under `python -O`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -144,6 +145,22 @@ def _resolve_budget(ap: argparse.ArgumentParser, args) -> int | None:
         ap.error(f"${BUDGET_ENV}: {e}")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    renamed over path only once complete: a failed write leaves any
+    previous file as it was."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     if sys.flags.optimize:
         print("joubert2: error: refusing to run under python -O, which "
@@ -169,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     text = EMITTERS[args.format](manifest)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_atomic(args.out, text)
         except OSError as e:
             print(f"joubert2: error: cannot write --out {args.out}: {e}",
                   file=sys.stderr)

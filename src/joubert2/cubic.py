@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ffield import ExtDesc, _unpack, check_budget, make_ext
-from .fastscan import run_chunked, span_vals
+from .fastscan import LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
 from .jsearch import _ext_scan, _require_pow2
 
@@ -128,14 +128,17 @@ def surface_census(q: int, budget: int | None = None,
 
     # independent affine route, vectorized: |S| over the 2^(5k) elements
     scan = _ext_scan(2, k, 6, budget)
-    l0 = span_vals(_l0_basis_vals(frame))
-    assert len(l0) == q**5
+    l0 = LinearMap(_l0_basis_vals(frame))  # digit index -> element of L_0
+    total_l0 = 1 << len(l0.images)
+    assert total_l0 == q**5
+    ws = Workspace()
 
     def tally(lo: int, hi: int) -> int:
-        v = l0[lo:hi]
-        return int(np.count_nonzero(scan.trace(scan.ops.cube(v)) == 0))
+        v = l0(ws.arange("i", lo, hi), out=ws.get("v", hi - lo))
+        t = scan.trace(scan.ops.cube(v, out=v), out=v)
+        return int(np.count_nonzero(t == 0))
 
-    s_count = sum(run_chunked(len(l0), tally, threads=threads))
+    s_count = sum(run_chunked(total_l0, tally, threads=threads))
     assert (s_count - q) % (q * q - q) == 0
     assert total == (s_count - q) // (q * q - q)
 

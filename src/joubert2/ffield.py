@@ -15,6 +15,9 @@ has one arithmetic backend, fixed by its order:
 
 A relative extension L/K is never represented by materializing K: K is the
 fixed set of the relative Frobenius x -> x^q inside the one big field L.
+The relative trace is F_p-linear; on the carry-less backend it is a lookup
+per input byte in tables built, on first use, from the traces of the basis
+t^j by the square-and-multiply route.
 """
 
 from __future__ import annotations
@@ -188,6 +191,8 @@ class FieldDesc:
         return f"GF({self.p})" if self.m == 1 else f"GF({self.p}^{self.m})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, FieldDesc)
                 and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
 
@@ -659,6 +664,8 @@ class ExtDesc:
         return f"Ext({self.big!r}/GF({self.q}), n={self.n})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, ExtDesc) and self.big == other.big
                 and self.base_deg == other.base_deg)
 
@@ -674,6 +681,20 @@ class ExtDesc:
         return self.big.pow_val(v, self.q ** (i % self.n))
 
     def trace_val(self, v: int) -> int:
+        if not isinstance(self.big, _ClmulField):
+            return self._trace_by_powers(v)
+        # over-cap p = 2: the trace is F_2-linear, so one lookup per byte
+        tables = self._cache.get("trace_bytes")
+        if tables is None:
+            tables = self._cache.setdefault("trace_bytes",
+                                            self._trace_byte_tables())
+        acc = 0
+        for t in tables:
+            acc ^= t[v & 0xFF]
+            v >>= 8
+        return acc
+
+    def _trace_by_powers(self, v: int) -> int:
         acc = 0
         cur = v
         big = self.big
@@ -681,6 +702,18 @@ class ExtDesc:
             acc = big.add_val(acc, cur)
             cur = self.frob_val(cur)
         return acc
+
+    def _trace_byte_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per input byte, the traces of its 256 values, from the traces of
+        the basis t^j by the square-and-multiply route."""
+        images = [self._trace_by_powers(1 << j) for j in range(self.big.m)]
+        tables = []
+        for lo in range(0, self.big.m, 8):
+            t = [0]
+            for img in images[lo:lo + 8]:
+                t += [x ^ img for x in t]
+            tables.append(tuple(t + [0] * (256 - len(t))))
+        return tuple(tables)
 
     # -- structure of K inside L --
 

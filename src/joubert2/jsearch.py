@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
                      make_field, require_odd_prime)
-from .fastscan import CHUNK, ExtScan, run_chunked
+from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
 
@@ -96,11 +96,14 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
     ext = make_ext(2, k, n, limit=budget)
     scan = _ext_scan(2, k, n, budget)
 
+    ws = Workspace()
+
     def hunt(lo: int, hi: int):
-        vals = np.arange(lo, hi, dtype=np.uint64)
-        cand = vals[(scan.trace(vals) == 0)
-                    & (scan.trace(scan.ops.cube(vals)) == 0)]
-        for v in cand.tolist():
+        vals = ws.arange("vals", lo, hi)
+        t = ws.get("t", hi - lo)
+        pair = scan.trace(vals, out=t) == 0
+        pair &= scan.trace(scan.ops.cube(vals, out=t), out=t) == 0
+        for v in vals[pair].tolist():
             y = ext.big.element(v)
             if is_joubert(y, ext):
                 return v
@@ -140,25 +143,34 @@ def count_joubert_generators(q: int, budget: int | None = None,
     ext = make_ext(2, k, 6, limit=budget)
     scan = _ext_scan(2, k, 6, budget)
 
-    def tally(lo: int, hi: int) -> int:
-        vals = np.arange(lo, hi, dtype=np.uint64)
-        pair = (scan.trace(vals) == 0) & (scan.trace(scan.ops.cube(vals)) == 0)
-        fixed3 = scan.frob(vals, 3) == vals
-        fixed2 = scan.frob(vals, 2) == vals
+    ws = Workspace()
+
+    def tally(lo: int, hi: int) -> tuple[int, list[int], list[int]]:
+        vals = ws.arange("vals", lo, hi)
+        t = ws.get("t", hi - lo)
+        pair = scan.trace(vals, out=t) == 0
+        pair &= scan.trace(scan.ops.cube(vals, out=t), out=t) == 0
+        fixed3 = scan.frob(vals, 3, out=t) == vals
+        fixed2 = scan.frob(vals, 2, out=t) == vals
         # a trace-qualifying element of the quadratic subextension already
         # lies in F_q, so escaping the cubic subextension means generating
         assert not np.any(pair & fixed2 & ~fixed3)
         keep = pair & ~fixed3
         idx = np.flatnonzero(keep)
-        for i in idx[:: max(1, idx.size // 4)].tolist():
-            assert is_joubert(ext.big.element(int(vals[i])), ext)
         rej = np.flatnonzero(pair & fixed3)
-        for i in rej[:: max(1, rej.size // 4)].tolist():
-            assert not is_joubert(ext.big.element(int(vals[i])), ext)
-        return int(np.count_nonzero(keep))
+        return (int(idx.size), vals[idx[:: max(1, idx.size // 4)]].tolist(),
+                vals[rej[:: max(1, rej.size // 4)]].tolist())
 
-    counts = run_chunked(ext.big.order, tally, threads=threads)
-    return SearchReport(q=q, n=6, mode="count", count=sum(counts),
+    parts = run_chunked(ext.big.order, tally, threads=threads)
+    # scalar re-verification of each chunk's samples, in chunk order and
+    # outside the worker threads
+    for _, kept, rejected in parts:
+        for v in kept:
+            assert is_joubert(ext.big.element(v), ext)
+        for v in rejected:
+            assert not is_joubert(ext.big.element(v), ext)
+    return SearchReport(q=q, n=6, mode="count",
+                        count=sum(part[0] for part in parts),
                         scanned=ext.big.order)
 
 

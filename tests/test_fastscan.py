@@ -1,5 +1,6 @@
-"""Vector kernels against scalar arithmetic: at the edge of uint64 headroom,
-and the Frobenius and trace tables of every registry extension."""
+"""Vector kernels against scalar arithmetic and the shift-and-xor reference:
+every product regime, the window maps, the build-time table checks, and the
+Frobenius and trace tables of every registry extension."""
 
 import os
 import subprocess
@@ -9,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from joubert2 import fastscan
+from joubert2.ascurve import curve_census
 from joubert2.errors import DomainError
-from joubert2.fastscan import ExtScan, Gf2Scan
+from joubert2.fastscan import ExtScan, Gf2Scan, LinearMap
 from joubert2.ffield import make_ext, make_field
+from joubert2.jsearch import count_joubert_generators
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +31,125 @@ def test_mul_matches_scalar_at_wide_degrees(m):
     got = ops.mul(a, b).tolist()
     assert got == [field.mul_val(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert ops.square(a).tolist() == [field.mul_val(x, x) for x in a.tolist()]
+
+
+def test_mul_all_pairs_gf64():
+    field = make_field(2, 6)
+    ops = Gf2Scan(field)
+    assert ops.regime == "log"
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(64), np.arange(64)))
+    assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y
+                                      in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("m,regime", [(12, "log"), (18, "tower"),
+                                      (24, "tower")])
+def test_mul_seeded_pairs_match_scalar_and_reference(m, regime):
+    field = make_field(2, m)
+    ops = Gf2Scan(field)
+    assert ops.regime == regime
+    rng = np.random.default_rng(100 + m)
+    a = rng.integers(0, 2**m, size=2**16, dtype=np.uint64)
+    b = rng.integers(0, 2**m, size=2**16, dtype=np.uint64)
+    top = 2**m - 1
+    a[:4], b[:4] = (0, top, 0, top), (top, 0, 0, top)
+    got = ops.mul(a, b)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, ops._loop_mul(a, b))
+    assert got.tolist() == [field.mul_val(x, y) for x, y
+                            in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(ops.cube(a), ops._loop_mul(a, ops._loop_mul(a, a)))
+
+
+@pytest.mark.parametrize("m,regime", [(1, "log"), (14, "log"), (15, "loop"),
+                                      (16, "tower"), (28, "tower"),
+                                      (30, "loop")])
+def test_every_regime_matches_scalar(m, regime):
+    field = make_field(2, m, limit=2**m)
+    ops = Gf2Scan(field)
+    assert ops.regime == regime
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, 2**m, size=500, dtype=np.uint64)
+    b = rng.integers(0, 2**m, size=500, dtype=np.uint64)
+    assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y
+                                      in zip(a.tolist(), b.tolist())]
+    assert ops.cube(a).tolist() == [field.pow_val(x, 3) for x in a.tolist()]
+
+
+def test_kernels_write_in_place():
+    ops = Gf2Scan(make_field(2, 24))
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 2**24, size=1000, dtype=np.uint32)
+    b = rng.integers(0, 2**24, size=1000, dtype=np.uint32)
+    for kernel, want in ((lambda x, out: ops.mul(x, b, out=out),
+                          ops.mul(a, b)),
+                         (ops.square, ops.square(a)),
+                         (ops.cube, ops.cube(a))):
+        buf = a.copy()
+        assert kernel(buf, out=buf) is buf
+        assert np.array_equal(buf, want)
+
+
+def test_window_map_with_partial_last_window():
+    # 18 input bits: a full 12-bit window and a 6-bit one
+    rng = np.random.default_rng(18)
+    images = rng.integers(0, 2**18, size=18).tolist()
+    lm = LinearMap(images)
+    assert [t.size for t in lm.tables] == [4096, 64]
+    v = np.concatenate([np.arange(64) << 12, (np.arange(64) << 12) | 0xFFF,
+                        rng.integers(0, 2**18, size=4000)])
+
+    def naive(x):
+        acc = 0
+        for j, img in enumerate(images):
+            if x >> j & 1:
+                acc ^= img
+        return acc
+
+    want = [naive(x) for x in v.tolist()]
+    assert lm(v.astype(np.uint32)).tolist() == want
+    assert lm(v.astype(np.uint64)).tolist() == want
+    ext = make_ext(2, 3, 6)
+    scan = ExtScan(ext)
+    vals = v.tolist()
+    assert scan.trace(v).tolist() == [ext.trace_val(x) for x in vals]
+    assert scan.frob(v, 1).tolist() == [ext.frob_val(x) for x in vals]
+    assert scan.ops.square(v).tolist() == [ext.big.mul_val(x, x)
+                                           for x in vals]
+
+
+def test_corrupted_exp_entry_raises(monkeypatch):
+    real = fastscan._exp_walk
+
+    def corrupted(times, n):
+        powers = real(times, n)
+        powers[5] ^= 1
+        return powers
+
+    monkeypatch.setattr(fastscan, "_exp_walk", corrupted)
+    for m in (12, 24):  # the log regime and the tower's subfield
+        with pytest.raises(fastscan.TableError):
+            Gf2Scan(make_field(2, m))
+
+
+def test_corrupted_tower_map_raises(monkeypatch):
+    real = fastscan._invert
+
+    def corrupted(images):
+        inv = real(images)
+        inv[3] ^= 1 << 20
+        return inv
+
+    monkeypatch.setattr(fastscan, "_invert", corrupted)
+    with pytest.raises(fastscan.TableError):
+        Gf2Scan(make_field(2, 24))
+
+
+def test_scans_independent_of_thread_count():
+    count = [count_joubert_generators(8, threads=t) for t in (1, 2)]
+    assert count[0] == count[1]
+    assert count[0].count == 4032
+    assert curve_census(8, threads=1) == curve_census(8, threads=2)
 
 
 def test_degree_beyond_headroom_rejected():

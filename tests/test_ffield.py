@@ -355,6 +355,19 @@ def test_trace_gf4_over_gf2():
     assert rel_trace(f4.one, ext) == f4.zero
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_trace_tables_match_square_and_multiply(k):
+    # GF(2^18) and GF(2^24) are above the table cap: their relative trace
+    # is a byte-table lookup built from the traces of the basis
+    ext = make_ext(2, k, 6)
+    assert isinstance(ext.big, ffield._ClmulField)
+    rng = random.Random(k)
+    vals = [0, ext.big.order - 1] + [rng.randrange(ext.big.order)
+                                     for _ in range(1998)]
+    assert ([ext.trace_val(v) for v in vals]
+            == [ext._trace_by_powers(v) for v in vals])
+
+
 def test_subfield_lattice_sizes():
     for d, size in [(1, 2), (2, 4), (3, 8), (6, 64)]:
         vals = E64_2.subfield_vals(d)

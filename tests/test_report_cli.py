@@ -1,6 +1,7 @@
 """Manifest serialization round trips and command-line behavior."""
 
 import csv
+import errno
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joubert2 import checks
+from joubert2 import checks, cli
 from joubert2.cli import COMMANDS, main
 from joubert2.errors import DomainError
 from joubert2.report import (CheckResult, Manifest, emit_csv, emit_json,
@@ -271,6 +272,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cannot write" in err
         assert str(path) in err
+
+    def test_out_failed_write_keeps_previous_file(self, tmp_path, capsys,
+                                                  monkeypatch):
+        path = tmp_path / "manifest.json"
+        path.write_text("previous manifest")
+
+        class FullDisk:
+            """A file whose disk fills after half of the first write."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open",
+                            lambda *a, **kw: FullDisk(open(*a, **kw)),
+                            raising=False)
+        assert main(["surface", "--q", "2", "--format", "json",
+                     "--out", str(path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert path.read_text() == "previous manifest"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_single_command_determinism(self, capsys):
         outs = []
