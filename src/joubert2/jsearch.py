@@ -81,6 +81,17 @@ def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     return mp
 
 
+def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
+                 hi: int) -> np.ndarray:
+    """The y in [lo, hi) with Tr(y) = Tr(y^3) = 0, in value order; the cube
+    is taken only on the trace-zero ones."""
+    vals = ws.arange("vals", lo, hi)
+    t = ws.get("t", hi - lo)
+    cand = vals[scan.trace(vals, out=t) == 0]
+    t = scan.trace(scan.ops.cube(cand, out=t[:cand.size]), out=t[:cand.size])
+    return cand[t == 0]
+
+
 def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
                            threads: int = 1) -> SearchReport:
     """First y (in value order) generating F_{q^6}/F_q with s_1 = s_3 = 0.
@@ -99,11 +110,7 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
     ws = Workspace()
 
     def hunt(lo: int, hi: int):
-        vals = ws.arange("vals", lo, hi)
-        t = ws.get("t", hi - lo)
-        pair = scan.trace(vals, out=t) == 0
-        pair &= scan.trace(scan.ops.cube(vals, out=t), out=t) == 0
-        for v in vals[pair].tolist():
+        for v in _trace_pairs(scan, ws, lo, hi).tolist():
             y = ext.big.element(v)
             if is_joubert(y, ext):
                 return v
@@ -146,20 +153,16 @@ def count_joubert_generators(q: int, budget: int | None = None,
     ws = Workspace()
 
     def tally(lo: int, hi: int) -> tuple[int, list[int], list[int]]:
-        vals = ws.arange("vals", lo, hi)
-        t = ws.get("t", hi - lo)
-        pair = scan.trace(vals, out=t) == 0
-        pair &= scan.trace(scan.ops.cube(vals, out=t), out=t) == 0
-        fixed3 = scan.frob(vals, 3, out=t) == vals
-        fixed2 = scan.frob(vals, 2, out=t) == vals
+        pair = _trace_pairs(scan, ws, lo, hi)
+        t = ws.get("t", pair.size)
+        fixed3 = scan.frob(pair, 3, out=t) == pair
+        fixed2 = scan.frob(pair, 2, out=t) == pair
         # a trace-qualifying element of the quadratic subextension already
         # lies in F_q, so escaping the cubic subextension means generating
-        assert not np.any(pair & fixed2 & ~fixed3)
-        keep = pair & ~fixed3
-        idx = np.flatnonzero(keep)
-        rej = np.flatnonzero(pair & fixed3)
-        return (int(idx.size), vals[idx[:: max(1, idx.size // 4)]].tolist(),
-                vals[rej[:: max(1, rej.size // 4)]].tolist())
+        assert not np.any(fixed2 & ~fixed3)
+        kept, rejected = pair[~fixed3], pair[fixed3]
+        return (int(kept.size), kept[:: max(1, kept.size // 4)].tolist(),
+                rejected[:: max(1, rejected.size // 4)].tolist())
 
     parts = run_chunked(ext.big.order, tally, threads=threads)
     # scalar re-verification of each chunk's samples, in chunk order and

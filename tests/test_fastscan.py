@@ -62,8 +62,7 @@ def test_mul_seeded_pairs_match_scalar_and_reference(m, regime):
 
 
 @pytest.mark.parametrize("m,regime", [(1, "log"), (14, "log"), (15, "loop"),
-                                      (16, "tower"), (28, "tower"),
-                                      (30, "loop")])
+                                      (16, "tower"), (28, "tower")])
 def test_every_regime_matches_scalar(m, regime):
     field = make_field(2, m, limit=2**m)
     ops = Gf2Scan(field)
