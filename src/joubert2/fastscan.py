@@ -61,27 +61,30 @@ class TableError(RuntimeError):
 
 
 class Workspace(threading.local):
-    """Named scratch arrays, one set per thread.  Each array grows to the
-    largest request (at least CHUNK elements) and is reused by every later
-    request, so a chunked scan allocates once per worker thread."""
+    """Named scratch arrays, one set per thread.  Each array holds CHUNK
+    elements and is reused by every later request, so a chunked scan
+    allocates once per worker thread; a longer request gets a new array
+    that is not kept."""
 
     def __init__(self):
         self._bufs = {}
 
     def get(self, name: str, n: int, dtype=np.uint32) -> np.ndarray:
+        if n > CHUNK:
+            return np.empty(n, dtype=dtype)
         buf = self._bufs.get(name)
-        if buf is None or buf.size < n or buf.dtype != dtype:
-            buf = self._bufs[name] = np.empty(max(n, CHUNK), dtype=dtype)
+        if buf is None or buf.dtype != dtype:
+            buf = self._bufs[name] = np.empty(CHUNK, dtype=dtype)
         return buf[:n]
 
     def arange(self, name: str, lo: int, hi: int) -> np.ndarray:
         """The uint32 values lo, ..., hi - 1 in the named array."""
-        n = hi - lo
+        if hi - lo > CHUNK:
+            return np.arange(lo, hi, dtype=np.uint32)
         base = self._bufs.get("_iota")
-        if base is None or base.size < n:
-            base = self._bufs["_iota"] = np.arange(max(n, CHUNK),
-                                                   dtype=np.uint32)
-        return np.add(base[:n], lo, out=self.get(name, n))
+        if base is None:
+            base = self._bufs["_iota"] = np.arange(CHUNK, dtype=np.uint32)
+        return np.add(base[:hi - lo], lo, out=self.get(name, hi - lo))
 
 
 # kernel-internal scratch; callers' arrays never live here
@@ -95,6 +98,19 @@ def _span(images) -> np.ndarray:
     for img in images:
         t = np.concatenate([t, t ^ np.uint32(img)])
     return t
+
+
+def _sliced(kernel, out, *args):
+    """kernel(*args, out) over CHUNK-element slices, so that no scratch
+    array outgrows CHUNK whatever the input length."""
+    n = args[0].size
+    if n <= CHUNK:
+        return kernel(*args, out)
+    if out is None:
+        out = np.empty(n, dtype=np.uint32)
+    for lo in range(0, n, CHUNK):
+        kernel(*(x[lo:lo + CHUNK] for x in args), out[lo:lo + CHUNK])
+    return out
 
 
 class LinearMap:
@@ -117,6 +133,9 @@ class LinearMap:
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
+        return _sliced(self._apply, out, v)
+
+    def _apply(self, v, out):
         n = v.size
         if out is None:
             out = np.empty(n, dtype=np.uint32)
@@ -354,7 +373,7 @@ class Gf2Scan:
         if out is None:
             out = np.empty(n, dtype=np.uint32)
         idx = _SCRATCH.get("p_idx", n, np.intp)
-        la = _SCRATCH.get("p_la", n, np.intp)
+        la = _SCRATCH.get("p_sum0", n, np.intp)
         lb = _SCRATCH.get("p_lb", n, np.intp)
         np.copyto(idx, a)
         np.take(self._log, idx, out=la, mode="wrap")
@@ -428,7 +447,7 @@ class Gf2Scan:
 
     def mul(self, a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-        return self._product(a, b, out)
+        return _sliced(self._product, out, a, b)
 
     def square(self, a: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
@@ -436,6 +455,9 @@ class Gf2Scan:
 
     def cube(self, a: np.ndarray, out: np.ndarray | None = None
              ) -> np.ndarray:
+        return _sliced(self._cube, out, a)
+
+    def _cube(self, a, out):
         if self.regime == "tower":
             return self._tower_mul(a, a, out, b_map=self._sqr_to_tower)
         sq = self._sqr(a, out=_SCRATCH.get("c_sq", a.size))
@@ -480,6 +502,9 @@ class ExtScan:
         """Element-wise v**e by square and multiply."""
         if e < 0:
             raise DomainError("negative exponent in vector power")
+        return _sliced(lambda x, o: self._power(x, e, o), out, v)
+
+    def _power(self, v, e, out):
         base = _SCRATCH.get("pw_base", v.size)
         np.copyto(base, v)  # before out is written: out may be v
         acc = np.empty(v.size, dtype=np.uint32) if out is None else out

@@ -75,15 +75,19 @@ def test_every_regime_matches_scalar(m, regime):
     assert ops.cube(a).tolist() == [field.pow_val(x, 3) for x in a.tolist()]
 
 
-def test_kernels_write_in_place():
-    ops = Gf2Scan(make_field(2, 24))
+def test_long_inputs_in_place():
+    # longer than one chunk of scratch, and written over the input
+    scan = ExtScan(make_ext(2, 4, 6))
+    ops, ref = scan.ops, scan.ops._loop_mul
     rng = np.random.default_rng(7)
-    a = rng.integers(0, 2**24, size=1000, dtype=np.uint32)
-    b = rng.integers(0, 2**24, size=1000, dtype=np.uint32)
-    for kernel, want in ((lambda x, out: ops.mul(x, b, out=out),
-                          ops.mul(a, b)),
-                         (ops.square, ops.square(a)),
-                         (ops.cube, ops.cube(a))):
+    a = rng.integers(0, 2**24, size=fastscan.CHUNK + 1000, dtype=np.uint32)
+    b = rng.integers(0, 2**24, size=a.size, dtype=np.uint32)
+    a2 = ref(a, a)
+    for kernel, want in ((lambda x, out: ops.mul(x, b, out=out), ref(a, b)),
+                         (ops.square, a2),
+                         (ops.cube, ref(a, a2)),
+                         (lambda x, out: scan.power(x, 5, out=out),
+                          ref(a, ref(a2, a2)))):
         buf = a.copy()
         assert kernel(buf, out=buf) is buf
         assert np.array_equal(buf, want)
