@@ -315,7 +315,7 @@ class Gf2Scan:
                 x = mul(x, x)
             return x
 
-        # a primitive element of the subfield K = GF(2^h): some norm z^(2^h+1)
+        # a primitive element of the subfield K = GF(2^h): a norm z^(2^h+1)
         n = (1 << h) - 1
         gamma = next(y for y in (mul(z, frob(z)) for z in range(2, 1 << m))
                      if _has_order(y, n, f, m))
@@ -352,7 +352,7 @@ class Gf2Scan:
 
     def _verify_product(self) -> None:
         # a fixed sample spread by Fibonacci hashing, plus the edge values;
-        # numpy.random stays unimported, it would double the build time
+        # importing numpy.random would cost more than the whole build
         k = np.arange(256, dtype=np.uint64)
         drop = np.uint64(64 - self.m)
         a = k * np.uint64(0x9E3779B97F4A7C15) >> drop
@@ -362,7 +362,7 @@ class Gf2Scan:
         ref = self._loop_mul(a, b)
         cube = self._loop_mul(a, self._loop_mul(a, a))
         if not (np.array_equal(self._product(a, b, None), ref)
-                and np.array_equal(self.cube(a), cube)):
+                and np.array_equal(self._cube(a, None), cube)):
             raise TableError(f"table product of GF(2^{self.m}) disagrees "
                              "with shift-and-xor")
 

@@ -86,9 +86,9 @@ def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
     """The y in [lo, hi) with Tr(y) = Tr(y^3) = 0, in value order; the cube
     is taken only on the trace-zero ones."""
     vals = ws.arange("vals", lo, hi)
-    t = ws.get("t", hi - lo)
-    cand = vals[scan.trace(vals, out=t) == 0]
-    t = scan.trace(scan.ops.cube(cand, out=t[:cand.size]), out=t[:cand.size])
+    cand = vals[scan.trace(vals, out=ws.get("t", hi - lo)) == 0]
+    t = ws.get("t", cand.size)
+    scan.trace(scan.ops.cube(cand, out=t), out=t)
     return cand[t == 0]
 
 

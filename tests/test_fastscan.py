@@ -42,15 +42,17 @@ def test_mul_all_pairs_gf64():
                                       in zip(a.tolist(), b.tolist())]
 
 
-@pytest.mark.parametrize("m,regime", [(12, "log"), (18, "tower"),
-                                      (24, "tower")])
-def test_mul_seeded_pairs_match_scalar_and_reference(m, regime):
-    field = make_field(2, m)
+@pytest.mark.parametrize("m,regime,size", [
+    (12, "log", 2**16), (18, "tower", 2**16), (24, "tower", 2**16),
+    (1, "log", 500), (14, "log", 500), (15, "loop", 500), (16, "tower", 500),
+    (28, "tower", 500)])
+def test_mul_seeded_pairs_match_scalar_and_reference(m, regime, size):
+    field = make_field(2, m, limit=2**m)
     ops = Gf2Scan(field)
     assert ops.regime == regime
     rng = np.random.default_rng(100 + m)
-    a = rng.integers(0, 2**m, size=2**16, dtype=np.uint64)
-    b = rng.integers(0, 2**m, size=2**16, dtype=np.uint64)
+    a = rng.integers(0, 2**m, size=size, dtype=np.uint64)
+    b = rng.integers(0, 2**m, size=size, dtype=np.uint64)
     top = 2**m - 1
     a[:4], b[:4] = (0, top, 0, top), (top, 0, 0, top)
     got = ops.mul(a, b)
@@ -59,20 +61,6 @@ def test_mul_seeded_pairs_match_scalar_and_reference(m, regime):
     assert got.tolist() == [field.mul_val(x, y) for x, y
                             in zip(a.tolist(), b.tolist())]
     assert np.array_equal(ops.cube(a), ops._loop_mul(a, ops._loop_mul(a, a)))
-
-
-@pytest.mark.parametrize("m,regime", [(1, "log"), (14, "log"), (15, "loop"),
-                                      (16, "tower"), (28, "tower")])
-def test_every_regime_matches_scalar(m, regime):
-    field = make_field(2, m, limit=2**m)
-    ops = Gf2Scan(field)
-    assert ops.regime == regime
-    rng = np.random.default_rng(m)
-    a = rng.integers(0, 2**m, size=500, dtype=np.uint64)
-    b = rng.integers(0, 2**m, size=500, dtype=np.uint64)
-    assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y
-                                      in zip(a.tolist(), b.tolist())]
-    assert ops.cube(a).tolist() == [field.pow_val(x, 3) for x in a.tolist()]
 
 
 def test_long_inputs_in_place():
