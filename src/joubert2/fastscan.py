@@ -225,34 +225,30 @@ def _exp_walk(times: list[int], n: int) -> list[int]:
     return powers
 
 
-def _units(times: list[int], h: int) -> list[int]:
-    """g^0, ..., g^N (N = 2^h - 1) by the table `times` of x -> g*x,
-    verified to run once through every unit and back to 1."""
+def _log_exp(times: list[int], h: int, c: int = 1
+             ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(log, exp, log c) of GF(2^h) to the base g, on the coordinates that
+    the table `times` of x -> g*x is written in.  The exp walk is verified
+    to run once through every unit and back to 1.
+
+    With N = 2^h - 1 and Z = 2N + log c: log[0] = Z, and exp[k] = g^(k mod N)
+    for k < Z and 0 from Z on.  So exp[log a + log b] = a*b and
+    exp[log a + log b + log c] = c*a*b for any a, b: a zero operand lands
+    in the zero tail.
+    """
     n = (1 << h) - 1
     powers = _exp_walk(times, n)
     if powers[n] != 1 or sorted(powers[:n]) != list(range(1, n + 1)):
         raise TableError(f"exp table of GF(2^{h}) is not one cycle of the "
                          "units")
-    return powers
-
-
-def _log_exp(powers: list[int], shift: int = 0
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(log, exp) from the powers of g over one period N.
-
-    With Z = 2N + shift: log[0] = Z, and exp[k] = g^(k mod N) for k < Z and
-    0 from Z on.  So exp[log a + log b + s], 0 <= s <= shift, is
-    g^s * a * b for any a, b, and 0 when either is zero.
-    """
-    n = len(powers) - 1
     units = np.array(powers[:n], dtype=np.intp)
-    zero = 2 * n + shift
-    exp = np.zeros(2 * zero + shift + 1, dtype=np.uint32)
-    exp[:zero] = np.resize(units, zero)
     log = np.empty(n + 1, dtype=np.intp)
     log[units] = np.arange(n)
-    log[0] = zero
-    return log, exp
+    shift = int(log[c])
+    log[0] = zero = 2 * n + shift
+    exp = np.zeros(2 * zero + shift + 1, dtype=np.uint32)
+    exp[:zero] = np.resize(units, zero)
+    return log, exp, shift
 
 
 class Gf2Scan:
@@ -301,7 +297,7 @@ class Gf2Scan:
         n = (1 << m) - 1
         g = next(x for x in range(1, n + 1) if _has_order(x, n, f, m))
         times = _span([_mulmod(g, 1 << j, f, m) for j in range(m)])
-        self._log, self._exp = _log_exp(_units(times.tolist(), m))
+        self._log, self._exp, _ = _log_exp(times.tolist(), m)
 
     def _build_tower(self) -> None:
         m, f = self.m, self._f
@@ -338,9 +334,8 @@ class Gf2Scan:
                              "closed")
         # the subfield times-gamma map on K's coordinates
         times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
-        powers = _units(times.tolist(), h)
-        self._c_log = powers.index(c_coord)
-        self._log, self._exp = _log_exp(powers, self._c_log)
+        self._log, self._exp, self._c_log = _log_exp(times.tolist(), h,
+                                                     c_coord)
         self._h = h
         self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
         for lo in range(0, m, WINDOW):
