@@ -217,15 +217,19 @@ def _invert(images: list[int]) -> list[int]:
     return inv
 
 
-def _exp_walk(times: list[int], n: int) -> list[int]:
-    """g^0, ..., g^n by n steps of the table of x -> g*x."""
-    powers = [1]
-    for _ in range(n):
-        powers.append(times[powers[-1]])
-    return powers
+def _exp_walk(times: np.ndarray, n: int) -> np.ndarray:
+    """g^0, ..., g^n from the table `times` of x -> g*x, by doubling: with
+    T the table of x -> g^k x, the next k powers are T[powers], and T[T] is
+    the table of x -> g^(2k) x."""
+    powers = np.ones(1, dtype=np.intp)
+    t = times.astype(np.intp)
+    while powers.size <= n:
+        powers = np.concatenate([powers, t[powers]])
+        t = t[t]
+    return powers[:n + 1]
 
 
-def _log_exp(times: list[int], h: int, c: int = 1
+def _log_exp(times: np.ndarray, h: int, c: int = 1
              ) -> tuple[np.ndarray, np.ndarray, int]:
     """(log, exp, log c) of GF(2^h) to the base g, on the coordinates that
     the table `times` of x -> g*x is written in.  The exp walk is verified
@@ -238,10 +242,11 @@ def _log_exp(times: list[int], h: int, c: int = 1
     """
     n = (1 << h) - 1
     powers = _exp_walk(times, n)
-    if powers[n] != 1 or sorted(powers[:n]) != list(range(1, n + 1)):
+    units = powers[:n]
+    if powers[n] != 1 or not np.array_equal(np.sort(units),
+                                            np.arange(1, n + 1)):
         raise TableError(f"exp table of GF(2^{h}) is not one cycle of the "
                          "units")
-    units = np.array(powers[:n], dtype=np.intp)
     log = np.empty(n + 1, dtype=np.intp)
     log[units] = np.arange(n)
     shift = int(log[c])
@@ -297,7 +302,7 @@ class Gf2Scan:
         n = (1 << m) - 1
         g = next(x for x in range(1, n + 1) if _has_order(x, n, f, m))
         times = _span([_mulmod(g, 1 << j, f, m) for j in range(m)])
-        self._log, self._exp, _ = _log_exp(times.tolist(), m)
+        self._log, self._exp, _ = _log_exp(times, m)
 
     def _build_tower(self) -> None:
         m, f = self.m, self._f
@@ -334,8 +339,7 @@ class Gf2Scan:
                              "closed")
         # the subfield times-gamma map on K's coordinates
         times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
-        self._log, self._exp, self._c_log = _log_exp(times.tolist(), h,
-                                                     c_coord)
+        self._log, self._exp, self._c_log = _log_exp(times, h, c_coord)
         self._h = h
         self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
         for lo in range(0, m, WINDOW):
@@ -465,16 +469,17 @@ class ExtScan:
     def __init__(self, ext: ExtDesc):
         self.ext = ext
         self.ops = Gf2Scan(ext.big)
-        # images of the basis t^j under x -> x^(q^i), squared by the
-        # shift-and-xor reference so that they stay independent of the
-        # product tables
+        # images of the basis t^j under x -> x^(q^i): x^q by squarings in
+        # the shift-and-xor reference, so that they stay independent of the
+        # square and product tables, then x^(q^i) by its map
         images = [np.array([1 << j for j in range(ext.big.m)],
                            dtype=np.uint64)]
+        cur = images[0]
+        for _ in range(ext.base_deg):
+            cur = self.ops._loop_mul(cur, cur)
+        frob = LinearMap(cur.tolist())
         for _ in range(1, ext.n):
-            cur = images[-1]
-            for _ in range(ext.base_deg):
-                cur = self.ops._loop_mul(cur, cur)
-            images.append(cur)
+            images.append(frob(images[-1]))
         self._frob = [None] + [LinearMap(img.tolist()) for img in images[1:]]
         self._trace = LinearMap(np.bitwise_xor.reduce(images).tolist())
 
