@@ -103,8 +103,8 @@ def check_generator_search(q: int, budget: int | None = None,
         assert prof.sigma(1) == 0 and prof.sigma(3) == 0
         mp = compress_poly(rep.found_min_poly, ext)
         assert is_irreducible(mp)
-        # scan extent is window-shaped and so varies with thread count;
-        # only the mathematical content belongs in the manifest
+        # the scan extent describes the search, not the claim; only the
+        # mathematical content belongs in the manifest
         return {"witness_val": rep.found.val,
                 "min_poly": format_poly(rep.found_min_poly, ext)}
 

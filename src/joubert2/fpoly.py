@@ -10,7 +10,6 @@ arithmetic never leaves that subfield, so no separate type is needed.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .errors import DomainError
@@ -33,20 +32,8 @@ class UPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def from_elts(cls, elts) -> "UPoly":
-        elts = list(elts)
-        if not elts:
-            raise DomainError("from_elts needs at least one element")
-        field = elts[0].field
-        return cls(field, [e.val for e in elts])
-
-    @classmethod
     def x(cls, field: FieldDesc) -> "UPoly":
         return cls(field, [0, 1])
-
-    @classmethod
-    def constant(cls, field: FieldDesc, val: int) -> "UPoly":
-        return cls(field, [val])
 
     @property
     def degree(self) -> int:
@@ -117,12 +104,6 @@ class UPoly:
         f = self.field
         return UPoly(f, [f.mul_val(val, c) for c in self.coeffs])
 
-    def shift(self, k: int) -> "UPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UPoly(self.field, (0,) * k + self.coeffs)
-
     def __divmod__(self, other: "UPoly"):
         self._check(other)
         if other.is_zero():
@@ -170,11 +151,7 @@ class UPoly:
     def evaluate(self, x: FElt) -> FElt:
         if x.field != self.field:
             raise DomainError("evaluation point lives in a different field")
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add_val(f.mul_val(acc, x.val), c)
-        return FElt(f, acc)
+        return FElt(self.field, self.eval_val(x.val))
 
     def eval_val(self, xval: int) -> int:
         f = self.field
@@ -282,8 +259,13 @@ def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:
     """Characteristic polynomial computed a second way, as det(t*I - M) for
     M the multiplication-by-y matrix over the base field.
 
-    Expanded over all permutations with parity signs; n! stays tiny for the
-    degrees used here.  Serves as an independent check of char_poly.
+    Bareiss fraction-free elimination over K[t]: step k replaces each a[i][j]
+    below and right of the pivot by (a[k][k] a[i][j] - a[i][k] a[k][j]) / prev,
+    prev being the previous pivot, and the last pivot is the determinant.
+    After step k - 1 the pivot a[k][k] is the leading (k+1)-minor of
+    t*I - M, a characteristic polynomial and so monic: no row swap is ever
+    needed and every division is exact.  Serves as an independent check of
+    char_poly, since it uses neither conjugates nor Frobenius.
     """
     if y.field != ext.big:
         raise DomainError(f"{y!r} does not live in {ext.big!r}")
@@ -296,19 +278,18 @@ def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:
         cols.append(ext.rel_coordinates(big.mul_val(y.val, pw)))
         pw = big.mul_val(pw, g)
     # entry (i, j) of t*I - M as a degree <= 1 polynomial
-    entries = [[(big.neg_val(cols[j][i]), 1 if i == j else 0)
-                for j in range(n)] for i in range(n)]
-    acc = UPoly(big, [])
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        prod = UPoly(big, [1])
-        for i in range(n):
-            prod = prod * UPoly(big, entries[i][perm[i]])
-        if inversions % 2:
-            prod = -prod
-        acc = acc + prod
-    return acc
+    a = [[UPoly(big, (big.neg_val(cols[j][i]), 1 if i == j else 0))
+          for j in range(n)] for i in range(n)]
+    prev = UPoly(big, [1])
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                quo, rem = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                if not rem.is_zero():
+                    raise AssertionError("inexact Bareiss division")
+                a[i][j] = quo
+        prev = a[k][k]
+    return a[n - 1][n - 1]
 
 
 def embed_poly(poly: UPoly, ext: ExtDesc) -> UPoly:

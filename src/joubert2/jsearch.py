@@ -3,7 +3,7 @@ sextic polynomials they realize, degree-5 analogues in any characteristic,
 and informational scans of the first-p power-trace conditions.
 
 Search order is always ascending packed value, so witnesses are reproducible;
-chunked scans merge by taking the minimum-index hit, which keeps results
+chunked scans merge their parts in chunk order, which keeps results
 independent of thread count.
 """
 
@@ -98,7 +98,11 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
 
     Characteristic 2 only; the vectorized scan prefilters on the equivalent
     pair Tr(y) = Tr(y^3) = 0, then re-verifies candidates through the
-    sigma-based predicate.
+    sigma-based predicate.  Chunks are walked in value order on the calling
+    thread and the walk stops at the first hit, so `scanned` ends at that
+    chunk.  `threads` is accepted for the common check signature and unused:
+    the witnesses sit at values 2, 6, 258 and 410 for q = 2, 4, 8 and 16,
+    inside the first chunk, so parallel chunks would only scan past the hit.
     """
     if n != 6:
         raise DomainError(f"only degree-6 searches are supported, got n = {n}")
@@ -108,29 +112,13 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
     scan = _ext_scan(2, k, n, budget)
 
     ws = Workspace()
-
-    def hunt(lo: int, hi: int):
-        for v in _trace_pairs(scan, ws, lo, hi).tolist():
-            y = ext.big.element(v)
-            if is_joubert(y, ext):
-                return v
-        return None
-
-    # windows of `threads` chunks run in parallel; the merge takes the first
-    # hit in chunk order, so the witness is the global minimum-value one
     found_val = None
     scanned = 0
-    window = max(1, threads) * CHUNK
-    for wlo in range(0, ext.big.order, window):
-        whi = min(wlo + window, ext.big.order)
-        hits = run_chunked(whi - wlo,
-                           lambda lo, hi: hunt(wlo + lo, wlo + hi),
-                           threads=threads)
-        scanned = whi
-        for hit in hits:
-            if hit is not None:
-                found_val = hit
-                break
+    for lo in range(0, ext.big.order, CHUNK):
+        scanned = min(lo + CHUNK, ext.big.order)
+        found_val = next(
+            (v for v in _trace_pairs(scan, ws, lo, scanned).tolist()
+             if is_joubert(ext.big.element(v), ext)), None)
         if found_val is not None:
             break
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joubert2 import DomainError, iter_elements, make_ext, make_field
+from joubert2 import (DomainError, ExtDesc, checks, iter_elements, make_ext,
+                      make_field)
 from joubert2.ffield import canonical_modulus
 from joubert2.fpoly import (
     UPoly,
@@ -188,6 +191,32 @@ def test_char_poly_two_routes_agree_odd_p():
     for v in range(0, 125, 7):
         y = ext5.big.element(v)
         assert char_poly(y, ext5) == char_poly_det(y, ext5)
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 5), (5, 1, 4), (3, 2, 3), (2, 2, 3),
+                                   (7, 1, 2), (2, 4, 6), (5, 1, 6), (2, 2, 6)])
+def test_char_poly_det_matches_conjugates(p, k, n):
+    ext = make_ext(p, k, n)
+    rng = random.Random(f"{p},{k},{n}")
+    for _ in range(40):
+        y = ext.big.element(rng.randrange(ext.big.order))
+        assert char_poly(y, ext) == char_poly_det(y, ext)
+    # base-field elements are non-generators with char poly (t - y)^n
+    for v in ext.subfield_vals(1):
+        y = ext.big.element(v)
+        expected = UPoly(ext.big, [ext.big.neg_val(v), 1]) ** n
+        assert char_poly(y, ext) == char_poly_det(y, ext) == expected
+
+
+def test_charpoly_check_fails_on_planted_coordinate(monkeypatch):
+    real = ExtDesc.rel_coordinates
+
+    def planted(self, v):
+        coords = real(self, v)
+        return (self.big.add_val(coords[0], 1),) + coords[1:]
+
+    monkeypatch.setattr(ExtDesc, "rel_coordinates", planted)
+    assert checks.check_charpoly_routes().outcome == "fail"
 
 
 def test_generator_iff_full_degree():

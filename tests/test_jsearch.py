@@ -48,6 +48,12 @@ def test_find_witness_is_minimal_and_thread_independent():
         assert not is_joubert(ext.big.element(v), ext)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_find_stops_at_the_witness_chunk(threads):
+    # the q = 8 witness (value 258) lies in the first chunk
+    assert find_joubert_generator(8, threads=threads).scanned == 65536
+
+
 def test_find_rejects_bad_q():
     with pytest.raises(DomainError):
         find_joubert_generator(3)
