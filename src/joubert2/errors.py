@@ -20,3 +20,22 @@ class BudgetError(RuntimeError):
         super().__init__(
             f"{parameter}: scan of {needed} elements exceeds budget {budget}"
         )
+
+
+class TableError(RuntimeError):
+    """A lookup table failed its build-time verification."""
+
+
+class CheckFailed(AssertionError):
+    """A verification found its claim false.
+
+    Raised by require(), never by an `assert` statement, so `python -O`
+    cannot strip it; subclassing AssertionError keeps it in the `fail` arm
+    of every caller that catches failed claims.
+    """
+
+
+def require(cond, msg: str) -> None:
+    """Raise CheckFailed(msg) unless cond holds."""
+    if not cond:
+        raise CheckFailed(msg)

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TableError
 from .ffield import ExtDesc, FieldDesc, _pack, prime_divisors
 
 #: Elements per run_chunked range in the exhaustive scans.
@@ -54,10 +54,6 @@ _WINDOW_MASK = (1 << WINDOW) - 1
 #: Largest degree whose product is one log/exp gather; a tower's subfield
 #: degree is capped the same.
 _LOG_MAX = 14
-
-
-class TableError(RuntimeError):
-    """A kernel table failed its build-time verification."""
 
 
 class Workspace(threading.local):

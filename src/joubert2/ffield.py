@@ -15,21 +15,25 @@ has one arithmetic backend, fixed by its order:
 
 A relative extension L/K is never represented by materializing K: K is the
 fixed set of the relative Frobenius x -> x^q inside the one big field L.
-The relative trace is F_p-linear; on the carry-less backend it is a lookup
-per input byte in tables built, on first use, from the traces of the basis
-t^j by the square-and-multiply route.
+The relative Frobenius, its iterates and the relative trace are F_p-linear
+(Lidl & Niederreiter, ch. 2), so each is a lookup per block of input digits,
+the blocks summed by add_val: one block for fields of at most _TABLE_MAX
+elements, blocks of at most _BLOCK_MAX entries above.  The tables are
+spanned, on first use, from the images of the basis t^j by the
+square-and-multiply route, and checked against that route when built.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 import threading
 from array import array
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, TableError
 from . import gflinalg
 
 #: Default cap on field order for construction and exhaustive scans.
@@ -37,6 +41,9 @@ DEFAULT_LIMIT = 2**28
 
 #: Non-prime fields of at most this order get log/Zech tables.
 _TABLE_MAX = 2**14
+
+#: Entries per block table of a linear map on a field above _TABLE_MAX.
+_BLOCK_MAX = 2**12
 
 # serializes first-use table builds across threads
 _TABLE_LOCK = threading.Lock()
@@ -212,8 +219,9 @@ class FieldDesc:
         while e:
             if e & 1:
                 result = self.mul_val(result, base)
-            base = self.mul_val(base, base)
             e >>= 1
+            if e:
+                base = self.mul_val(base, base)
         return result
 
     def inv_val(self, a: int) -> int:
@@ -237,6 +245,33 @@ class FieldDesc:
     def build_tables(self) -> None:
         """Build the field's lookup tables now instead of on first use; only
         the table backend has any."""
+
+    def linear_map(self, images):
+        """The F_p-linear map sending the basis t^j to images[j], as a
+        callable on packed values: one lookup in a table over the whole
+        field up to _TABLE_MAX elements, else one lookup per block of
+        digits (at most _BLOCK_MAX entries a table), summed by add_val."""
+        width = self.m
+        if self.order > _TABLE_MAX:
+            width = 1
+            while self.p ** (width + 1) <= _BLOCK_MAX:
+                width += 1
+        tables = [_span(self, images[lo:lo + width])
+                  for lo in range(0, self.m, width)]
+        if len(tables) == 1:
+            return tables[0].__getitem__
+        first, rest = tables[0], tables[1:]
+        size = self.p**width
+        add = self.add_val
+
+        def apply(v: int) -> int:
+            v, d = divmod(v, size)
+            acc = first[d]
+            for t in rest:
+                v, d = divmod(v, size)
+                acc = add(acc, t[d])
+            return acc
+        return apply
 
     # -- element constructors --
 
@@ -266,6 +301,21 @@ class FieldDesc:
         if self.m == 1:
             raise DomainError("prime field has no modulus root")
         return FElt(self, self.p)
+
+
+def _span(field: FieldDesc, images) -> array:
+    """Table of the F_p-linear map with the given basis images over every
+    packed value of len(images) digits: entry sum(c_j p^j) holds
+    sum(c_j images[j]).  Grown in place in a compact array, like the log
+    tables: the block of entries with c_j = c is the block for c - 1 plus
+    images[j]."""
+    code = next(c for c in "HIQ" if field.order <= 1 << 8 * array(c).itemsize)
+    table = array(code, [0])
+    for img in images:
+        size = len(table)
+        for _ in range(field.p - 1):
+            table.extend([field.add_val(x, img) for x in table[-size:]])
+    return table
 
 
 class _PrimeField(FieldDesc):
@@ -637,6 +687,23 @@ def iter_elements(field: FieldDesc, start: int = 0,
 # Relative extensions
 
 
+class _ExtCache(dict):
+    """An ExtDesc's cache.  A missing int key i builds the table map of the
+    i-th Frobenius iterate, a missing "trace" key that of the relative
+    trace; the ExtDesc sets every other entry itself."""
+
+    __slots__ = ("ext",)
+
+    def __init__(self, ext: "ExtDesc"):
+        super().__init__()
+        self.ext = ext
+
+    def __missing__(self, key):
+        if key != "trace" and not isinstance(key, int):
+            raise KeyError(key)
+        return self.setdefault(key, self.ext._build_linear(key))
+
+
 class ExtDesc:
     """A relative extension L/K inside one big field.
 
@@ -658,7 +725,7 @@ class ExtDesc:
         self.base_deg = base_deg
         self.n = derived
         self.q = big.p**base_deg
-        self._cache = {}
+        self._cache = _ExtCache(self)
 
     def __repr__(self) -> str:
         return f"Ext({self.big!r}/GF({self.q}), n={self.n})"
@@ -673,26 +740,16 @@ class ExtDesc:
         return hash((self.big, self.base_deg))
 
     # -- Frobenius and trace on packed values --
+    # Each is an F_p-linear table map that _cache builds on first use.
 
     def frob_val(self, v: int) -> int:
-        return self.big.pow_val(v, self.q)
+        return self._cache[1](v)
 
     def frob_iter_val(self, v: int, i: int) -> int:
-        return self.big.pow_val(v, self.q ** (i % self.n))
+        return self._cache[i % self.n](v)
 
     def trace_val(self, v: int) -> int:
-        if not isinstance(self.big, _ClmulField):
-            return self._trace_by_powers(v)
-        # over-cap p = 2: the trace is F_2-linear, so one lookup per byte
-        tables = self._cache.get("trace_bytes")
-        if tables is None:
-            tables = self._cache.setdefault("trace_bytes",
-                                            self._trace_byte_tables())
-        acc = 0
-        for t in tables:
-            acc ^= t[v & 0xFF]
-            v >>= 8
-        return acc
+        return self._cache["trace"](v)
 
     def _trace_by_powers(self, v: int) -> int:
         acc = 0
@@ -700,20 +757,37 @@ class ExtDesc:
         big = self.big
         for _ in range(self.n):
             acc = big.add_val(acc, cur)
-            cur = self.frob_val(cur)
+            cur = big.pow_val(cur, self.q)
         return acc
 
-    def _trace_byte_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Per input byte, the traces of its 256 values, from the traces of
-        the basis t^j by the square-and-multiply route."""
-        images = [self._trace_by_powers(1 << j) for j in range(self.big.m)]
-        tables = []
-        for lo in range(0, self.big.m, 8):
-            t = [0]
-            for img in images[lo:lo + 8]:
-                t += [x ^ img for x in t]
-            tables.append(tuple(t + [0] * (256 - len(t))))
-        return tuple(tables)
+    def _build_linear(self, key):
+        """The map `key` spanned from its basis images by square-and-multiply,
+        verified against that route on 0, 1, the top value and a fixed
+        seeded sample; a Frobenius iterate must also fix every basis image
+        after n applications, since x^(q^n) = x."""
+        big = self.big
+        if key == "trace":
+            ref = self._trace_by_powers
+        else:
+            e = self.q**key
+            ref = functools.partial(big.pow_val, e=e)
+        images = [ref(big.p**j) for j in range(big.m)]
+        f = big.linear_map(images)
+        rng = random.Random(2014)
+        sample = [0, 1, big.order - 1] + [rng.randrange(big.order)
+                                          for _ in range(16)]
+        bad = [v for v in sample if f(v) != ref(v)]
+        if key != "trace":
+            for img in images:
+                w = img
+                for _ in range(self.n):
+                    w = f(w)
+                if w != img:
+                    bad.append(img)
+        if bad:
+            raise TableError(f"{key!r} table of {self!r} disagrees with "
+                             f"square-and-multiply at value {bad[0]}")
+        return f
 
     # -- structure of K inside L --
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DomainError
+from .errors import CheckFailed, DomainError, require
 from .ffield import ExtDesc, FElt, FieldDesc, _pack, _unpack, prime_divisors
 
 
@@ -138,8 +138,9 @@ class UPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def monic(self) -> "UPoly":
@@ -178,17 +179,25 @@ def pow_mod(base: UPoly, e: int, mod: UPoly) -> UPoly:
     while e:
         if e & 1:
             result = (result * base) % mod
-        base = (base * base) % mod
         e >>= 1
+        if e:
+            base = (base * base) % mod
     return result
 
 
 def poly_from_roots(field: FieldDesc, root_vals) -> UPoly:
-    """Monic polynomial with the given packed values as roots."""
-    out = UPoly(field, [1])
+    """Monic polynomial with the given packed values as roots.
+
+    Multiplies by each t - r in place on one coefficient list, from the
+    top coefficient down: c_i <- c_(i-1) - r c_i."""
+    sub, mul = field.sub_val, field.mul_val
+    c = [1]
     for r in root_vals:
-        out = out * UPoly(field, [field.neg_val(r), 1])
-    return out
+        c.append(c[-1])
+        for i in range(len(c) - 2, 0, -1):
+            c[i] = sub(c[i - 1], mul(r, c[i]))
+        c[0] = field.neg_val(mul(r, c[0]))
+    return UPoly(field, c)
 
 
 def is_irreducible(poly: UPoly, subfield_order: int | None = None) -> bool:
@@ -224,15 +233,21 @@ def conjugates(y: FElt, ext: ExtDesc) -> list[int]:
     """Packed values of the distinct relative conjugates y, y^q, y^(q^2), ...
 
     The length is the degree of y over the base field and divides ext.n.
+    The walk stops after ext.n steps: an orbit that has not closed by then
+    means a faulty Frobenius, and raises CheckFailed.
     """
     if y.field != ext.big:
         raise DomainError(f"{y!r} does not live in {ext.big!r}")
     orbit = [y.val]
     cur = ext.frob_val(y.val)
     while cur != y.val:
+        if len(orbit) == ext.n:
+            raise CheckFailed(f"Frobenius orbit of {y!r} does not close "
+                              f"within {ext.n} steps")
         orbit.append(cur)
         cur = ext.frob_val(cur)
-    assert ext.n % len(orbit) == 0
+    require(ext.n % len(orbit) == 0,
+            "orbit length does not divide the extension degree")
     return orbit
 
 
@@ -243,8 +258,8 @@ def min_poly(y: FElt, ext: ExtDesc) -> UPoly:
     """
     orbit = conjugates(y, ext)
     poly = poly_from_roots(ext.big, orbit)
-    for c in poly.coeffs:
-        assert ext.frob_val(c) == c, "minimal polynomial left the base field"
+    require(all(ext.frob_val(c) == c for c in poly.coeffs),
+            "minimal polynomial left the base field")
     return poly
 
 
@@ -252,7 +267,7 @@ def char_poly(y: FElt, ext: ExtDesc) -> UPoly:
     """Characteristic polynomial of y over the base field: the product of
     (t - y^(q^i)) over all i < n, i.e. min_poly to the power n/deg."""
     mp = min_poly(y, ext)
-    return mp ** (ext.n // mp.degree)
+    return mp if mp.degree == ext.n else mp ** (ext.n // mp.degree)
 
 
 def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
                      make_field, require_odd_prime)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
@@ -73,11 +73,15 @@ def _scan_of(ext: ExtDesc) -> ExtScan:
 
 def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     # re-derive everything the report claims about the witness
-    assert is_joubert(y, ext)
+    require(is_joubert(y, ext), f"witness {y!r} is not a Joubert generator")
     mp = min_poly(y, ext)
-    assert mp.degree == ext.n
-    assert mp.coeff(ext.n - 1) == 0 and mp.coeff(ext.n - 3) == 0
-    assert is_irreducible(mp, subfield_order=ext.q)
+    require(mp.degree == ext.n, f"minimal polynomial of {y!r} has degree "
+            f"{mp.degree}, not {ext.n}")
+    require(mp.coeff(ext.n - 1) == 0 and mp.coeff(ext.n - 3) == 0,
+            f"minimal polynomial of {y!r} has a nonzero t^{ext.n - 1} or "
+            f"t^{ext.n - 3} coefficient")
+    require(is_irreducible(mp, subfield_order=ext.q),
+            f"minimal polynomial of {y!r} is reducible over GF({ext.q})")
     return mp
 
 
@@ -147,7 +151,8 @@ def count_joubert_generators(q: int, budget: int | None = None,
         fixed2 = scan.frob(pair, 2, out=t) == pair
         # a trace-qualifying element of the quadratic subextension already
         # lies in F_q, so escaping the cubic subextension means generating
-        assert not np.any(fixed2 & ~fixed3)
+        require(not np.any(fixed2 & ~fixed3), "a trace-qualifying element "
+                "lies in the quadratic but not the cubic subextension")
         kept, rejected = pair[~fixed3], pair[fixed3]
         return (int(kept.size), kept[:: max(1, kept.size // 4)].tolist(),
                 rejected[:: max(1, rejected.size // 4)].tolist())
@@ -157,9 +162,11 @@ def count_joubert_generators(q: int, budget: int | None = None,
     # outside the worker threads
     for _, kept, rejected in parts:
         for v in kept:
-            assert is_joubert(ext.big.element(v), ext)
+            require(is_joubert(ext.big.element(v), ext),
+                    f"kept element {v} is not a Joubert generator")
         for v in rejected:
-            assert not is_joubert(ext.big.element(v), ext)
+            require(not is_joubert(ext.big.element(v), ext),
+                    f"rejected element {v} is a Joubert generator")
     return SearchReport(q=q, n=6, mode="count",
                         count=sum(part[0] for part in parts),
                         scanned=ext.big.order)

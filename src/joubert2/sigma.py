@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .ffield import ExtDesc, FElt
-from .fpoly import char_poly
+from .fpoly import char_poly, conjugates
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,15 @@ def sigma_profile(y: FElt, ext: ExtDesc) -> SigmaProfile:
     for i in range(1, n + 1):
         c = cp.coeff(n - i)
         sig.append(big.neg_val(c) if i % 2 else c)
-    for s in sig:
-        assert ext.frob_val(s) == s, "sigma left the base field"
+    require(all(ext.frob_val(s) == s for s in sig),
+            "sigma left the base field")
     return SigmaProfile(ext, tuple(sig))
 
 
 def is_generator(y: FElt, ext: ExtDesc) -> bool:
     """True iff y generates the big field over the base field, i.e. no
     proper power q^d with d < n fixes y."""
-    if y.field != ext.big:
-        raise DomainError(f"{y!r} does not live in {ext.big!r}")
-    cur = ext.frob_val(y.val)
-    steps = 1
-    while cur != y.val:
-        cur = ext.frob_val(cur)
-        steps += 1
-    return steps == ext.n
+    return len(conjugates(y, ext)) == ext.n
 
 
 def is_joubert(y: FElt, ext: ExtDesc) -> bool:

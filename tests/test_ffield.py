@@ -358,7 +358,7 @@ def test_trace_gf4_over_gf2():
 @pytest.mark.parametrize("k", [3, 4])
 def test_trace_tables_match_square_and_multiply(k):
     # GF(2^18) and GF(2^24) are above the table cap: their relative trace
-    # is a byte-table lookup built from the traces of the basis
+    # is a lookup per input byte in tables spanned from the basis traces
     ext = make_ext(2, k, 6)
     assert isinstance(ext.big, ffield._ClmulField)
     rng = random.Random(k)
@@ -366,6 +366,64 @@ def test_trace_tables_match_square_and_multiply(k):
                                      for _ in range(1998)]
     assert ([ext.trace_val(v) for v in vals]
             == [ext._trace_by_powers(v) for v in vals])
+
+
+def _square_and_multiply_maps(ext, v):
+    """[v^(q^i) for i = 0..n] and the trace, by pow_val alone."""
+    big = ext.big
+    iterates = [v]
+    for _ in range(ext.n):
+        iterates.append(big.pow_val(iterates[-1], ext.q))
+    trace = 0
+    for w in iterates[:ext.n]:
+        trace = big.add_val(trace, w)
+    return iterates, trace
+
+
+def _assert_tables_agree(ext, vals):
+    for v in vals:
+        iterates, trace = _square_and_multiply_maps(ext, v)
+        assert ext.frob_val(v) == iterates[1]
+        assert [ext.frob_iter_val(v, i) for i in range(ext.n + 1)] == iterates
+        assert ext.trace_val(v) == trace
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 4), (2, 1, 12), (5, 1, 6)])
+def test_linear_tables_match_square_and_multiply_everywhere(p, k, n):
+    # one-block tables over fields of at most 2^14 elements
+    ext = make_ext(p, k, n)
+    assert ext.big.order <= ffield._TABLE_MAX
+    _assert_tables_agree(ext, range(ext.big.order))
+
+
+@pytest.mark.parametrize("p,k,n,backend", [
+    (2, 3, 6, ffield._ClmulField), (2, 4, 6, ffield._ClmulField),
+    (3, 2, 5, ffield._DigitField)])
+def test_linear_tables_match_square_and_multiply_sampled(p, k, n, backend):
+    # byte blocks combined by xor, digit blocks combined by add_val
+    ext = make_ext(p, k, n)
+    assert type(ext.big) is backend
+    rng = random.Random(f"{p},{k},{n}")
+    _assert_tables_agree(ext, [rng.randrange(ext.big.order)
+                               for _ in range(200)])
+
+
+@pytest.mark.parametrize("p,m,base_deg", [(5, 4, 1), (2, 24, 4), (3, 10, 2)])
+@pytest.mark.parametrize("key", [1, 2, "trace"])
+def test_planted_basis_image_fails_table_build(monkeypatch, p, m, base_deg,
+                                               key):
+    big = make_field(p, m)
+    big.build_tables()
+    real = type(big).pow_val
+
+    def planted(self, a, e):  # wrong only at t, so one basis image is off
+        out = real(self, a, e)
+        return (out + 1) % self.order if a == p else out
+
+    monkeypatch.setattr(type(big), "pow_val", planted)
+    ext = ffield.ExtDesc(big, base_deg)  # a fresh cache
+    with pytest.raises(ffield.TableError):
+        ext._cache[key]
 
 
 def test_subfield_lattice_sizes():

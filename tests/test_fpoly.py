@@ -90,6 +90,29 @@ def test_poly_from_roots():
         assert p.eval_val(r) == 0
 
 
+@pytest.mark.parametrize("field", [F64, F2, make_field(7, 1),
+                                   make_field(3, 2), make_field(3, 10)])
+@pytest.mark.parametrize("roots", [[], [5], [1, 1], [0, 3, 3, 1, 2, 0, 4]])
+def test_poly_from_roots_is_product_of_linear_factors(field, roots):
+    roots = [r % field.order for r in roots]
+    expected = UPoly(field, [1])
+    for r in roots:
+        expected = expected * UPoly(field, [field.neg_val(r), 1])
+    assert poly_from_roots(field, roots) == expected
+
+
+@pytest.mark.parametrize("field", [F4, make_field(5, 1)])
+def test_powers_match_repeated_products(field):
+    rng = random.Random(field.order)
+    a = UPoly(field, [rng.randrange(field.order) for _ in range(3)] + [1])
+    m = UPoly(field, [rng.randrange(field.order) for _ in range(4)] + [1])
+    acc = UPoly(field, [1])
+    for e in range(12):
+        assert a**e == acc
+        assert pow_mod(a, e, m) == acc % m
+        acc = acc * a
+
+
 # -- irreducibility ---------------------------------------------------------
 
 
@@ -206,6 +229,17 @@ def test_char_poly_det_matches_conjugates(p, k, n):
         y = ext.big.element(v)
         expected = UPoly(ext.big, [ext.big.neg_val(v), 1]) ** n
         assert char_poly(y, ext) == char_poly_det(y, ext) == expected
+
+
+@pytest.mark.parametrize("p,k,n,d", [(2, 1, 6, 2), (2, 1, 6, 3), (2, 2, 3, 1),
+                                     (5, 1, 4, 2), (3, 1, 6, 3)])
+def test_char_poly_of_non_generator_is_min_poly_power(p, k, n, d):
+    ext = make_ext(p, k, n)
+    for v in ext.subfield_vals(d)[:20]:
+        y = ext.big.element(v)
+        mp = min_poly(y, ext)
+        assert mp.degree < n
+        assert char_poly(y, ext) == mp ** (n // mp.degree)
 
 
 def test_charpoly_check_fails_on_planted_coordinate(monkeypatch):

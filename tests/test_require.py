@@ -1,0 +1,55 @@
+"""Verifications on the sped-up scalar paths cannot be stripped by -O.
+
+`sigma`, `fpoly` and `jsearch` check their claims with `errors.require`,
+which raises CheckFailed; an `ast` scan keeps `assert` statements out of
+those modules, and a `python -O` run shows the checks still fire.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from joubert2.errors import CheckFailed, require
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "joubert2"
+REQUIRE_ONLY = ["sigma.py", "fpoly.py", "jsearch.py"]
+
+
+def _assert_lines(tree: ast.Module) -> list[int]:
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("name", REQUIRE_ONLY)
+def test_no_assert_statements(name):
+    path = PACKAGE / name
+    assert _assert_lines(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_scan_catches_an_assert():
+    assert _assert_lines(ast.parse("x = 1\nassert x\n")) == [2]
+
+
+def test_require_raises_check_failed():
+    require(True, "unused")
+    with pytest.raises(CheckFailed, match="claim is false"):
+        require(False, "claim is false")
+    assert issubclass(CheckFailed, AssertionError)
+
+
+def test_witness_check_survives_optimize():
+    # 1 lies in GF(2), so it cannot be a Joubert generator of GF(2^6)/GF(2)
+    code = (
+        "import sys\n"
+        "from joubert2 import jsearch, make_ext\n"
+        "from joubert2.errors import CheckFailed\n"
+        "ext = make_ext(2, 1, 6)\n"
+        "try:\n"
+        "    jsearch._verify_joubert_witness(ext.big.element(1), ext)\n"
+        "except CheckFailed:\n"
+        "    print(sys.flags.optimize, 'raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["1", "raised"], proc.stderr

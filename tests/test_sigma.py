@@ -1,9 +1,14 @@
 import itertools
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joubert2 import DomainError, iter_elements, make_ext, make_field, rel_trace
+from joubert2 import (DomainError, ExtDesc, iter_elements, make_ext,
+                      make_field, rel_trace)
+from joubert2.errors import CheckFailed
 from joubert2.fpoly import conjugates, format_poly, min_poly
 from joubert2.sigma import (
     is_generator,
@@ -188,3 +193,42 @@ def test_profile_is_frobenius_invariant():
         y = F64.element(v)
         assert sigma_profile(y, E64_4) == sigma_profile(
             rel_frobenius(y, E64_4), E64_4)
+
+
+# -- a faulty Frobenius ends the orbit walk ---------------------------------
+
+_PLANTED_FROB = """
+from joubert2 import ffield
+
+real = ffield.ExtDesc.frob_val
+
+
+def planted(self, v):  # off by one on value 100 of GF(5^4)
+    w = real(self, v)
+    if (self.big.p, self.big.m) == (5, 4) and v == 100:
+        w = (w + 1) % self.big.order
+    return w
+
+
+ffield.ExtDesc.frob_val = planted
+"""
+
+
+def test_planted_frobenius_cannot_hang_is_generator(monkeypatch):
+    namespace = {}
+    exec(_PLANTED_FROB, namespace)
+    monkeypatch.setattr(ExtDesc, "frob_val", namespace["planted"])
+    ext = make_ext(5, 1, 4)
+    with pytest.raises(CheckFailed):
+        is_generator(ext.big.element(100), ext)
+
+
+def test_planted_frobenius_fails_newton_identities():
+    code = _PLANTED_FROB + (
+        "from joubert2 import checks\n"
+        "print(checks.check_newton_identities().outcome)\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["fail"], proc.stderr
+    assert time.perf_counter() - t0 < 30
