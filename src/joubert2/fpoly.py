@@ -300,8 +300,7 @@ def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 quo, rem = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-                if not rem.is_zero():
-                    raise AssertionError("inexact Bareiss division")
+                require(rem.is_zero(), "inexact Bareiss division")
                 a[i][j] = quo
         prev = a[k][k]
     return a[n - 1][n - 1]
