@@ -215,9 +215,13 @@ ffield.ExtDesc.frob_val = planted
 
 
 def test_planted_frobenius_cannot_hang_is_generator(monkeypatch):
-    namespace = {}
-    exec(_PLANTED_FROB, namespace)
-    monkeypatch.setattr(ExtDesc, "frob_val", namespace["planted"])
+    real = ExtDesc.frob_val
+
+    def planted(self, v):  # off by one on value 100
+        w = real(self, v)
+        return (w + 1) % self.big.order if v == 100 else w
+
+    monkeypatch.setattr(ExtDesc, "frob_val", planted)
     ext = make_ext(5, 1, 4)
     with pytest.raises(CheckFailed):
         is_generator(ext.big.element(100), ext)
