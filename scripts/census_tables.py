@@ -10,6 +10,7 @@ import time
 
 from joubert2.ascurve import bound_inequality, curve_census
 from joubert2.cubic import surface_census
+from joubert2.errors import require
 from joubert2.jsearch import (count_joubert_generators,
                               enumerate_joubert_polys)
 
@@ -28,7 +29,7 @@ def main() -> None:
         t0 = time.perf_counter()
         polys = enumerate_joubert_polys(q)
         count = count_joubert_generators(q, threads=args.threads).count
-        assert count == 6 * len(polys)
+        require(count == 6 * len(polys), "generator count is not 6 per sextic")
         print(f"{q:>4} {len(polys):>7} {count:>11} "
               f"{time.perf_counter() - t0:>7.2f}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .fastscan import Workspace, run_chunked
 from .ffield import (ExtDesc, FElt, check_budget, make_ext, rel_frobenius,
                      rel_trace)
@@ -47,7 +47,7 @@ def genus_of(q: int) -> int:
     """
     _require_pow2(q)
     d = 2 * q + 1
-    assert math.gcd(d, q) == 1
+    require(math.gcd(d, q) == 1, "2q + 1 is not prime to q")
     return (q - 1) * (d - 1) // 2
 
 
@@ -91,7 +91,7 @@ def curve_census(q: int, budget: int | None = None,
     Every solvable fiber is classified: y = x^q + x either generates the
     degree-6 extension (good) or lies in the cubic subextension (bad); the
     quadratic subextension is impossible for trace-qualifying y, which the
-    scan asserts rather than assumes.
+    scan checks rather than assumes.
     """
     k = _require_pow2(q)
     total = q**6
@@ -109,12 +109,15 @@ def curve_census(q: int, budget: int | None = None,
         solvable = scan.trace(scan.ops.mul(c, y, out=c), out=c) == 0
         # same criterion through the trace identity, as a cross-check
         t = scan.trace(scan.ops.cube(y, out=c), out=c)
-        assert np.array_equal(solvable, t == 0)
+        require(np.array_equal(solvable, t == 0),
+                "solvability differs from the trace identity")
         in_cubic = scan.frob(y, 3, out=c) == y
         in_quadratic = scan.frob(y, 2, out=c) == y
-        assert not np.any(in_cubic & ~solvable)
+        require(not np.any(in_cubic & ~solvable),
+                "cubic-subextension fiber is not solvable")
         # trace-qualifying y in the quadratic subextension is already in F_q
-        assert not np.any(solvable & in_quadratic & ~in_cubic)
+        require(not np.any(solvable & in_quadratic & ~in_cubic),
+                "solvable y in F_{q^2} lies outside F_q")
         good = solvable & ~in_cubic
         return (int(np.count_nonzero(solvable)),
                 int(np.count_nonzero(solvable & in_cubic)),
@@ -124,17 +127,18 @@ def curve_census(q: int, budget: int | None = None,
     solvable_x = sum(p[0] for p in parts)
     bad_x = sum(p[1] for p in parts)
     good_x = sum(p[2] for p in parts)
-    assert good_x + bad_x == solvable_x
+    require(good_x + bad_x == solvable_x,
+            "good and bad fibers do not cover the solvable ones")
 
     n_affine = q * solvable_x
     lo, hi = weil_window(q)
     n_smooth = n_affine + 1
-    assert n_affine % q == 0
-    assert lo <= n_smooth <= hi, "smooth count escapes the Weil interval"
+    require(n_affine % q == 0, "affine count is not divisible by q")
+    require(lo <= n_smooth <= hi, "smooth count escapes the Weil interval")
     census = CurveCensus(q=q, n_affine=n_affine, n_smooth=n_smooth,
                          genus=genus_of(q), weil_low=lo, weil_high=hi,
                          good_points=q * good_x, bad_points=q * bad_x)
-    assert census.bad_points <= q**5
+    require(census.bad_points <= q**5, "more than q^5 bad points")
     return census
 
 
@@ -158,7 +162,7 @@ def trace_identity_check(q: int, budget: int | None = None,
         lhs = scan.trace(scan.ops.cube(y, out=y), out=y)
         r = scan.power(x, 2 * q + 1, out=ws.get("r", n))
         r ^= scan.power(x, q + 2, out=ws.get("r2", n))
-        assert np.array_equal(lhs, scan.trace(r, out=r))
+        require(np.array_equal(lhs, scan.trace(r, out=r)), "Tr identity fails")
         return n
 
     return sum(run_chunked(total, check, threads=threads))

@@ -2,7 +2,7 @@
 CLI subcommands.
 
 Every check re-derives the facts its witness reports before the witness is
-serialized; a failed assertion, or any other exception, becomes a "fail"
+serialized; a failed `require`, or any other exception, becomes a "fail"
 outcome rather than escaping, and a blown budget becomes a "skip" (never a
 silent downgrade).
 Thread count is accepted for speed but kept out of manifests, because it
@@ -17,7 +17,8 @@ import time
 import traceback
 
 from . import ascurve, cubic, jsearch, obstruct
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, require
+from .fastscan import Workspace, run_chunked
 from .ffield import FElt, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
                     format_poly, is_irreducible, parse_poly)
@@ -50,11 +51,13 @@ def check_shape_census(budget: int | None = None,
     def body():
         polys = jsearch.enumerate_joubert_polys(2, budget=budget)
         texts = [format_poly(f) for f in polys]
-        assert texts == ["t^6+t+1", "t^6+t^4+t^2+t+1"]
+        require(texts == ["t^6+t+1", "t^6+t^4+t^2+t+1"],
+                "GF(2) sextics are not the two named ones")
         f2 = make_field(2, 1)
         hits = 0
         for text in texts:
-            assert is_irreducible(parse_poly(text, f2))
+            require(is_irreducible(parse_poly(text, f2)),
+                    "named sextic is reducible")
             hits += 1
         return {"candidates": 16, "irreducible": texts, "reverified": hits}
 
@@ -69,17 +72,19 @@ def check_named_polynomials(budget: int | None = None,
                             threads: int = 1) -> CheckResult:
     def body():
         f2 = make_field(2, 1)
-        assert is_irreducible(parse_poly("t^6+t+1", f2))
+        require(is_irreducible(parse_poly("t^6+t+1", f2)),
+                "t^6+t+1 is reducible over GF(2)")
         f4 = make_field(2, 2)
         quartic_alphas = []
         for a in (2, 3):  # the two elements outside GF(2)
             poly = UPoly(f4, (a, 1, 1, 0, 0, 0, 1))
-            assert is_irreducible(poly)
+            require(is_irreducible(poly),
+                    "quartic-alpha sextic is reducible over GF(4)")
             quartic_alphas.append(format_poly(poly))
         f8 = make_field(2, 3)
         betas = [b for b in range(2, 8)
                  if is_irreducible(UPoly(f8, (b, 1, 0, 0, 0, 0, 1)))]
-        assert betas, "no constant term in GF(8) - GF(2) works"
+        require(betas, "no constant term in GF(8) - GF(2) works")
         return {"gf2": "t^6+t+1", "gf4": quartic_alphas,
                 "gf8_betas": [format_poly(UPoly(f8, (b,))) for b in betas]}
 
@@ -96,13 +101,14 @@ def check_generator_search(q: int, budget: int | None = None,
     def body():
         rep = jsearch.find_joubert_generator(q, budget=budget,
                                              threads=threads)
-        assert rep.found is not None
-        ext = make_ext(2, q.bit_length() - 1, 6)
-        assert is_joubert(rep.found, ext)
+        require(rep.found is not None, "no generator found")
+        ext = make_ext(2, q.bit_length() - 1, 6, limit=budget)
+        require(is_joubert(rep.found, ext), "not a Joubert generator")
         prof = sigma_profile(rep.found, ext)
-        assert prof.sigma(1) == 0 and prof.sigma(3) == 0
+        require(prof.sigma(1) == 0 and prof.sigma(3) == 0,
+                "witness has nonzero s1 or s3")
         mp = compress_poly(rep.found_min_poly, ext)
-        assert is_irreducible(mp)
+        require(is_irreducible(mp), "minimal polynomial is reducible")
         # the scan extent describes the search, not the claim; only the
         # mathematical content belongs in the manifest
         return {"witness_val": rep.found.val,
@@ -121,11 +127,13 @@ def check_generator_enum(q: int, budget: int | None = None,
     def body():
         polys = jsearch.enumerate_joubert_polys(q, budget=budget)
         for f in polys:
-            assert f.degree == 6 and f.is_monic
-            assert f.coeff(5) == 0 and f.coeff(3) == 0
+            require(f.degree == 6 and f.is_monic, "not a monic sextic")
+            require(f.coeff(5) == 0 and f.coeff(3) == 0,
+                    "nonzero t^5 or t^3 coefficient")
         for f in polys[:32]:
-            assert is_irreducible(f)
-        assert len(polys) * 6 % (q * q - q) == 0
+            require(is_irreducible(f), "sextic is reducible")
+        require(len(polys) * 6 % (q * q - q) == 0,
+                "generator count is not a multiple of q^2 - q")
         return {"count": len(polys),
                 "first": format_poly(polys[0]) if polys else None,
                 "generators": 6 * len(polys)}
@@ -141,10 +149,10 @@ def check_hermite(q: int, budget: int | None = None,
                   threads: int = 1) -> CheckResult:
     def body():
         rep = jsearch.hermite_search(q, budget=budget)
-        assert rep.found is not None
+        require(rep.found is not None, "no generator found")
         p, k = jsearch._split_prime_power(q)
-        ext = make_ext(p, k, 5)
-        assert is_joubert(rep.found, ext)
+        ext = make_ext(p, k, 5, limit=budget)
+        require(is_joubert(rep.found, ext), "not a Joubert generator")
         return {"witness_val": rep.found.val,
                 "min_poly": format_poly(rep.found_min_poly, ext),
                 "scanned": rep.scanned}
@@ -162,10 +170,10 @@ def check_hermite_family(budget: int | None = None,
         out = {}
         for q in (2, 3, 4, 5, 8, 9):
             rep = jsearch.hermite_search(q, budget=budget)
-            assert rep.found is not None
+            require(rep.found is not None, "no generator found")
             p, k = jsearch._split_prime_power(q)
-            ext = make_ext(p, k, 5)
-            assert is_joubert(rep.found, ext)
+            ext = make_ext(p, k, 5, limit=budget)
+            require(is_joubert(rep.found, ext), "not a Joubert generator")
             out[str(q)] = rep.found.val
         return {"witness_vals": out}
 
@@ -180,13 +188,15 @@ def check_surface(q: int, budget: int | None = None,
                   threads: int = 1) -> CheckResult:
     def body():
         census = cubic.surface_census(q, budget=budget, threads=threads)
-        assert census.on_line == q + 1
-        assert census.total >= census.manin_floor
+        require(census.on_line == q + 1, "line does not have q + 1 points")
+        require(census.total >= census.manin_floor,
+                "surface count is below the Manin floor")
         if q == 2:
-            assert census.total == 9
+            require(census.total == 9, "GF(2) surface count is not 9")
         count = jsearch.count_joubert_generators(q, budget=budget,
                                                  threads=threads).count
-        assert census.generator_points * (q * q - q) == count
+        require(census.generator_points * (q * q - q) == count,
+                "class count and element count disagree")
         return {"total": census.total, "on_line": census.on_line,
                 "generator_classes": census.generator_points,
                 "trace_zero_cubic_count": census.affine_zero_count,
@@ -206,7 +216,7 @@ def check_smoothness(q: int, ext_deg: int, budget: int | None = None,
                      threads: int = 1) -> CheckResult:
     def body():
         singular = cubic.smoothness_scan(q, ext_deg=ext_deg, budget=budget)
-        assert singular == []
+        require(singular == [], "singular point found")
         return {"singular_points": [], "scanned_field": f"GF({q**ext_deg})"}
 
     return _run(
@@ -222,11 +232,12 @@ def check_obstruction(p: int, m: int, budget: int | None = None,
         g = obstruct.build_group(p, m, budget=budget)
         E = obstruct.choose_char_field(p)
         lines = obstruct.eigen_decomposition(g, E)
-        assert len(lines) == g.n
+        require(len(lines) == g.n, "eigenline count is not n")
         for line in lines:
-            assert obstruct.eigenline_powersum(line, E, p) == 1
+            require(obstruct.eigenline_powersum(line, E, p) == 1,
+                    "eigenline p-power sum is not 1")
         ok, wits, note = obstruct.no_plane_in_x(g, E)
-        assert ok
+        require(ok, "an invariant plane lies in the variety")
         w = wits[0]
         return {"field": f"GF({E.order})", "lines": len(lines),
                 "rank": g.n, "planes": len(wits), "all_excluded": True,
@@ -253,9 +264,10 @@ def check_obstruction_brute(p: int, m: int, budget: int | None = None,
         E = obstruct.choose_char_field(p)
         swept = obstruct.count_2planes(g.n, E.order)
         excluded, found = obstruct.brute_force_oracle(g, E, budget=budget)
-        assert excluded
+        require(excluded, "an invariant plane lies in the variety")
         structured = {pl.basis for pl in obstruct.invariant_planes(g, E)}
-        assert {pl.basis for pl in found} == structured
+        require({pl.basis for pl in found} == structured,
+                "brute-force planes differ from the structured list")
         return {"swept": swept, "invariant": len(found),
                 "matches_structured_list": True, "all_excluded": True}
 
@@ -271,14 +283,15 @@ def check_curve(q: int, budget: int | None = None,
                 threads: int = 1) -> CheckResult:
     def body():
         census = ascurve.curve_census(q, budget=budget, threads=threads)
-        assert census.n_affine % q == 0
-        assert census.weil_low <= census.n_smooth <= census.weil_high
-        assert census.bad_points <= q**5
+        require(census.n_affine % q == 0, "affine count is not divisible by q")
+        require(census.weil_low <= census.n_smooth <= census.weil_high,
+                "smooth count escapes the Weil interval")
+        require(census.bad_points <= q**5, "more than q^5 bad points")
         if q > 2:
-            assert census.good_points >= 1
+            require(census.good_points >= 1, "no good fiber point")
         checked = ascurve.trace_identity_check(q, budget=budget,
                                                threads=threads)
-        assert checked == q**6
+        require(checked == q**6, "trace identity did not cover F_q^6")
         return {"n_affine": census.n_affine, "n_smooth": census.n_smooth,
                 "genus": census.genus,
                 "weil_window": [census.weil_low, census.weil_high],
@@ -300,9 +313,10 @@ def check_curve_bounds(budget: int | None = None,
                        threads: int = 1) -> CheckResult:
     def body():
         flags = {str(q): ascurve.bound_inequality(q) for q in (2, 4, 8, 16)}
-        assert flags == {"2": False, "4": True, "8": True, "16": True}
+        require(flags == {"2": False, "4": True, "8": True, "16": True},
+                "bound inequality flags differ")
         lo, _ = ascurve.weil_window(2)
-        assert lo == 1 + 2**5
+        require(lo == 1 + 2**5, "Weil lower bound at q = 2 is not 1 + 2^5")
         return {"inequality_holds": flags, "q2_margin": 0}
 
     return _run(
@@ -322,7 +336,8 @@ def check_newton_identities(budget: int | None = None,
         rhs = s1**3 - 3 * s1 * s2
         if ext.n >= 3:
             rhs = rhs + 3 * FElt(big, prof.sigma(3))
-        assert power_traces(y, ext, 3)[2] == rhs.val
+        require(power_traces(y, ext, 3)[2] == rhs.val,
+                "Tr(y^3) differs from s1^3 - 3 s1 s2 + 3 s3")
 
     def body():
         fulls = [make_ext(p, k, n, limit=budget)
@@ -355,13 +370,21 @@ def check_trace_square(budget: int | None = None,
     def body():
         scans = {q: _ext_scan(2, k, 6, budget)
                  for q, k in ((2, 1), (4, 2), (8, 3))}
+        ws = Workspace()
+
+        def agree(scan, lo: int, hi: int) -> int:
+            n = hi - lo
+            z = ws.arange("z", lo, hi)
+            sq, tr = ws.get("sq", n), ws.get("tr", n)
+            lhs = scan.trace(scan.ops.square(z, out=sq), out=sq)
+            rhs = scan.ops.square(scan.trace(z, out=tr), out=tr)
+            require(np.array_equal(lhs, rhs), "Tr(z^2) differs from Tr(z)^2")
+            return n
+
         checked = {}
         for q, scan in scans.items():
-            z = np.arange(q**6, dtype=np.uint64)
-            lhs = scan.trace(scan.ops.square(z))
-            rhs = scan.ops.square(scan.trace(z))
-            assert np.array_equal(lhs, rhs)
-            checked[str(q)] = int(z.size)
+            checked[str(q)] = sum(run_chunked(
+                q**6, lambda lo, hi: agree(scan, lo, hi), threads=threads))
         return {"checked": checked}
 
     return _run(
@@ -374,13 +397,13 @@ def check_trace_square(budget: int | None = None,
 def check_charpoly_routes(budget: int | None = None,
                           threads: int = 1) -> CheckResult:
     def body():
-        ext = make_ext(2, 1, 6)
+        ext = make_ext(2, 1, 6, limit=budget)
         mismatches = 0
         for v in range(64):
             y = FElt(ext.big, v)
             if char_poly(y, ext) != char_poly_det(y, ext):
                 mismatches += 1
-        assert mismatches == 0
+        require(mismatches == 0, "char_poly routes disagree")
         return {"elements": 64, "mismatches": 0}
 
     return _run(
@@ -397,7 +420,7 @@ def check_explore(q: int, p: int, m: int, budget: int | None = None,
         rep = jsearch.explore_trace_conditions(q, p, m, budget=budget)
         gens = rep.extra["generators"]
         non = rep.extra["non_generators"]
-        assert gens + non == rep.count
+        require(gens + non == rep.count, "split does not sum to the count")
         return {"n": rep.n, "qualifying": rep.count, "generators": gens,
                 "non_generators": non}
 

@@ -3,8 +3,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error, 3 a budget cap stopped at least one check (caps are never silently
-downgraded into smaller runs).  Every check verifies with `assert`, so the
-CLI refuses to run under `python -O`.
+downgraded into smaller runs).  Every check verifies with
+`errors.require`, so `python -O` changes nothing.
 """
 
 from __future__ import annotations
@@ -162,11 +162,6 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if sys.flags.optimize:
-        print("joubert2: error: refusing to run under python -O, which "
-              "strips the asserts every check verifies with",
-              file=sys.stderr)
-        return EXIT_USAGE
     ap = build_parser()
     args = ap.parse_args(argv)
     budget = _resolve_budget(ap, args)

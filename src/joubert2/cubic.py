@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .ffield import ExtDesc, _unpack, check_budget, make_ext
 from .fastscan import LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
@@ -70,14 +70,14 @@ def build_frame(q: int, budget: int | None = None) -> QuotientFrame:
                 rows = cand
                 basis.append(v)
         v += 1
-    if len(basis) != 5:
-        raise AssertionError("trace-zero subspace has unexpected dimension")
-    assert basis[0] == 1  # Tr(1) = 0 in characteristic 2, degree 6
+    require(len(basis) == 5, "trace-zero subspace has unexpected dimension")
+    # Tr(1) = 0 in characteristic 2, degree 6
+    require(basis[0] == 1, "trace-zero basis does not start with 1")
     frame = QuotientFrame(ext, tuple(basis))
     for b in basis:
-        assert ext.trace_val(b) == 0
+        require(ext.trace_val(b) == 0, "basis element has nonzero trace")
     # K-span of the basis is all of L_0, a hyperplane of L
-    assert len(rref_vals(rows, big)) == 5
+    require(len(rref_vals(rows, big)) == 5, "basis does not span L_0")
     return frame
 
 
@@ -96,7 +96,7 @@ def surface_census(q: int, budget: int | None = None,
                    threads: int = 1) -> SurfaceCensus:
     """Count the surface's K-points by both routes and classify them.
 
-    Asserts the structural claims as it goes: every point is either on the
+    Checks the structural claims as it goes: every point is either on the
     F_{q^3}-line or a generator class, the line has exactly q+1 points, and
     the two counting routes agree.
     """
@@ -111,18 +111,19 @@ def surface_census(q: int, budget: int | None = None,
     generator_points = 0
     for idx_coords in _projective_reps(q):
         y = frame.lift([k_vals[i] for i in idx_coords])
-        assert ext.trace_val(y) == 0
+        require(ext.trace_val(y) == 0, "lifted point has nonzero trace")
         y3 = big.mul_val(big.mul_val(y, y), y)
         if ext.trace_val(y3) != 0:
             continue
         if ext.frob_iter_val(y, 3) == y:
             # non-generator class; must be the F_{q^3} line, never F_{q^2}
-            assert ext.frob_iter_val(y, 2) != y or y == 0
-            assert y != 0
+            require(ext.frob_iter_val(y, 2) != y or y == 0,
+                    "non-generator class lies in F_{q^2}")
+            require(y != 0, "zero lift of a projective point")
             on_line += 1
         else:
             # must be a full generator: n = 6 leaves only d in {2, 3}
-            assert ext.frob_iter_val(y, 2) != y
+            require(ext.frob_iter_val(y, 2) != y, "generator class in F_{q^2}")
             generator_points += 1
     total = on_line + generator_points
 
@@ -130,7 +131,7 @@ def surface_census(q: int, budget: int | None = None,
     scan = _ext_scan(2, k, 6, budget)
     l0 = LinearMap(_l0_basis_vals(frame))  # digit index -> element of L_0
     total_l0 = 1 << len(l0.images)
-    assert total_l0 == q**5
+    require(total_l0 == q**5, "L_0 does not have q^5 elements")
     ws = Workspace()
 
     def tally(lo: int, hi: int) -> int:
@@ -139,12 +140,13 @@ def surface_census(q: int, budget: int | None = None,
         return int(np.count_nonzero(t == 0))
 
     s_count = sum(run_chunked(total_l0, tally, threads=threads))
-    assert (s_count - q) % (q * q - q) == 0
-    assert total == (s_count - q) // (q * q - q)
+    require((s_count - q) % (q * q - q) == 0, "|S| is not q mod q^2 - q")
+    require(total == (s_count - q) // (q * q - q),
+            "projective and affine routes disagree")
 
-    assert on_line == q + 1
+    require(on_line == q + 1, "line does not have q + 1 points")
     manin_floor = q * q - 7 * q + 1
-    assert total >= manin_floor
+    require(total >= manin_floor, "surface count is below the Manin floor")
     return SurfaceCensus(q=q, total=total, on_line=on_line,
                          generator_points=generator_points,
                          manin_floor=manin_floor, affine_zero_count=s_count)
@@ -248,7 +250,7 @@ def smoothness_scan(q: int, ext_deg: int = 1,
     frame = build_frame(q, budget)
     coeffs = cubic_form(frame)
     sub = frame.ext.subfield_vals(ext_deg)
-    assert len(sub) == qq
+    require(len(sub) == qq, "subfield does not have q^ext_deg elements")
     singular = []
     for idx_coords in _projective_reps(qq):
         coords = [sub[i] for i in idx_coords]

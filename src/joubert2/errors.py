@@ -29,9 +29,9 @@ class TableError(RuntimeError):
 class CheckFailed(AssertionError):
     """A verification found its claim false.
 
-    Raised by require(), never by an `assert` statement, so `python -O`
-    cannot strip it; subclassing AssertionError keeps it in the `fail` arm
-    of every caller that catches failed claims.
+    Raised by require() or directly, never by an `assert` statement, so
+    `python -O` cannot strip it; subclassing AssertionError keeps it in the
+    `fail` arm of every caller that catches failed claims.
     """
 
 

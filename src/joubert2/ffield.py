@@ -33,7 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, TableError
+from .errors import (BudgetError, CheckFailed, DomainError, TableError,
+                     require)
 from . import gflinalg
 
 #: Default cap on field order for construction and exhaustive scans.
@@ -155,7 +156,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
             ok = is_irreducible(UPoly(prime, digits))
         if ok:
             return tuple(digits)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise CheckFailed("no irreducible polynomial found")  # unreachable
 
 
 def _unpack(val: int, p: int, m: int) -> list[int]:
@@ -373,7 +374,9 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]):
     powers = [1]
     for _ in range(n - 1):
         powers.append(times_g[powers[-1]])
-    assert len(set(powers)) == n
+    if len(set(powers)) != n:
+        raise TableError(f"exp table of GF({p}^{m}) is not one cycle of the "
+                         "units")
     exp = np.zeros(4 * n + 1, dtype=np.uint16)
     exp[:n] = exp[n:2 * n] = powers
     log = np.empty(q, dtype=np.uint16)
@@ -810,7 +813,7 @@ class ExtDesc:
                      for b in gflinalg.kernel(matrix, make_field(p, 1))]
             vals = sorted(big.combine(_unpack(combo, p, len(basis)), basis)
                           for combo in range(p**len(basis)))
-            assert len(vals) == self.q**d
+            require(len(vals) == self.q**d, "subfield size is not q^d")
             self._cache[key] = vals
         return self._cache[key]
 
@@ -830,7 +833,7 @@ class ExtDesc:
                     if big.combine(digits, powers) == 0:
                         root = v
                         break
-                assert root is not None
+                require(root is not None, "canonical modulus has no root in K")
                 self._cache["kappa"] = root
         return self._cache["kappa"]
 
@@ -852,7 +855,7 @@ class ExtDesc:
             big = self.big
             out = [big.combine(_unpack(idx, big.p, self.base_deg),
                                self.kappa_powers) for idx in range(self.q)]
-            assert len(set(out)) == self.q
+            require(len(set(out)) == self.q, "K-digit map is not one to one")
             self._cache["k_elements"] = out
         return self._cache["k_elements"]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gflinalg
-from .errors import DomainError
+from .errors import CheckFailed, DomainError, require
 from .ffield import (FieldDesc, _pack, _unpack, check_budget, make_field,
                      require_odd_prime)
 
@@ -135,13 +135,14 @@ def _validate_group(g: GroupG) -> None:
         cur = perm
         for _ in range(g.p - 1):
             cur = _compose(cur, perm)
-        assert cur == identity, "generator order is not p"
+        require(cur == identity, "generator order is not p")
         # blocks are preserved
-        assert all((i < g.block_size) == (perm[i] < g.block_size)
-                   for i in range(g.n))
+        require(all((i < g.block_size) == (perm[i] < g.block_size)
+                    for i in range(g.n)), "generator mixes the blocks")
     for a in g.gens:
         for b in g.gens:
-            assert _compose(a, b) == _compose(b, a), "generators must commute"
+            require(_compose(a, b) == _compose(b, a),
+                    "generators must commute")
     # regular action: each block is a single orbit of its m translations
     for off in (0, g.block_size):
         seen = {off}
@@ -153,21 +154,21 @@ def _validate_group(g: GroupG) -> None:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
-        assert len(seen) == g.block_size
+        require(len(seen) == g.block_size, "block is not one orbit")
 
 
 def choose_char_field(p: int) -> FieldDesc:
     """Minimal GF(2^d) containing the p-th roots of unity.
 
     Any such field automatically has more than p elements, which the plane
-    containment test needs; asserted anyway.
+    containment test needs; checked anyway.
     """
     require_odd_prime(p)
     d = 1
     while (2**d - 1) % p:
         d += 1
     field = make_field(2, d)
-    assert field.order > p
+    require(field.order > p, "field does not exceed p")
     return field
 
 
@@ -178,7 +179,7 @@ def find_order_p(field: FieldDesc, p: int) -> int:
     for v in range(2, field.order):
         if field.pow_val(v, p) == 1:
             return v
-    raise AssertionError("order-p element must exist")  # unreachable
+    raise CheckFailed("order-p element must exist")  # unreachable
 
 
 def apply_perm(perm, vec):
@@ -208,7 +209,7 @@ def eigen_decomposition(g: GroupG, field: FieldDesc) -> list[CharLine]:
             _verify_line(g, field, line, omega)
             lines.append(line)
     rank = len(gflinalg.rref_vals([list(l.vector) for l in lines], field))
-    assert rank == g.n, "eigenlines must span the whole space"
+    require(rank == g.n, "eigenlines must span the whole space")
     return lines
 
 
@@ -220,7 +221,7 @@ def _verify_line(g: GroupG, field: FieldDesc, line: CharLine,
         eig = field.pow_val(omega, line.chi[j]) if gen_block == line.block else 1
         moved = apply_perm(perm, line.vector)
         expect = tuple(field.mul_val(eig, v) for v in line.vector)
-        assert moved == expect, "line is not an eigenvector of the generator"
+        require(moved == expect, "line is not an eigenvector of the generator")
 
 
 def eigenline_powersum(line: CharLine, field: FieldDesc, p: int) -> int:
@@ -262,8 +263,8 @@ def _plane(field: FieldDesc, v, w, origin: str) -> InvPlane:
 def _verify_invariant(g: GroupG, field: FieldDesc, plane: InvPlane) -> None:
     for perm in g.gens:
         for row in plane.basis:
-            assert _span_contains(plane.basis, apply_perm(perm, row), field), \
-                "plane is not G-stable"
+            require(_span_contains(plane.basis, apply_perm(perm, row), field),
+                    "plane is not G-stable")
 
 
 def invariant_planes(g: GroupG, field: FieldDesc) -> list[InvPlane]:
@@ -277,7 +278,8 @@ def invariant_planes(g: GroupG, field: FieldDesc) -> list[InvPlane]:
     """
     lines = eigen_decomposition(g, field)
     nontrivial = [l for l in lines if any(l.chi)]
-    assert len(nontrivial) == 2 * g.block_size - 2
+    require(len(nontrivial) == 2 * g.block_size - 2,
+            "nontrivial line count is not 2p^m - 2")
     u1, u2 = block_indicators(g, field)
     planes = []
     for i in range(len(nontrivial)):
@@ -294,7 +296,7 @@ def invariant_planes(g: GroupG, field: FieldDesc) -> list[InvPlane]:
     planes.append(_plane(field, u1, u2, "trivial-isotypic"))
     for plane in planes:
         _verify_invariant(g, field, plane)
-    assert len({p.basis for p in planes}) == len(planes), "duplicate planes"
+    require(len({p.basis for p in planes}) == len(planes), "duplicate planes")
     return planes
 
 
@@ -338,7 +340,7 @@ def count_2planes(n: int, q: int) -> int:
     """Gaussian binomial [n choose 2]_q, the number of 2-dim subspaces."""
     num = (q**n - 1) * (q ** (n - 1) - 1)
     den = (q**2 - 1) * (q - 1)
-    assert num % den == 0
+    require(num % den == 0, "Gaussian binomial is not an integer")
     return num // den
 
 
@@ -382,7 +384,7 @@ def brute_force_oracle(g: GroupG, field: FieldDesc,
                     found.append(plane)
                     if _exclude_plane(plane, variety, field) is None:
                         excluded = False
-    assert seen == total
+    require(seen == total, "sweep count differs from the subspace count")
     return excluded, found
 
 

@@ -4,7 +4,7 @@ enumeration, and the brute-force subspace sweep."""
 import pytest
 
 from joubert2 import obstruct
-from joubert2.errors import BudgetError, DomainError
+from joubert2.errors import BudgetError, CheckFailed, DomainError
 from joubert2.ffield import DEFAULT_LIMIT, make_field
 from joubert2.obstruct import (PowerSumVariety, apply_perm, block_indicators,
                                brute_force_oracle, build_group,
@@ -180,7 +180,7 @@ class TestInvariantPlanes:
         e0 = (1, 0, 0, 0, 0, 0)
         e1 = (0, 1, 0, 0, 0, 0)
         pl = obstruct._plane(E, e0, e1, "test")
-        with pytest.raises(AssertionError):
+        with pytest.raises(CheckFailed, match="not G-stable"):
             obstruct._verify_invariant(g, E, pl)
 
 

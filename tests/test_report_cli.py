@@ -191,6 +191,16 @@ class TestCli:
             assert got[cid]["outcome"] == "skip"
             assert "budget 1000" in got[cid]["witness"]["reason"]
 
+    @pytest.mark.parametrize("run, outcome", [
+        # both witnesses are re-verified in GF(2^30), inside a 2^31 budget
+        (lambda: checks.check_generator_search(32, budget=2**31), "pass"),
+        (lambda: checks.check_hermite(64, budget=2**31), "pass"),
+        # GF(2^6) has 64 elements, more than 10
+        (lambda: checks.check_charpoly_routes(budget=10), "skip"),
+    ], ids=["generator-search-q32", "hermite-q64", "charpoly-routes"])
+    def test_budget_reaches_reverification(self, run, outcome):
+        assert run().outcome == outcome
+
     def test_env_budget_and_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JOUBERT2_BUDGET", "5")
         assert main(["joubert-enum", "--q", "2"]) == 3
@@ -211,13 +221,27 @@ class TestCli:
         assert main(["hermite", "--q", "2"]) == 1
         assert "verdict: fail" in capsys.readouterr().out
 
-    def test_refuses_optimize_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "joubert2", "surface", "--q", "2"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "-O" in proc.stderr
-        assert proc.stdout == ""
+    @pytest.mark.parametrize("flags", [[], ["-O"]],
+                             ids=["python", "python-O"])
+    def test_planted_false_claim_exits_1(self, flags):
+        # a generator count off by q^2 - q breaks the surface check's class
+        # count = element count claim, whatever the interpreter flags
+        code = (
+            "import dataclasses, sys\n"
+            "from joubert2 import cli, jsearch\n"
+            "real = jsearch.count_joubert_generators\n"
+            "def planted(q, **kw):\n"
+            "    rep = real(q, **kw)\n"
+            "    return dataclasses.replace(rep, count=rep.count + q * q - q)\n"
+            "jsearch.count_joubert_generators = planted\n"
+            "argv = ['surface', '--q', '2', '--format', 'json']\n"
+            "sys.exit(cli.main(argv))\n")
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        (result,) = json.loads(proc.stdout)["checks"]
+        assert result["witness"] == {
+            "error": "class count and element count disagree"}
 
     def test_every_check_is_reachable(self, capsys, monkeypatch):
         reached = []

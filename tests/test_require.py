@@ -1,8 +1,8 @@
-"""Verifications on the sped-up scalar paths cannot be stripped by -O.
+"""Verifications cannot be stripped by -O.
 
-`sigma`, `fpoly` and `jsearch` check their claims with `errors.require`,
-which raises CheckFailed; an `ast` scan keeps `assert` statements out of
-those modules, and a `python -O` run shows the checks still fire.
+Every module checks its claims with `errors.require`, which raises
+CheckFailed; an `ast` scan keeps `assert` statements out of the package and
+the scripts, and a `python -O` run shows the checks still fire.
 """
 
 import ast
@@ -14,17 +14,17 @@ import pytest
 
 from joubert2.errors import CheckFailed, require
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "joubert2"
-REQUIRE_ONLY = ["sigma.py", "fpoly.py", "jsearch.py"]
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "joubert2").glob("*.py"),
+                  *(ROOT / "scripts").glob("*.py")])
 
 
 def _assert_lines(tree: ast.Module) -> list[int]:
     return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
-@pytest.mark.parametrize("name", REQUIRE_ONLY)
-def test_no_assert_statements(name):
-    path = PACKAGE / name
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
     assert _assert_lines(ast.parse(path.read_text(), filename=str(path))) == []
 
 
