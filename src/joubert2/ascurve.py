@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DomainError, require
 from .fastscan import Workspace, run_chunked
-from .ffield import (ExtDesc, FElt, check_budget, make_ext, rel_frobenius,
-                     rel_trace)
+from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
 from .jsearch import _ext_scan, _require_pow2
 
 
@@ -94,8 +93,6 @@ def curve_census(q: int, budget: int | None = None,
     scan checks rather than assumes.
     """
     k = _require_pow2(q)
-    total = q**6
-    check_budget("curve census scan", total, budget)
     scan = _ext_scan(2, k, 6, budget)
 
     ws = Workspace()
@@ -123,7 +120,7 @@ def curve_census(q: int, budget: int | None = None,
                 int(np.count_nonzero(solvable & in_cubic)),
                 int(np.count_nonzero(good)))
 
-    parts = run_chunked(total, tally, threads=threads)
+    parts = run_chunked(q**6, tally, threads=threads)
     solvable_x = sum(p[0] for p in parts)
     bad_x = sum(p[1] for p in parts)
     good_x = sum(p[2] for p in parts)
@@ -148,8 +145,6 @@ def trace_identity_check(q: int, budget: int | None = None,
     right side is evaluated from the raw monomials, not the factored form.
     Returns the number of points checked."""
     k = _require_pow2(q)
-    total = q**6
-    check_budget("trace identity scan", total, budget)
     scan = _ext_scan(2, k, 6, budget)
 
     ws = Workspace()
@@ -165,17 +160,15 @@ def trace_identity_check(q: int, budget: int | None = None,
         require(np.array_equal(lhs, scan.trace(r, out=r)), "Tr identity fails")
         return n
 
-    return sum(run_chunked(total, check, threads=threads))
+    return sum(run_chunked(q**6, check, threads=threads))
 
 
 def good_fiber_witness(q: int, budget: int | None = None) -> FElt | None:
     """Least x whose fiber is solvable with y = x^q + x a generator, or
     None when no such x exists."""
     k = _require_pow2(q)
-    total = q**6
-    check_budget("good fiber search", total, budget)
     ext = make_ext(2, k, 6, limit=budget)
-    for xv in range(total):
+    for xv in range(ext.big.order):
         yv = ext.big.add_val(ext.frob_val(xv), xv)
         if ext.trace_val(ext.big.pow_val(yv, 3)):
             continue

@@ -71,17 +71,17 @@ def check_shape_census(budget: int | None = None,
 def check_named_polynomials(budget: int | None = None,
                             threads: int = 1) -> CheckResult:
     def body():
-        f2 = make_field(2, 1)
+        f2 = make_field(2, 1, limit=budget)
         require(is_irreducible(parse_poly("t^6+t+1", f2)),
                 "t^6+t+1 is reducible over GF(2)")
-        f4 = make_field(2, 2)
+        f4 = make_field(2, 2, limit=budget)
         quartic_alphas = []
         for a in (2, 3):  # the two elements outside GF(2)
             poly = UPoly(f4, (a, 1, 1, 0, 0, 0, 1))
             require(is_irreducible(poly),
                     "quartic-alpha sextic is reducible over GF(4)")
             quartic_alphas.append(format_poly(poly))
-        f8 = make_field(2, 3)
+        f8 = make_field(2, 3, limit=budget)
         betas = [b for b in range(2, 8)
                  if is_irreducible(UPoly(f8, (b, 1, 0, 0, 0, 0, 1)))]
         require(betas, "no constant term in GF(8) - GF(2) works")
@@ -99,8 +99,7 @@ def check_named_polynomials(budget: int | None = None,
 def check_generator_search(q: int, budget: int | None = None,
                            threads: int = 1) -> CheckResult:
     def body():
-        rep = jsearch.find_joubert_generator(q, budget=budget,
-                                             threads=threads)
+        rep = jsearch.find_joubert_generator(q, budget=budget)
         require(rep.found is not None, "no generator found")
         ext = make_ext(2, q.bit_length() - 1, 6, limit=budget)
         require(is_joubert(rep.found, ext), "not a Joubert generator")
@@ -230,7 +229,7 @@ def check_obstruction(p: int, m: int, budget: int | None = None,
                       threads: int = 1) -> CheckResult:
     def body():
         g = obstruct.build_group(p, m, budget=budget)
-        E = obstruct.choose_char_field(p)
+        E = obstruct.choose_char_field(p, budget=budget)
         lines = obstruct.eigen_decomposition(g, E)
         require(len(lines) == g.n, "eigenline count is not n")
         for line in lines:
@@ -261,7 +260,7 @@ def check_obstruction_brute(p: int, m: int, budget: int | None = None,
                             threads: int = 1) -> CheckResult:
     def body():
         g = obstruct.build_group(p, m, budget=budget)
-        E = obstruct.choose_char_field(p)
+        E = obstruct.choose_char_field(p, budget=budget)
         swept = obstruct.count_2planes(g.n, E.order)
         excluded, found = obstruct.brute_force_oracle(g, E, budget=budget)
         require(excluded, "an invariant plane lies in the variety")

@@ -101,7 +101,6 @@ def surface_census(q: int, budget: int | None = None,
     the two counting routes agree.
     """
     k = _require_pow2(q)
-    check_budget("q^5", q**5, budget)
     frame = build_frame(q, budget)
     ext = frame.ext
     big = ext.big

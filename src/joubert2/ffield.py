@@ -185,15 +185,13 @@ class FieldDesc:
     for the field's order and shares one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "modulus", "order", "_zero", "_one")
+    __slots__ = ("p", "m", "modulus", "order")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.modulus = modulus
         self.order = p**m
-        self._zero = None
-        self._one = None
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.m == 1 else f"GF({self.p}^{self.m})"
@@ -286,15 +284,11 @@ class FieldDesc:
 
     @property
     def zero(self) -> "FElt":
-        if self._zero is None:
-            self._zero = FElt(self, 0)
-        return self._zero
+        return FElt(self, 0)
 
     @property
     def one(self) -> "FElt":
-        if self._one is None:
-            self._one = FElt(self, 1)
-        return self._one
+        return FElt(self, 1)
 
     @property
     def gen(self) -> "FElt":
@@ -458,8 +452,11 @@ class _Char2TableField(_Char2, _TableField):
 
 
 class _UnbuiltTableField(_TableField):
-    """A table field before its first operation.  That operation builds
-    the tables, then moves the field to its built class and runs there."""
+    """A table field before its first operation.  That operation reads an
+    unset table slot, which lands in __getattr__: it builds the tables,
+    moves the field to its built class and reads the slot there.  Only this
+    class has the hook, since any __getattr__ on a class keeps CPython from
+    specializing its slot reads."""
 
     __slots__ = ()
 
@@ -473,29 +470,11 @@ class _UnbuiltTableField(_TableField):
             # last, so that no thread reaches a lookup before its table
             self.__class__ = _Char2TableField if self.p == 2 else _TableField
 
-    def add_val(self, a: int, b: int) -> int:
+    def __getattr__(self, name: str):
+        if name not in _TableField.__slots__:
+            raise AttributeError(name)
         self.build_tables()
-        return self.add_val(a, b)
-
-    def sub_val(self, a: int, b: int) -> int:
-        self.build_tables()
-        return self.sub_val(a, b)
-
-    def neg_val(self, a: int) -> int:
-        self.build_tables()
-        return self.neg_val(a)
-
-    def mul_val(self, a: int, b: int) -> int:
-        self.build_tables()
-        return self.mul_val(a, b)
-
-    def inv_val(self, a: int) -> int:
-        self.build_tables()
-        return self.inv_val(a)
-
-    def pow_val(self, a: int, e: int) -> int:
-        self.build_tables()
-        return self.pow_val(a, e)
+        return getattr(self, name)
 
 
 class _ClmulField(_Char2, FieldDesc):
@@ -717,16 +696,13 @@ class ExtDesc:
 
     __slots__ = ("big", "base_deg", "n", "q", "_cache")
 
-    def __init__(self, big: FieldDesc, base_deg: int, n: int | None = None):
+    def __init__(self, big: FieldDesc, base_deg: int):
         if big.m % base_deg != 0:
             raise DomainError(
                 f"base degree {base_deg} does not divide [{big!r}:prime] = {big.m}")
-        derived = big.m // base_deg
-        if n is not None and n != derived:
-            raise DomainError(f"relative degree {n} != {big.m}/{base_deg}")
         self.big = big
         self.base_deg = base_deg
-        self.n = derived
+        self.n = big.m // base_deg
         self.q = big.p**base_deg
         self._cache = _ExtCache(self)
 
@@ -898,7 +874,7 @@ class ExtDesc:
 
 @functools.lru_cache(maxsize=None)
 def _build_ext(p: int, base_deg: int, n: int) -> ExtDesc:
-    return ExtDesc(_build_field(p, base_deg * n), base_deg, n)
+    return ExtDesc(_build_field(p, base_deg * n), base_deg)
 
 
 def make_ext(p: int, base_deg: int, n: int, limit: int | None = None) -> ExtDesc:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DomainError, require
-from .ffield import (ExtDesc, FElt, check_budget, is_prime, make_ext,
-                     make_field, require_odd_prime)
+from .ffield import (ExtDesc, FElt, check_budget, make_ext, make_field,
+                     require_odd_prime)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
@@ -47,8 +47,6 @@ def _split_prime_power(q: int) -> tuple[int, int]:
             raise DomainError(f"q = {q} is not a prime power")
         val //= p
         k += 1
-    if not is_prime(p):
-        raise DomainError(f"q = {q} is not a prime power")
     return p, k
 
 
@@ -96,24 +94,20 @@ def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
     return cand[t == 0]
 
 
-def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
-                           threads: int = 1) -> SearchReport:
+def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
     """First y (in value order) generating F_{q^6}/F_q with s_1 = s_3 = 0.
 
     Characteristic 2 only; the vectorized scan prefilters on the equivalent
     pair Tr(y) = Tr(y^3) = 0, then re-verifies candidates through the
     sigma-based predicate.  Chunks are walked in value order on the calling
     thread and the walk stops at the first hit, so `scanned` ends at that
-    chunk.  `threads` is accepted for the common check signature and unused:
-    the witnesses sit at values 2, 6, 258 and 410 for q = 2, 4, 8 and 16,
-    inside the first chunk, so parallel chunks would only scan past the hit.
+    chunk.  One thread suffices: the witnesses sit at values 2, 6, 258 and
+    410 for q = 2, 4, 8 and 16, inside the first chunk, so parallel chunks
+    would only scan past the hit.
     """
-    if n != 6:
-        raise DomainError(f"only degree-6 searches are supported, got n = {n}")
     k = _require_pow2(q)
-    check_budget("q^6", q**6, budget)
-    ext = make_ext(2, k, n, limit=budget)
-    scan = _ext_scan(2, k, n, budget)
+    scan = _ext_scan(2, k, 6, budget)
+    ext = scan.ext
 
     ws = Workspace()
     found_val = None
@@ -126,7 +120,7 @@ def find_joubert_generator(q: int, n: int = 6, budget: int | None = None,
         if found_val is not None:
             break
 
-    report = SearchReport(q=q, n=n, mode="first", scanned=scanned)
+    report = SearchReport(q=q, n=6, mode="first", scanned=scanned)
     if found_val is not None:
         y = ext.big.element(found_val)
         report.found = y
@@ -138,9 +132,8 @@ def count_joubert_generators(q: int, budget: int | None = None,
                              threads: int = 1) -> SearchReport:
     """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
     k = _require_pow2(q)
-    check_budget("q^6", q**6, budget)
-    ext = make_ext(2, k, 6, limit=budget)
     scan = _ext_scan(2, k, 6, budget)
+    ext = scan.ext
 
     ws = Workspace()
 
@@ -178,7 +171,6 @@ def enumerate_joubert_polys(q: int, budget: int | None = None) -> list[UPoly]:
     p, k = _split_prime_power(q)
     check_budget("q^4", q**4, budget)
     field = make_field(p, k)
-    field.build_tables()
     out = []
     for a in range(q):
         for b in range(q):
@@ -197,7 +189,6 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
     acceptance always goes through the sigma profile.
     """
     p, k = _split_prime_power(q)
-    check_budget("q^5", q**5, budget)
     ext = make_ext(p, k, 5, limit=budget)
     big = ext.big
     found = None
@@ -230,7 +221,6 @@ def explore_trace_conditions(q: int, p: int, m: int,
         raise DomainError(f"m = {m} must be positive")
     k = _require_pow2(q)
     n = 2 * p**m
-    check_budget("q^n", q**n, budget)
     ext = make_ext(2, k, n, limit=budget)
     big = ext.big
     base = set(ext.subfield_vals(1))

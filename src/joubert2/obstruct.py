@@ -157,7 +157,7 @@ def _validate_group(g: GroupG) -> None:
         require(len(seen) == g.block_size, "block is not one orbit")
 
 
-def choose_char_field(p: int) -> FieldDesc:
+def choose_char_field(p: int, budget: int | None = None) -> FieldDesc:
     """Minimal GF(2^d) containing the p-th roots of unity.
 
     Any such field automatically has more than p elements, which the plane
@@ -167,7 +167,7 @@ def choose_char_field(p: int) -> FieldDesc:
     d = 1
     while (2**d - 1) % p:
         d += 1
-    field = make_field(2, d)
+    field = make_field(2, d, limit=budget)
     require(field.order > p, "field does not exceed p")
     return field
 
@@ -233,8 +233,7 @@ def eigenline_powersum(line: CharLine, field: FieldDesc, p: int) -> int:
     return acc
 
 
-def block_indicators(g: GroupG, field: FieldDesc) -> tuple[tuple[int, ...],
-                                                           tuple[int, ...]]:
+def block_indicators(g: GroupG) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two fixed vectors spanning the trivial isotypic plane."""
     size = g.block_size
     u1 = tuple([1] * size + [0] * size)
@@ -280,7 +279,7 @@ def invariant_planes(g: GroupG, field: FieldDesc) -> list[InvPlane]:
     nontrivial = [l for l in lines if any(l.chi)]
     require(len(nontrivial) == 2 * g.block_size - 2,
             "nontrivial line count is not 2p^m - 2")
-    u1, u2 = block_indicators(g, field)
+    u1, u2 = block_indicators(g)
     planes = []
     for i in range(len(nontrivial)):
         for j in range(i + 1, len(nontrivial)):

@@ -138,7 +138,7 @@ def test_census_thread_independent():
 def test_census_budget():
     with pytest.raises(BudgetError) as exc:
         surface_census(16, budget=1000)
-    assert (exc.value.needed, exc.value.budget) == (16**5, 1000)
+    assert (exc.value.needed, exc.value.budget) == (16**6, 1000)
 
 
 def test_manin_floor_binding_at_16():

@@ -288,6 +288,30 @@ def test_first_use_from_threads(workers):
     assert not isinstance(field, ffield._UnbuiltTableField)
 
 
+_OPS = {"add_val": (3, 5), "sub_val": (3, 5), "neg_val": (3,),
+        "mul_val": (3, 5), "inv_val": (3,), "pow_val": (3, 7),
+        "div_val": (3, 5)}
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (5, 4)])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_any_first_operation_builds_tables(p, m, op):
+    # the build hook sits on the unbuilt class alone; whichever operation
+    # comes first (in characteristic 2, add_val by the inherited Zech path)
+    # builds the tables and moves the field to its built class
+    built = make_field(p, m)
+    built.build_tables()
+    field = ffield._build_field.__wrapped__(p, m)
+    assert type(field) is ffield._UnbuiltTableField
+    assert getattr(field, op)(*_OPS[op]) == getattr(built, op)(*_OPS[op])
+    assert type(field) is type(built) is not ffield._UnbuiltTableField
+    assert not set(_OPS) & set(vars(ffield._UnbuiltTableField))
+    for backend in (ffield._PrimeField, ffield._Char2TableField,
+                    ffield._TableField, ffield._ClmulField,
+                    ffield._DigitField):
+        assert not any("__getattr__" in vars(c) for c in backend.__mro__)
+
+
 # -- enumeration ------------------------------------------------------------
 
 
@@ -400,7 +424,7 @@ def test_linear_tables_match_square_and_multiply_everywhere(p, k, n):
     (2, 3, 6, ffield._ClmulField), (2, 4, 6, ffield._ClmulField),
     (3, 2, 5, ffield._DigitField)])
 def test_linear_tables_match_square_and_multiply_sampled(p, k, n, backend):
-    # byte blocks combined by xor, digit blocks combined by add_val
+    # block tables of at most 4096 entries, summed by add_val
     ext = make_ext(p, k, n)
     assert type(ext.big) is backend
     rng = random.Random(f"{p},{k},{n}")

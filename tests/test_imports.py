@@ -1,4 +1,5 @@
-"""Every name a module imports is referenced somewhere in that module.
+"""Every name a module imports is referenced somewhere in that module, and
+every function parameter is read somewhere in its function.
 
 Scans the package and the scripts with `ast`; a name listed in `__all__`
 counts as referenced (a re-export), and `from __future__` is skipped.
@@ -41,3 +42,48 @@ def test_no_unused_imports(path):
 def test_scan_catches_an_unused_import():
     tree = ast.parse("import itertools\nimport re\nre.compile('x')\n")
     assert _unused_imports(tree) == ["itertools"]
+
+
+# the registry calls every check with (budget, threads), read or not
+_UNIFORM_CHECK_PARAMS = ("budget", "threads")
+
+
+def _unused_params(tree: ast.Module, module: str) -> list[str]:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        a = fn.args
+        params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if x is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        for param in params:
+            if param in ("self", "cls") or param in read:
+                continue
+            if (module == "checks" and name.startswith("check_")
+                    and param in _UNIFORM_CHECK_PARAMS):
+                continue
+            out.append(f"{name}.{param}")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_params(tree, path.stem) == []
+
+
+def test_scan_catches_an_unused_parameter():
+    tree = ast.parse("def f(a, b, threads=1):\n"
+                     "    def g(c):\n"
+                     "        return b + c\n"
+                     "    return g(a)\n"
+                     "def check_x(budget=None, threads=1):\n"
+                     "    return 0\n")
+    assert _unused_params(tree, "checks") == ["f.threads"]
+    assert _unused_params(tree, "jsearch") == [
+        "check_x.budget", "check_x.threads", "f.threads"]

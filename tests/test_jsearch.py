@@ -1,6 +1,9 @@
 import pytest
 
 from joubert2 import BudgetError, DomainError, make_ext, make_field
+from joubert2.ascurve import (curve_census, good_fiber_witness,
+                              trace_identity_check)
+from joubert2.cubic import surface_census
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -38,20 +41,17 @@ def test_find_witness_exists_and_verifies(q):
     assert mp.degree == 6 and mp.coeff(5) == 0 and mp.coeff(3) == 0
 
 
-def test_find_witness_is_minimal_and_thread_independent():
-    a = find_joubert_generator(4, threads=1)
-    b = find_joubert_generator(4, threads=3)
-    assert a.found.val == b.found.val
+def test_find_witness_is_minimal():
+    a = find_joubert_generator(4)
     # nothing below the witness qualifies
     ext = make_ext(2, 2, 6)
     for v in range(a.found.val):
         assert not is_joubert(ext.big.element(v), ext)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_find_stops_at_the_witness_chunk(threads):
+def test_find_stops_at_the_witness_chunk():
     # the q = 8 witness (value 258) lies in the first chunk
-    assert find_joubert_generator(8, threads=threads).scanned == 65536
+    assert find_joubert_generator(8).scanned == 65536
 
 
 def test_find_rejects_bad_q():
@@ -59,8 +59,6 @@ def test_find_rejects_bad_q():
         find_joubert_generator(3)
     with pytest.raises(DomainError):
         find_joubert_generator(6)
-    with pytest.raises(DomainError):
-        find_joubert_generator(4, n=5)
     with pytest.raises(BudgetError):
         find_joubert_generator(16, budget=1000)
 
@@ -176,3 +174,23 @@ def test_budget_errors_carry_parameters():
         enumerate_joubert_polys(16, budget=1000)
     assert exc.value.needed == 16**4
     assert exc.value.budget == 1000
+
+
+@pytest.mark.parametrize("scan, order", [
+    (find_joubert_generator, 64),
+    (count_joubert_generators, 64),
+    (hermite_search, 32),
+    (lambda q, budget: explore_trace_conditions(q, 3, 1, budget=budget), 64),
+    (curve_census, 64),
+    (trace_identity_check, 64),
+    (good_fiber_witness, 64),
+    (surface_census, 64),
+], ids=["find", "count", "hermite", "explore", "curve", "trace-identity",
+        "good-fiber", "surface"])
+def test_scans_are_capped_by_field_order(scan, order):
+    # at q = 2 each scan runs over a field of `order` elements, and the
+    # field-order cap of make_field is the one budget check it meets
+    with pytest.raises(BudgetError) as exc:
+        scan(2, budget=order - 1)
+    assert (exc.value.parameter, exc.value.needed) == ("field order", order)
+    scan(2, budget=order)

@@ -115,7 +115,7 @@ class TestEigenLines:
     def test_trivial_character_gives_indicator(self):
         g, E = _setup(3, 1)
         lines = eigen_decomposition(g, E)
-        u1, u2 = block_indicators(g, E)
+        u1, u2 = block_indicators(g)
         flat = [l for l in lines if not any(l.chi)]
         assert len(flat) == 2
         assert {l.vector for l in flat} == {u1, u2}

@@ -197,7 +197,11 @@ class TestCli:
         (lambda: checks.check_hermite(64, budget=2**31), "pass"),
         # GF(2^6) has 64 elements, more than 10
         (lambda: checks.check_charpoly_routes(budget=10), "skip"),
-    ], ids=["generator-search-q32", "hermite-q64", "charpoly-routes"])
+        # GF(8) and GF(16) have more than 5 elements
+        (lambda: checks.check_named_polynomials(budget=5), "skip"),
+        (lambda: checks.check_obstruction(5, 1, budget=5), "skip"),
+    ], ids=["generator-search-q32", "hermite-q64", "charpoly-routes",
+            "named-polynomials", "obstruction-p5m1"])
     def test_budget_reaches_reverification(self, run, outcome):
         assert run().outcome == outcome
 
