@@ -49,9 +49,12 @@ def test_find_witness_is_minimal():
         assert not is_joubert(ext.big.element(v), ext)
 
 
-def test_find_stops_at_the_witness_chunk():
-    # the q = 8 witness (value 258) lies in the first chunk
-    assert find_joubert_generator(8).scanned == 65536
+@pytest.mark.parametrize("calls", [1, 2])
+def test_find_stops_at_the_witness_chunk(calls):
+    # the q = 8 witness (value 258) lies in the first chunk; a repeat call
+    # runs on the extension's cached tables and must stop at the same place
+    reports = [find_joubert_generator(8) for _ in range(calls)]
+    assert [(r.scanned, r.found.val) for r in reports] == [(65536, 258)] * calls
 
 
 def test_find_rejects_bad_q():
