@@ -126,7 +126,7 @@ def check_generator_enum(q: int, budget: int | None = None,
     def body():
         polys = jsearch.enumerate_joubert_polys(q, budget=budget)
         for f in polys:
-            require(f.degree == 6 and f.is_monic, "not a monic sextic")
+            require(f.degree == 6 and f.is_monic(), "not a monic sextic")
             require(f.coeff(5) == 0 and f.coeff(3) == 0,
                     "nonzero t^5 or t^3 coefficient")
         for f in polys[:32]:
@@ -381,9 +381,18 @@ def check_trace_square(budget: int | None = None,
             return n
 
         checked = {}
+        rng = random.Random(2014)
         for q, scan in scans.items():
             checked[str(q)] = sum(run_chunked(
                 q**6, lambda lo, hi: agree(scan, lo, hi), threads=threads))
+            # a vector trace off by the constant 1 still meets the identity,
+            # as (a + 1)^2 = a^2 + 1, so the scalar trace is a second route
+            vals = (range(q**6) if q < 8
+                    else [rng.randrange(q**6) for _ in range(1024)])
+            z = np.array(vals, dtype=np.uint32)
+            require(scan.trace(z).tolist()
+                    == [scan.ext.trace_val(v) for v in vals],
+                    "vector trace differs from the scalar trace")
         return {"checked": checked}
 
     return _run(

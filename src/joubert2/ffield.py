@@ -9,7 +9,7 @@ has one arithmetic backend, fixed by its order:
 - GF(p^m) with m > 1 and at most _TABLE_MAX elements, any p: log/antilog
   tables for products, quotients and powers, and Zech logarithms for sums
   in odd characteristic (Lidl & Niederreiter, *Finite Fields*, ch. 9),
-  built on first use;
+  built with the field;
 - larger fields: carry-less products of machine integers for p = 2, digit
   vectors reduced by the modulus for odd p.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import random
-import threading
 from array import array
 from typing import Iterator
 
@@ -45,9 +44,6 @@ _TABLE_MAX = 2**14
 
 #: Entries per block table of a linear map on a field above _TABLE_MAX.
 _BLOCK_MAX = 2**12
-
-# serializes first-use table builds across threads
-_TABLE_LOCK = threading.Lock()
 
 
 def check_budget(what: str, needed: int, budget: int | None) -> None:
@@ -242,8 +238,7 @@ class FieldDesc:
         return acc
 
     def build_tables(self) -> None:
-        """Build the field's lookup tables now instead of on first use; only
-        the table backend has any."""
+        """A no-op: the table backend builds its tables in its constructor."""
 
     def linear_map(self, images):
         """The F_p-linear map sending the basis t^j to images[j], as a
@@ -385,13 +380,16 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]):
 class _TableField(FieldDesc):
     """GF(p^m), m > 1, of order at most _TABLE_MAX: each operation is one or
     two lookups in the tables of _log_tables; a sum is
-    g^(la + zech[lb - la]) for la, lb the logs of its terms.
-
-    Fields start as _UnbuiltTableField, which builds the tables on first
-    use; the built class reads them with no check on the way.
+    g^(la + zech[lb - la]) for la, lb the logs of its terms.  The tables
+    are built by the constructor.
     """
 
     __slots__ = ("_exp", "_log", "_zech", "_log_neg1")
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        super().__init__(p, m, modulus)
+        self._exp, self._log, self._zech = _log_tables(p, m, modulus)
+        self._log_neg1 = self._log[p - 1]
 
     def add_val(self, a: int, b: int) -> int:
         if not a:
@@ -449,32 +447,6 @@ class _Char2TableField(_Char2, _TableField):
     """GF(2^m) of order at most _TABLE_MAX: table products, xor sums."""
 
     __slots__ = ()
-
-
-class _UnbuiltTableField(_TableField):
-    """A table field before its first operation.  That operation reads an
-    unset table slot, which lands in __getattr__: it builds the tables,
-    moves the field to its built class and reads the slot there.  Only this
-    class has the hook, since any __getattr__ on a class keeps CPython from
-    specializing its slot reads."""
-
-    __slots__ = ()
-
-    def build_tables(self) -> None:
-        with _TABLE_LOCK:
-            if type(self) is not _UnbuiltTableField:
-                return  # another thread built them meanwhile
-            self._exp, self._log, self._zech = _log_tables(
-                self.p, self.m, self.modulus)
-            self._log_neg1 = self._log[self.p - 1]
-            # last, so that no thread reaches a lookup before its table
-            self.__class__ = _Char2TableField if self.p == 2 else _TableField
-
-    def __getattr__(self, name: str):
-        if name not in _TableField.__slots__:
-            raise AttributeError(name)
-        self.build_tables()
-        return getattr(self, name)
 
 
 class _ClmulField(_Char2, FieldDesc):
@@ -636,7 +608,7 @@ def _build_field(p: int, m: int) -> FieldDesc:
     if m == 1:
         backend = _PrimeField
     elif p**m <= _TABLE_MAX:
-        backend = _UnbuiltTableField
+        backend = _Char2TableField if p == 2 else _TableField
     else:
         backend = _ClmulField if p == 2 else _DigitField
     return backend(p, m, canonical_modulus(p, m))

@@ -2,22 +2,15 @@
 every product regime, the window maps, the build-time table checks, and the
 Frobenius and trace tables of every registry extension."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from joubert2 import fastscan
+from joubert2 import checks, fastscan, ffield
 from joubert2.ascurve import curve_census
 from joubert2.errors import DomainError
 from joubert2.fastscan import ExtScan, Gf2Scan, LinearMap
 from joubert2.ffield import make_ext, make_field
 from joubert2.jsearch import count_joubert_generators
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("m", [30, 32])
@@ -148,6 +141,25 @@ def test_degree_beyond_headroom_rejected():
         Gf2Scan(make_field(2, 33, limit=2**33))
 
 
+@pytest.mark.parametrize("where", ["at-one", "everywhere"])
+def test_trace_square_fails_on_a_trace_off_by_one(monkeypatch, where):
+    # bit 0 flipped at 1, which squaring fixes, or at every value: the
+    # identity Tr(z^2) = Tr(z)^2 survives both, the scalar trace does not
+    real = ExtScan.trace
+
+    def planted(self, v, out=None):
+        hit = v == 1 if where == "at-one" else np.ones(v.shape, dtype=bool)
+        res = real(self, v, out=out)
+        res[hit] ^= 1
+        return res
+
+    monkeypatch.setattr(ExtScan, "trace", planted)
+    result = checks.check_trace_square()
+    assert result.outcome == "fail"
+    assert result.witness == {
+        "error": "vector trace differs from the scalar trace"}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_ext_tables_match_scalar(k):
     ext = make_ext(2, k, 6)
@@ -163,22 +175,27 @@ def test_ext_tables_match_scalar(k):
                                            for x in vals]
 
 
-def test_registry_setup_builds_no_scalar_tables():
-    # the benchmark's registry set-up builds every field, extension and
-    # vector kernel; the vector tables must not build any scalar ones
-    code = (
-        "import workloads\n"
-        "from joubert2.ffield import _TableField, _UnbuiltTableField\n"
-        "from joubert2.ffield import make_field\n"
-        "workloads.setup('registry', {})\n"
-        "fields = [make_field(p, m) for p, m in workloads.REGISTRY_FIELDS]\n"
-        "tabled = [f for f in fields if isinstance(f, _TableField)]\n"
-        "print(len(tabled), [f for f in tabled\n"
-        "                    if not isinstance(f, _UnbuiltTableField)])\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "12 []"
+def test_vector_tables_need_no_scalar_arithmetic(monkeypatch):
+    # the vector kernels of every registry scan are built from the modulus
+    # alone: with the scalar table builds and the scalar products, sums and
+    # powers of every backend made to raise, fresh kernels still build
+    exts = [make_ext(2, k, 6) for k in (1, 2, 3, 4)]
+    fields = [make_field(2, m) for m in (12, 18)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("scalar arithmetic in a vector table build")
+
+    monkeypatch.setattr(ffield, "_log_tables", boom)
+    monkeypatch.setattr(ffield.ExtDesc, "_build_linear", boom)
+    for backend in (ffield.FieldDesc, ffield._Char2, ffield._PrimeField,
+                    ffield._TableField, ffield._ClmulField,
+                    ffield._DigitField):
+        for name in ("mul_val", "add_val", "pow_val"):
+            if name in vars(backend):
+                monkeypatch.setattr(backend, name, boom)
+    with pytest.raises(AssertionError):
+        exts[0].big.mul_val(2, 2)
+    for ext in exts:
+        ExtScan(ext)
+    for field in fields:
+        Gf2Scan(field)

@@ -252,8 +252,8 @@ def test_zero_and_negation_edge_cases(p, m):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_first_use_from_threads(workers):
-    # a fresh, unbuilt GF(5^6): threads that all start with arithmetic see
-    # exactly the single-thread results, whichever of them builds the tables
+    # a fresh GF(5^6): threads that all start with arithmetic see exactly
+    # the single-thread results
     fresh = ffield._build_field.__wrapped__
     rng = random.Random(workers)
     pairs = [(rng.randrange(5**6), rng.randrange(5**6)) for _ in range(2000)]
@@ -264,7 +264,6 @@ def test_first_use_from_threads(workers):
 
     expect = work(fresh(5, 6))
     field = fresh(5, 6)
-    assert isinstance(field, ffield._UnbuiltTableField)
     start = threading.Barrier(workers)
     results = [None] * workers
 
@@ -285,30 +284,44 @@ def test_first_use_from_threads(workers):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [expect] * workers
-    assert not isinstance(field, ffield._UnbuiltTableField)
 
 
 _OPS = {"add_val": (3, 5), "sub_val": (3, 5), "neg_val": (3,),
         "mul_val": (3, 5), "inv_val": (3,), "pow_val": (3, 7),
         "div_val": (3, 5)}
+_BACKENDS = (ffield._PrimeField, ffield._Char2TableField, ffield._TableField,
+             ffield._ClmulField, ffield._DigitField)
 
 
 @pytest.mark.parametrize("p,m", [(2, 6), (5, 4)])
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_any_first_operation_builds_tables(p, m, op):
-    # the build hook sits on the unbuilt class alone; whichever operation
-    # comes first (in characteristic 2, add_val by the inherited Zech path)
-    # builds the tables and moves the field to its built class
-    built = make_field(p, m)
-    built.build_tables()
+    # the constructor builds the tables, so whichever operation comes first
+    # finds them in place, keeps them and agrees with the over-cap backend
+    # on the same modulus, which has no tables
     field = ffield._build_field.__wrapped__(p, m)
-    assert type(field) is ffield._UnbuiltTableField
-    assert getattr(field, op)(*_OPS[op]) == getattr(built, op)(*_OPS[op])
-    assert type(field) is type(built) is not ffield._UnbuiltTableField
-    assert not set(_OPS) & set(vars(ffield._UnbuiltTableField))
-    for backend in (ffield._PrimeField, ffield._Char2TableField,
-                    ffield._TableField, ffield._ClmulField,
-                    ffield._DigitField):
+    slots = ffield._TableField.__slots__
+    tables = [getattr(field, name) for name in slots]
+    plain = (ffield._ClmulField if p == 2 else ffield._DigitField)(
+        p, m, field.modulus)
+    assert getattr(field, op)(*_OPS[op]) == getattr(plain, op)(*_OPS[op])
+    assert type(field) is (ffield._Char2TableField if p == 2
+                           else ffield._TableField)
+    assert all(getattr(field, name) is t for name, t in zip(slots, tables))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (2, 6), (3, 2),
+                                 (5, 4), (2, 18), (3, 10)])
+def test_make_field_results_keep_their_type(p, m):
+    # no backend swaps its class or hooks attribute reads, either of which
+    # would keep CPython from specializing the slot reads
+    field = make_field(p, m)
+    backend = type(field)
+    assert backend in _BACKENDS
+    for op, args in _OPS.items():
+        getattr(field, op)(*(min(a, field.order - 1) for a in args))
+        assert type(field) is backend, op
+    for backend in _BACKENDS:
         assert not any("__getattr__" in vars(c) for c in backend.__mro__)
 
 
@@ -437,7 +450,6 @@ def test_linear_tables_match_square_and_multiply_sampled(p, k, n, backend):
 def test_planted_basis_image_fails_table_build(monkeypatch, p, m, base_deg,
                                                key):
     big = make_field(p, m)
-    big.build_tables()
     real = type(big).pow_val
 
     def planted(self, a, e):  # wrong only at t, so one basis image is off

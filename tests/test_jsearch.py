@@ -1,6 +1,7 @@
 import pytest
 
-from joubert2 import BudgetError, DomainError, make_ext, make_field
+from joubert2 import (BudgetError, DomainError, checks, jsearch, make_ext,
+                      make_field)
 from joubert2.ascurve import (curve_census, good_fiber_witness,
                               trace_identity_check)
 from joubert2.cubic import surface_census
@@ -78,6 +79,24 @@ def test_enumerate_invariants():
             assert p.is_monic() and p.degree == 6
             assert p.coeff(5) == 0 and p.coeff(3) == 0
             assert is_irreducible(p)
+
+
+def test_enum_check_fails_on_a_planted_non_monic_sextic(monkeypatch):
+    # t times the last GF(8) sextic: still degree 6 with zero t^5 and t^3
+    # terms, past the irreducibility re-test of polys[:32]; only the monic
+    # claim can catch it
+    real = jsearch.enumerate_joubert_polys
+
+    def planted(q, budget=None):
+        polys = real(q, budget=budget)
+        last = polys[-1]
+        shifted = [last.field.mul_val(2, c) for c in last.coeffs]
+        return polys[:-1] + [UPoly(last.field, shifted)]
+
+    monkeypatch.setattr(jsearch, "enumerate_joubert_polys", planted)
+    result = checks.check_generator_enum(8)
+    assert result.outcome == "fail"
+    assert result.witness == {"error": "not a monic sextic"}
 
 
 def test_enumerate_q4_contains_named_shapes():

@@ -2,7 +2,9 @@
 
 Every module checks its claims with `errors.require`, which raises
 CheckFailed; an `ast` scan keeps `assert` statements out of the package and
-the scripts, and a `python -O` run shows the checks still fire.
+the scripts, and a `python -O` run shows the checks still fire.  A second
+scan keeps `is_*` predicates from being read without a call, which would
+make the claim always true.
 """
 
 import ast
@@ -30,6 +32,28 @@ def test_no_assert_statements(path):
 
 def test_scan_catches_an_assert():
     assert _assert_lines(ast.parse("x = 1\nassert x\n")) == [2]
+
+
+def _uncalled_predicates(tree: ast.Module) -> list[tuple[int, str]]:
+    # a bound predicate such as `f.is_monic` is always truthy, so a claim
+    # that reads it without calling it can never fail
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and n.attr.startswith("is_") and id(n) not in called)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_uncalled_predicates(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _uncalled_predicates(tree) == []
+
+
+def test_scan_catches_an_uncalled_predicate():
+    tree = ast.parse("for f in polys:\n"
+                     "    require(f.degree == 6 and f.is_monic, 'x')\n"
+                     "    require(f.is_monic(), 'y')\n")
+    assert _uncalled_predicates(tree) == [(2, "is_monic")]
 
 
 def test_require_raises_check_failed():
