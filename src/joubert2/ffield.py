@@ -13,14 +13,18 @@ has one arithmetic backend, fixed by its order:
 - larger fields: carry-less products of machine integers for p = 2, digit
   vectors reduced by the modulus for odd p.
 
+The canonical modulus of GF(p^m) is the least monic irreducible of degree m;
+each candidate f is tested in GF(p)[t]/(f) on a larger field's backend.
+
 A relative extension L/K is never represented by materializing K: K is the
 fixed set of the relative Frobenius x -> x^q inside the one big field L.
-The relative Frobenius, its iterates and the relative trace are F_p-linear
-(Lidl & Niederreiter, ch. 2), so each is a lookup per block of input digits,
-the blocks summed by add_val: one block for fields of at most _TABLE_MAX
-elements, blocks of at most _BLOCK_MAX entries above.  The tables are
+The relative Frobenius and the relative trace are F_p-linear (Lidl &
+Niederreiter, ch. 2), so each is a lookup per block of input digits, the
+blocks summed by add_val: one block for fields of at most _TABLE_MAX
+elements, blocks of at most _BLOCK_MAX entries above.  The two tables are
 spanned, on first use, from the images of the basis t^j by the
-square-and-multiply route, and checked against that route when built.
+square-and-multiply route, and checked against that route when built; the
+i-th Frobenius iterate applies the Frobenius map i times.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ def prime_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) polynomials as packed integers, shared by products in GF(2^m) above
-# the table cap and by the GF(2) modulus search.
+# GF(2) polynomials as packed integers, for products in GF(2^m) above the
+# table cap.
 
 
 def _clmul(a: int, b: int) -> int:
@@ -108,49 +112,44 @@ def _mod2(a: int, f: int) -> int:
     return a
 
 
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, _mod2(a, b)
-    return a
+def _is_irreducible_modulus(p: int, digits) -> bool:
+    """Whether the monic f = sum(digits[i] t^i) of degree m = len(digits) - 1
+    is irreducible over GF(p), tested in R = GF(p)[t]/(f) with the arithmetic
+    of the over-cap backend (Lidl & Niederreiter, ch. 3; Rabin, 1980).
 
-
-def _irreducible_gf2(f: int, deg: int) -> bool:
-    # Frobenius criterion: t^(2^deg) = t mod f, and t^(2^(deg/r)) - t coprime
-    # to f for every prime r | deg.
-    cur = _mod2(2, f)
-    pows = {}
-    for i in range(1, deg + 1):
-        cur = _mod2(_clmul(cur, cur), f)
-        pows[i] = cur
-    if pows[deg] != _mod2(2, f):
-        return False
-    for r in prime_divisors(deg):
-        if _gcd2(pows[deg // r] ^ _mod2(2, f), f) != 1:
-            return False
-    return True
+    f is irreducible iff t^(p^m) = t in R and, for every prime r | m,
+    u = t^(p^(m/r)) - t is a unit of R, that is u^(p^m - 1) = 1.  The first
+    condition says f divides t^(p^m) - t, the product of the monic
+    irreducibles of degree dividing m, so f is squarefree with factors of
+    such degrees.  A factor g of degree d < m has d | m/r for some prime
+    r | m, so t^(p^(m/r)) = t mod g and u vanishes in GF(p)[t]/(g): u is no
+    unit.  If f is irreducible, R is a field in which t has degree m over
+    GF(p), so u != 0 and u^(p^m - 1) = 1.
+    """
+    m = len(digits) - 1
+    ring = _over_cap(p)(p, m, tuple(digits))
+    frob = [p]  # frob[i] = t^(p^i) in R
+    for _ in range(m):
+        frob.append(ring.pow_val(frob[-1], p))
+    return frob[m] == p and all(
+        ring.pow_val(ring.sub_val(frob[m // r], p), ring.order - 1) == 1
+        for r in prime_divisors(m))
 
 
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over GF(p).
 
     Coefficient tuples (c_{m-1}, ..., c_0) are compared left to right, which
-    is the same as comparing the packed integers sum(c_i * p**i).  GF(2)
-    candidates are tested as packed ints, odd-p ones by fpoly over GF(p).
+    is the same as comparing the packed integers sum(c_i * p**i).  Each
+    candidate not divisible by t goes through _is_irreducible_modulus.
     """
     if m == 1:
         return (0, 1)
-    if p != 2:
-        from .fpoly import UPoly, is_irreducible  # fpoly imports this module
-        prime = make_field(p, 1)
     for packed in range(p**m):
         if packed % p == 0:
             continue  # divisible by t
         digits = _unpack(packed, p, m) + [1]
-        if p == 2:
-            ok = _irreducible_gf2(packed | (1 << m), m)
-        else:
-            ok = is_irreducible(UPoly(prime, digits))
-        if ok:
+        if _is_irreducible_modulus(p, digits):
             return tuple(digits)
     raise CheckFailed("no irreducible polynomial found")  # unreachable
 
@@ -353,7 +352,7 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]):
         up[:, 0] = 0
         return up + top * tail
 
-    slow = (_ClmulField if p == 2 else _DigitField)(p, m, modulus)
+    slow = _over_cap(p)(p, m, modulus)
     g = next(g for g in range(p, q)  # values below p lie in GF(p)
              if all(slow.pow_val(g, n // r) != 1 for r in prime_divisors(n)))
     acc = np.zeros_like(digits)
@@ -514,6 +513,12 @@ class _DigitField(FieldDesc):
         return _pack(acc, p)
 
 
+def _over_cap(p: int) -> type[FieldDesc]:
+    """The backend of GF(p^m) above the table cap, whose arithmetic also
+    serves any quotient ring GF(p)[t]/(f) with f monic."""
+    return _ClmulField if p == 2 else _DigitField
+
+
 class FElt:
     """Element of a FieldDesc; thin wrapper over the packed integer value."""
 
@@ -610,12 +615,15 @@ def _build_field(p: int, m: int) -> FieldDesc:
     elif p**m <= _TABLE_MAX:
         backend = _Char2TableField if p == 2 else _TableField
     else:
-        backend = _ClmulField if p == 2 else _DigitField
+        backend = _over_cap(p)
     return backend(p, m, canonical_modulus(p, m))
 
 
 def make_field(p: int, m: int, limit: int | None = None) -> FieldDesc:
-    """Canonical FieldDesc for GF(p^m); same (p, m) yields the same object."""
+    """Canonical FieldDesc for GF(p^m), cached per (p, m): every call returns
+    the same object unless threads first build the field at the same time.
+    Those threads each get their own equal object, and the last one built
+    stays cached for later calls."""
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     if m < 1:
@@ -641,23 +649,6 @@ def iter_elements(field: FieldDesc, start: int = 0,
 # Relative extensions
 
 
-class _ExtCache(dict):
-    """An ExtDesc's cache.  A missing int key i builds the table map of the
-    i-th Frobenius iterate, a missing "trace" key that of the relative
-    trace; the ExtDesc sets every other entry itself."""
-
-    __slots__ = ("ext",)
-
-    def __init__(self, ext: "ExtDesc"):
-        super().__init__()
-        self.ext = ext
-
-    def __missing__(self, key):
-        if key != "trace" and not isinstance(key, int):
-            raise KeyError(key)
-        return self.setdefault(key, self.ext._build_linear(key))
-
-
 class ExtDesc:
     """A relative extension L/K inside one big field.
 
@@ -665,8 +656,6 @@ class ExtDesc:
     fixed set of the relative Frobenius x -> x^q.  K is addressed only
     through that characterization, never built as its own FieldDesc.
     """
-
-    __slots__ = ("big", "base_deg", "n", "q", "_cache")
 
     def __init__(self, big: FieldDesc, base_deg: int):
         if big.m % base_deg != 0:
@@ -676,7 +665,7 @@ class ExtDesc:
         self.base_deg = base_deg
         self.n = big.m // base_deg
         self.q = big.p**base_deg
-        self._cache = _ExtCache(self)
+        self._subfields: dict[int, list[int]] = {}
 
     def __repr__(self) -> str:
         return f"Ext({self.big!r}/GF({self.q}), n={self.n})"
@@ -691,16 +680,28 @@ class ExtDesc:
         return hash((self.big, self.base_deg))
 
     # -- Frobenius and trace on packed values --
-    # Each is an F_p-linear table map that _cache builds on first use.
+    # Two F_p-linear table maps, each built on first use; the iterates of
+    # the Frobenius are repeated applications of its map.
+
+    @functools.cached_property
+    def _frob(self):
+        return self._build_linear("frob")
+
+    @functools.cached_property
+    def _trace(self):
+        return self._build_linear("trace")
 
     def frob_val(self, v: int) -> int:
-        return self._cache[1](v)
+        return self._frob(v)
 
     def frob_iter_val(self, v: int, i: int) -> int:
-        return self._cache[i % self.n](v)
+        frob = self._frob
+        for _ in range(i % self.n):
+            v = frob(v)
+        return v
 
     def trace_val(self, v: int) -> int:
-        return self._cache["trace"](v)
+        return self._trace(v)
 
     def _trace_by_powers(self, v: int) -> int:
         acc = 0
@@ -711,24 +712,23 @@ class ExtDesc:
             cur = big.pow_val(cur, self.q)
         return acc
 
-    def _build_linear(self, key):
-        """The map `key` spanned from its basis images by square-and-multiply,
-        verified against that route on 0, 1, the top value and a fixed
-        seeded sample; a Frobenius iterate must also fix every basis image
-        after n applications, since x^(q^n) = x."""
+    def _build_linear(self, key: str):
+        """The map `key` ("frob" or "trace") spanned from its basis images by
+        square-and-multiply, verified against that route on 0, 1, the top
+        value and a fixed seeded sample; the Frobenius must also fix every
+        basis image after n applications, since x^(q^n) = x."""
         big = self.big
         if key == "trace":
             ref = self._trace_by_powers
         else:
-            e = self.q**key
-            ref = functools.partial(big.pow_val, e=e)
+            ref = functools.partial(big.pow_val, e=self.q)
         images = [ref(big.p**j) for j in range(big.m)]
         f = big.linear_map(images)
         rng = random.Random(2014)
         sample = [0, 1, big.order - 1] + [rng.randrange(big.order)
                                           for _ in range(16)]
         bad = [v for v in sample if f(v) != ref(v)]
-        if key != "trace":
+        if key == "frob":
             for img in images:
                 w = img
                 for _ in range(self.n):
@@ -746,8 +746,7 @@ class ExtDesc:
         """Packed values of the intermediate field GF(q^d), ordered by value."""
         if self.n % d != 0:
             raise DomainError(f"d = {d} does not divide n = {self.n}")
-        key = ("subfield", d)
-        if key not in self._cache:
+        if d not in self._subfields:
             big = self.big
             p, m = big.p, big.m
             # kernel of the F_p-linear map v -> v^(q^d) - v
@@ -762,56 +761,55 @@ class ExtDesc:
             vals = sorted(big.combine(_unpack(combo, p, len(basis)), basis)
                           for combo in range(p**len(basis)))
             require(len(vals) == self.q**d, "subfield size is not q^d")
-            self._cache[key] = vals
-        return self._cache[key]
+            self._subfields[d] = vals
+        return self._subfields[d]
 
-    @property
+    @functools.cached_property
     def kappa_val(self) -> int:
         """Canonical generator of K over the prime field: the least root in K
         of the canonical modulus of GF(p^base_deg).  1 for prime K."""
-        if "kappa" not in self._cache:
-            if self.base_deg == 1:
-                self._cache["kappa"] = 1
-            else:
-                big = self.big
-                digits = canonical_modulus(big.p, self.base_deg)
-                root = None
-                for v in self.subfield_vals(1):
-                    powers = [big.pow_val(v, i) for i in range(len(digits))]
-                    if big.combine(digits, powers) == 0:
-                        root = v
-                        break
-                require(root is not None, "canonical modulus has no root in K")
-                self._cache["kappa"] = root
-        return self._cache["kappa"]
+        if self.base_deg == 1:
+            return 1
+        big = self.big
+        digits = canonical_modulus(big.p, self.base_deg)
+        root = None
+        for v in self.subfield_vals(1):
+            powers = [big.pow_val(v, i) for i in range(len(digits))]
+            if big.combine(digits, powers) == 0:
+                root = v
+                break
+        require(root is not None, "canonical modulus has no root in K")
+        return root
 
-    @property
+    @functools.cached_property
     def kappa_powers(self) -> tuple[int, ...]:
         """Power basis (1, kappa, ..., kappa^(base_deg-1)) of K over the
         prime field."""
-        if "kappa_powers" not in self._cache:
-            powers = [1]
-            for _ in range(self.base_deg - 1):
-                powers.append(self.big.mul_val(powers[-1], self.kappa_val))
-            self._cache["kappa_powers"] = tuple(powers)
-        return self._cache["kappa_powers"]
+        powers = [1]
+        for _ in range(self.base_deg - 1):
+            powers.append(self.big.mul_val(powers[-1], self.kappa_val))
+        return tuple(powers)
+
+    @functools.cached_property
+    def _k_elements(self) -> list[int]:
+        big = self.big
+        out = [big.combine(_unpack(idx, big.p, self.base_deg),
+                           self.kappa_powers) for idx in range(self.q)]
+        require(len(set(out)) == self.q, "K-digit map is not one to one")
+        return out
+
+    @functools.cached_property
+    def _k_index(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self._k_elements)}
 
     def k_elements(self) -> list[int]:
         """K's packed values in digit order: index sum(c_i p^i) maps to
         sum(c_i kappa^i)."""
-        if "k_elements" not in self._cache:
-            big = self.big
-            out = [big.combine(_unpack(idx, big.p, self.base_deg),
-                               self.kappa_powers) for idx in range(self.q)]
-            require(len(set(out)) == self.q, "K-digit map is not one to one")
-            self._cache["k_elements"] = out
-        return self._cache["k_elements"]
+        return self._k_elements
 
     def k_index(self, v: int) -> int:
         """Inverse of k_elements(): digit index of a K-value."""
-        if "k_index" not in self._cache:
-            self._cache["k_index"] = {v: i for i, v in enumerate(self.k_elements())}
-        idx = self._cache["k_index"].get(v)
+        idx = self._k_index.get(v)
         if idx is None:
             raise DomainError(f"value {v} is not in the base field of {self!r}")
         return idx
@@ -820,25 +818,25 @@ class ExtDesc:
         """Digits of a K-value over the kappa power basis."""
         return tuple(_unpack(self.k_index(v), self.big.p, self.base_deg))
 
+    @functools.cached_property
+    def _rel_solver(self) -> gflinalg.Solver:
+        big = self.big
+        p, m, n = big.p, big.m, self.n
+        gpows = [1]
+        for _ in range(n - 1):
+            gpows.append(big.mul_val(gpows[-1], big.p))
+        cols = []
+        for i in range(n):
+            for kp in self.kappa_powers:
+                cols.append(_unpack(big.mul_val(gpows[i], kp), p, m))
+        matrix = [[cols[j][i] for j in range(m)] for i in range(m)]
+        return gflinalg.Solver(matrix, make_field(p, 1))
+
     def rel_coordinates(self, v: int) -> tuple[int, ...]:
         """Coordinates (as K-values) of v over the power basis {g^i} of L/K,
         g the class of t."""
-        if "rel_solver" not in self._cache:
-            big = self.big
-            p, m, n = big.p, big.m, self.n
-            kappas = self.kappa_powers
-            gpows = [1]
-            for _ in range(n - 1):
-                gpows.append(big.mul_val(gpows[-1], big.p))
-            cols = []
-            for i in range(n):
-                for kp in kappas:
-                    cols.append(_unpack(big.mul_val(gpows[i], kp), p, m))
-            matrix = [[cols[j][i] for j in range(m)] for i in range(m)]
-            self._cache["rel_solver"] = gflinalg.Solver(matrix,
-                                                        make_field(p, 1))
         big = self.big
-        sol = self._cache["rel_solver"].solve(_unpack(v, big.p, big.m))
+        sol = self._rel_solver.solve(_unpack(v, big.p, big.m))
         k = self.base_deg
         return tuple(big.combine(sol[i * k:(i + 1) * k], self.kappa_powers)
                      for i in range(self.n))

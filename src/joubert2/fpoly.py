@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 
 from .errors import CheckFailed, DomainError, require
-from .ffield import ExtDesc, FElt, FieldDesc, _pack, _unpack, prime_divisors
+from .ffield import (ExtDesc, FElt, FieldDesc, _pack, _unpack, make_field,
+                     prime_divisors)
 
 
 class UPoly:
@@ -200,16 +201,12 @@ def poly_from_roots(field: FieldDesc, root_vals) -> UPoly:
     return UPoly(field, c)
 
 
-def is_irreducible(poly: UPoly, subfield_order: int | None = None) -> bool:
-    """Frobenius-based irreducibility test over a field of order Q.
-
-    Q defaults to the coefficient field's own order.  Passing a smaller Q
-    tests irreducibility over the subfield of that order, provided all
-    coefficients lie in it; arithmetic then never leaves the subfield.
-    Criterion: t^(Q^d) = t mod f, and gcd(t^(Q^(d/r)) - t, f) = 1 for every
-    prime r dividing d = deg f.
+def is_irreducible(poly: UPoly) -> bool:
+    """Frobenius-based irreducibility test over the coefficient field, of
+    order Q.  Criterion: t^(Q^d) = t mod f, and gcd(t^(Q^(d/r)) - t, f) = 1
+    for every prime r dividing d = deg f.
     """
-    q = poly.field.order if subfield_order is None else subfield_order
+    q = poly.field.order
     d = poly.degree
     if d <= 0:
         return False
@@ -324,7 +321,6 @@ def embed_poly(poly: UPoly, ext: ExtDesc) -> UPoly:
 def compress_poly(poly: UPoly, ext: ExtDesc) -> UPoly:
     """Inverse of embed_poly: a polynomial over ext.big whose coefficients
     lie in the base subfield becomes one over standalone GF(q)."""
-    from .ffield import make_field
     if poly.field != ext.big:
         raise DomainError(f"{poly.field!r} is not the big field of {ext!r}")
     small = make_field(ext.big.p, ext.base_deg)

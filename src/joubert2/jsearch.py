@@ -18,7 +18,7 @@ from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, check_budget, make_ext, make_field,
                      require_odd_prime)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
-from .fpoly import UPoly, is_irreducible, min_poly
+from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
 
 
@@ -78,7 +78,7 @@ def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     require(mp.coeff(ext.n - 1) == 0 and mp.coeff(ext.n - 3) == 0,
             f"minimal polynomial of {y!r} has a nonzero t^{ext.n - 1} or "
             f"t^{ext.n - 3} coefficient")
-    require(is_irreducible(mp, subfield_order=ext.q),
+    require(is_irreducible(compress_poly(mp, ext)),
             f"minimal polynomial of {y!r} is reducible over GF({ext.q})")
     return mp
 

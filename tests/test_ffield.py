@@ -457,9 +457,11 @@ def test_planted_basis_image_fails_table_build(monkeypatch, p, m, base_deg,
         return (out + 1) % self.order if a == p else out
 
     monkeypatch.setattr(type(big), "pow_val", planted)
-    ext = ffield.ExtDesc(big, base_deg)  # a fresh cache
+    ext = ffield.ExtDesc(big, base_deg)  # no map built yet
+    first_use = {1: ext.frob_val, 2: lambda v: ext.frob_iter_val(v, 2),
+                 "trace": ext.trace_val}[key]
     with pytest.raises(ffield.TableError):
-        ext._cache[key]
+        first_use(p)
 
 
 def test_subfield_lattice_sizes():

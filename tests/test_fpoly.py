@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joubert2 import (DomainError, ExtDesc, checks, iter_elements, make_ext,
-                      make_field)
+from joubert2 import (DomainError, ExtDesc, checks, ffield, iter_elements,
+                      make_ext, make_field)
 from joubert2.ffield import canonical_modulus
 from joubert2.fpoly import (
     UPoly,
     char_poly,
     char_poly_det,
+    compress_poly,
     conjugates,
     format_poly,
     is_irreducible,
@@ -165,17 +166,25 @@ def test_irreducible_count_matches_mobius(q, d):
 
 def test_canonical_moduli_pass_the_general_test():
     # closes the loop: the modulus found by the internal search is
-    # irreducible per the public polynomial-level test
+    # irreducible per the public polynomial-level test, and the ring
+    # criterion behind that search agrees with it on every small monic
     for p, m in [(2, 6), (2, 12), (3, 4), (5, 2), (7, 2)]:
         f = make_field(p, 1)
         assert is_irreducible(UPoly(f, canonical_modulus(p, m)))
+    for p, top in [(2, 6), (3, 6), (5, 4), (7, 3)]:
+        f = make_field(p, 1)
+        for m in range(2, top + 1):
+            for packed in range(p**m):
+                digits = [packed // p**i % p for i in range(m)] + [1]
+                assert (ffield._is_irreducible_modulus(p, digits)
+                        == is_irreducible(UPoly(f, digits))), (p, digits)
 
 
 def test_irreducibility_over_subfield():
-    # t^2+t+1 splits over GF(4) but is irreducible over its GF(2) subfield
+    # t^2+t+1 splits over GF(4) but is irreducible over GF(2)
     p = UPoly(F4, [1, 1, 1])
     assert not is_irreducible(p)
-    assert is_irreducible(p, subfield_order=2)
+    assert is_irreducible(UPoly(F2, [1, 1, 1]))
     assert not is_irreducible(UPoly(F4, [1]))  # constants are not irreducible
 
 
@@ -195,7 +204,7 @@ def test_min_poly_properties_exhaustive(ext):
         assert mp.degree == len(conjugates(y, ext))
         assert mp.evaluate(y).val == 0
         assert all(ext.frob_val(c) == c for c in mp.coeffs)
-        assert is_irreducible(mp, subfield_order=ext.q)
+        assert is_irreducible(compress_poly(mp, ext))
 
 
 @pytest.mark.parametrize("ext", [E64_2, E64_4])

@@ -1,5 +1,6 @@
-"""Every name a module imports is referenced somewhere in that module, and
-every function parameter is read somewhere in its function.
+"""Every name a module imports is referenced somewhere in that module, every
+function parameter is read somewhere in its function, and no function
+imports from the package, so that an import cycle cannot hide in a function.
 
 Scans the package and the scripts with `ast`; a name listed in `__all__`
 counts as referenced (a re-export), and `from __future__` is skipped.
@@ -87,3 +88,44 @@ def test_scan_catches_an_unused_parameter():
     assert _unused_params(tree, "checks") == ["f.threads"]
     assert _unused_params(tree, "jsearch") == [
         "check_x.budget", "check_x.threads", "f.threads"]
+
+
+def _local_package_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of imports from the package made inside a function."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                local = (node.level > 0
+                         or (node.module or "").split(".")[0] == "joubert2")
+            elif isinstance(node, ast.Import):
+                local = any(a.name.split(".")[0] == "joubert2"
+                            for a in node.names)
+            else:
+                continue
+            if local:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _local_package_imports(tree) == []
+
+
+def test_scan_catches_a_package_import_inside_a_function():
+    # the odd-p branch of an older ffield.canonical_modulus (its line 143),
+    # which imported fpoly, itself an importer of ffield
+    src = ("import functools\n"
+           "from .errors import require\n"
+           "def canonical_modulus(p, m):\n"
+           "    import random\n"
+           "    if p != 2:\n"
+           "        from .fpoly import UPoly, is_irreducible\n"
+           "    def helper():\n"
+           "        import joubert2.fpoly\n"
+           "    return functools, require, random, helper\n")
+    assert _local_package_imports(ast.parse(src)) == [6, 8]
