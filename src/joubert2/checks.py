@@ -124,6 +124,15 @@ def check_generator_search(q: int, budget: int | None = None,
 def check_generator_enum(q: int, budget: int | None = None,
                          threads: int = 1) -> CheckResult:
     def body():
+        p, k = jsearch._split_prime_power(q)
+        # the root side: six roots per sextic, all Joubert generators,
+        # counted by the vector kernels of GF(q^6) (Gf2Scan takes m <= 32);
+        # run before the enumeration, so that a GF(q^6) over budget skips
+        # at once
+        roots = None
+        if p == 2 and 6 * k <= 32:
+            roots = jsearch.count_joubert_generators(
+                q, budget=budget, threads=threads).count
         polys = jsearch.enumerate_joubert_polys(q, budget=budget)
         for f in polys:
             require(f.degree == 6 and f.is_monic(), "not a monic sextic")
@@ -133,9 +142,14 @@ def check_generator_enum(q: int, budget: int | None = None,
             require(is_irreducible(f), "sextic is reducible")
         require(len(polys) * 6 % (q * q - q) == 0,
                 "generator count is not a multiple of q^2 - q")
+        routes = ["rabin"]
+        if roots is not None:
+            require(6 * len(polys) == roots,
+                    "sextic count disagrees with the root-side count")
+            routes.append("root-count")
         return {"count": len(polys),
                 "first": format_poly(polys[0]) if polys else None,
-                "generators": 6 * len(polys)}
+                "generators": 6 * len(polys), "routes": routes}
 
     return _run(
         f"generator-enum-q{q}",

@@ -14,7 +14,9 @@ has one arithmetic backend, fixed by its order:
   vectors reduced by the modulus for odd p.
 
 The canonical modulus of GF(p^m) is the least monic irreducible of degree m;
-each candidate f is tested in GF(p)[t]/(f) on a larger field's backend.
+each candidate is tested by is_irreducible_over GF(p), the one
+irreducibility test of the package, which works on coefficient lists over
+any field.
 
 A relative extension L/K is never represented by materializing K: K is the
 fixed set of the relative Frobenius x -> x^q inside the one big field L.
@@ -112,28 +114,82 @@ def _mod2(a: int, f: int) -> int:
     return a
 
 
-def _is_irreducible_modulus(p: int, digits) -> bool:
-    """Whether the monic f = sum(digits[i] t^i) of degree m = len(digits) - 1
-    is irreducible over GF(p), tested in R = GF(p)[t]/(f) with the arithmetic
-    of the over-cap backend (Lidl & Niederreiter, ch. 3; Rabin, 1980).
+def _mulmod(field: FieldDesc, a, b, f) -> list[int]:
+    """a * b mod the monic f, as deg f coefficients, low first; a, b and f
+    are lists of packed values of `field`."""
+    add, mul, sub = field.add_val, field.mul_val, field.sub_val
+    d = len(f) - 1
+    prod = [0] * max(len(a) + len(b) - 1, d)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(d):
+                prod[k - d + i] = sub(prod[k - d + i], mul(c, f[i]))
+    return prod[:d]
 
-    f is irreducible iff t^(p^m) = t in R and, for every prime r | m,
-    u = t^(p^(m/r)) - t is a unit of R, that is u^(p^m - 1) = 1.  The first
-    condition says f divides t^(p^m) - t, the product of the monic
-    irreducibles of degree dividing m, so f is squarefree with factors of
-    such degrees.  A factor g of degree d < m has d | m/r for some prime
-    r | m, so t^(p^(m/r)) = t mod g and u vanishes in GF(p)[t]/(g): u is no
-    unit.  If f is irreducible, R is a field in which t has degree m over
-    GF(p), so u != 0 and u^(p^m - 1) = 1.
+
+def _strip(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic(field: FieldDesc, a: list[int]) -> list[int]:
+    inv = field.inv_val(a[-1])
+    return [field.mul_val(inv, c) for c in a]
+
+
+def is_irreducible_over(field: FieldDesc, coeffs) -> bool:
+    """Whether f = sum(coeffs[i] t^i), coefficients packed values of
+    `field` (of order Q), is irreducible over `field` (Rabin, 1980).
+
+    f of degree d >= 2 is irreducible iff t^(Q^d) = t mod f and
+    gcd(t^(Q^(d/r)) - t, f) = 1 for every prime r | d.  The powers come
+    from the Frobenius matrix, whose column j is t^(jQ) mod f: since the
+    coefficients lie in the field, g(t)^Q = g(t^Q) = sum g_j t^(jQ), so
+    each further power is one matrix-vector product, which adds up only the
+    columns of the nonzero coefficients (Petr-Berlekamp; Berlekamp, 1967).
     """
-    m = len(digits) - 1
-    ring = _over_cap(p)(p, m, tuple(digits))
-    frob = [p]  # frob[i] = t^(p^i) in R
-    for _ in range(m):
-        frob.append(ring.pow_val(frob[-1], p))
-    return frob[m] == p and all(
-        ring.pow_val(ring.sub_val(frob[m // r], p), ring.order - 1) == 1
-        for r in prime_divisors(m))
+    f = _strip(list(coeffs))
+    d = len(f) - 1
+    if d <= 1:
+        return d == 1
+    f = _monic(field, f)
+    t = [0, 1] + [0] * (d - 2)
+    tq, base, e = [1], t, field.order  # t^Q by square-and-multiply
+    while e:
+        if e & 1:
+            tq = _mulmod(field, tq, base, f)
+        e >>= 1
+        if e:
+            base = _mulmod(field, base, base, f)
+    cols = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        cols.append(_mulmod(field, cols[-1], tq, f))
+    add, mul = field.add_val, field.mul_val
+    cur = t
+    for i in range(1, d + 1):
+        nxt = [0] * d
+        for c, col in zip(cur, cols):
+            if c == 1:
+                nxt = [add(x, y) for x, y in zip(nxt, col)]
+            elif c:
+                nxt = [add(x, mul(c, y)) for x, y in zip(nxt, col)]
+        cur = nxt  # t^(Q^i) mod f
+        if d % i == 0 and is_prime(d // i):
+            # gcd(t^(Q^i) - t, f) by Euclid, each divisor made monic
+            a, b = _strip([field.sub_val(x, y) for x, y in zip(cur, t)]), f
+            while a:
+                a = _monic(field, a)
+                a, b = _strip(_mulmod(field, b, [1], a)), a
+            if len(b) > 1:
+                return False
+    return cur == t
 
 
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -141,7 +197,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Coefficient tuples (c_{m-1}, ..., c_0) are compared left to right, which
     is the same as comparing the packed integers sum(c_i * p**i).  Each
-    candidate not divisible by t goes through _is_irreducible_modulus.
+    candidate not divisible by t goes through is_irreducible_over GF(p).
     """
     if m == 1:
         return (0, 1)
@@ -149,7 +205,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         if packed % p == 0:
             continue  # divisible by t
         digits = _unpack(packed, p, m) + [1]
-        if _is_irreducible_modulus(p, digits):
+        if is_irreducible_over(_build_field(p, 1), digits):
             return tuple(digits)
     raise CheckFailed("no irreducible polynomial found")  # unreachable
 
@@ -514,8 +570,7 @@ class _DigitField(FieldDesc):
 
 
 def _over_cap(p: int) -> type[FieldDesc]:
-    """The backend of GF(p^m) above the table cap, whose arithmetic also
-    serves any quotient ring GF(p)[t]/(f) with f monic."""
+    """The backend of GF(p^m) above the table cap."""
     return _ClmulField if p == 2 else _DigitField
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 
 from .errors import CheckFailed, DomainError, require
-from .ffield import (ExtDesc, FElt, FieldDesc, _pack, _unpack, make_field,
-                     prime_divisors)
+from .ffield import (ExtDesc, FElt, FieldDesc, _pack, _unpack,
+                     is_irreducible_over, make_field)
 
 
 class UPoly:
@@ -31,10 +31,6 @@ class UPoly:
                 raise DomainError(f"coefficient {c} out of range for {field!r}")
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def x(cls, field: FieldDesc) -> "UPoly":
-        return cls(field, [0, 1])
 
     @property
     def degree(self) -> int:
@@ -101,10 +97,6 @@ class UPoly:
                         out[i + j] = f.add_val(out[i + j], f.mul_val(ai, bj))
         return UPoly(f, out)
 
-    def scale(self, val: int) -> "UPoly":
-        f = self.field
-        return UPoly(f, [f.mul_val(val, c) for c in self.coeffs])
-
     def __divmod__(self, other: "UPoly"):
         self._check(other)
         if other.is_zero():
@@ -144,12 +136,6 @@ class UPoly:
                 base = base * base
         return result
 
-    def monic(self) -> "UPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return self if lead == 1 else self.scale(self.field.inv_val(lead))
-
     def evaluate(self, x: FElt) -> FElt:
         if x.field != self.field:
             raise DomainError("evaluation point lives in a different field")
@@ -161,29 +147,6 @@ class UPoly:
         for c in reversed(self.coeffs):
             acc = f.add_val(f.mul_val(acc, xval), c)
         return acc
-
-
-def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor."""
-    a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def pow_mod(base: UPoly, e: int, mod: UPoly) -> UPoly:
-    """base**e reduced mod `mod`."""
-    if e < 0:
-        raise DomainError("negative exponent in pow_mod")
-    result = UPoly(base.field, [1]) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        e >>= 1
-        if e:
-            base = (base * base) % mod
-    return result
 
 
 def poly_from_roots(field: FieldDesc, root_vals) -> UPoly:
@@ -202,28 +165,9 @@ def poly_from_roots(field: FieldDesc, root_vals) -> UPoly:
 
 
 def is_irreducible(poly: UPoly) -> bool:
-    """Frobenius-based irreducibility test over the coefficient field, of
-    order Q.  Criterion: t^(Q^d) = t mod f, and gcd(t^(Q^(d/r)) - t, f) = 1
-    for every prime r dividing d = deg f.
-    """
-    q = poly.field.order
-    d = poly.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    t = UPoly.x(poly.field)
-    cur = t % poly
-    pows = {}
-    for i in range(1, d + 1):
-        cur = pow_mod(cur, q, poly)
-        pows[i] = cur
-    if pows[d] != t % poly:
-        return False
-    for r in prime_divisors(d):
-        if poly_gcd(pows[d // r] - t, poly).degree != 0:
-            return False
-    return True
+    """Irreducibility over the coefficient field, by
+    ffield.is_irreducible_over."""
+    return is_irreducible_over(poly.field, poly.coeffs)
 
 
 def conjugates(y: FElt, ext: ExtDesc) -> list[int]:
@@ -303,24 +247,11 @@ def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:
     return a[n - 1][n - 1]
 
 
-def embed_poly(poly: UPoly, ext: ExtDesc) -> UPoly:
-    """Reinterpret a polynomial over standalone GF(q) as one over ext.big
-    with coefficients in the base subfield.
-
-    The standalone generator maps to kappa, the canonical in-L root of the
-    same modulus, so digit vectors are preserved and the map is a field
-    isomorphism onto the subfield.
-    """
-    if poly.field.p != ext.big.p or poly.field.m != ext.base_deg:
-        raise DomainError(
-            f"{poly.field!r} is not the standalone base field of {ext!r}")
-    table = ext.k_elements()
-    return UPoly(ext.big, [table[c] for c in poly.coeffs])
-
-
 def compress_poly(poly: UPoly, ext: ExtDesc) -> UPoly:
-    """Inverse of embed_poly: a polynomial over ext.big whose coefficients
-    lie in the base subfield becomes one over standalone GF(q)."""
+    """A polynomial over ext.big whose coefficients lie in the base
+    subfield, as one over standalone GF(q): each coefficient goes to its
+    digits over kappa, the in-L root of the modulus of GF(q), so the map
+    is a field isomorphism from the subfield."""
     if poly.field != ext.big:
         raise DomainError(f"{poly.field!r} is not the big field of {ext!r}")
     small = make_field(ext.big.p, ext.base_deg)

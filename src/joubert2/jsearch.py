@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, check_budget, make_ext, make_field,
-                     require_odd_prime)
+                     prime_divisors, require_odd_prime)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
@@ -28,7 +28,6 @@ class SearchReport:
 
     q: int
     n: int
-    mode: str  # first | count | enumerate
     found: FElt | None = None
     found_min_poly: UPoly | None = None
     count: int | None = None
@@ -37,15 +36,11 @@ class SearchReport:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    primes = prime_divisors(q) if q >= 2 else []
+    if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    k = 0
-    val = q
-    while val > 1:
-        if val % p:
-            raise DomainError(f"q = {q} is not a prime power")
-        val //= p
+    p, k = primes[0], 1
+    while p**k < q:
         k += 1
     return p, k
 
@@ -120,7 +115,7 @@ def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
         if found_val is not None:
             break
 
-    report = SearchReport(q=q, n=6, mode="first", scanned=scanned)
+    report = SearchReport(q=q, n=6, scanned=scanned)
     if found_val is not None:
         y = ext.big.element(found_val)
         report.found = y
@@ -160,8 +155,7 @@ def count_joubert_generators(q: int, budget: int | None = None,
         for v in rejected:
             require(not is_joubert(ext.big.element(v), ext),
                     f"rejected element {v} is a Joubert generator")
-    return SearchReport(q=q, n=6, mode="count",
-                        count=sum(part[0] for part in parts),
+    return SearchReport(q=q, n=6, count=sum(part[0] for part in parts),
                         scanned=ext.big.order)
 
 
@@ -201,8 +195,7 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
         if is_joubert(y, ext):
             found = y
             break
-    report = SearchReport(q=q, n=5, mode="first", scanned=scanned,
-                          found=found)
+    report = SearchReport(q=q, n=5, scanned=scanned, found=found)
     if found is not None:
         report.found_min_poly = _verify_joubert_witness(found, ext)
     return report
@@ -249,6 +242,6 @@ def explore_trace_conditions(q: int, p: int, m: int,
             if first_non is None:
                 first_non = v
     return SearchReport(
-        q=q, n=n, mode="count", count=gens + non_gens, scanned=big.order,
+        q=q, n=n, count=gens + non_gens, scanned=big.order,
         extra={"p": p, "m": m, "generators": gens, "non_generators": non_gens,
                "first_generator": first_gen, "first_non_generator": first_non})

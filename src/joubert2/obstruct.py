@@ -98,9 +98,6 @@ class PowerSumVariety:
                 return k
         return None
 
-    def contains(self, vec) -> bool:
-        return self.violation(vec) is None
-
 
 def build_group(p: int, m: int, budget: int | None = None) -> GroupG:
     """Translation generators for each block, mixed-radix index order."""

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joubert2 import (DomainError, ExtDesc, checks, ffield, iter_elements,
-                      make_ext, make_field)
-from joubert2.ffield import canonical_modulus
+                      jsearch, make_ext, make_field)
+from joubert2.ffield import _pack, canonical_modulus
 from joubert2.fpoly import (
     UPoly,
     char_poly,
@@ -17,8 +17,6 @@ from joubert2.fpoly import (
     min_poly,
     parse_poly,
     poly_from_roots,
-    poly_gcd,
-    pow_mod,
 )
 
 F2 = make_field(2, 1)
@@ -56,24 +54,6 @@ def test_divmod_invariant(a, b):
     assert r.degree < b.degree
 
 
-@given(a=_poly(F4), b=_poly(F4))
-def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
-        return
-    assert g.is_monic()
-    assert (a % g).is_zero()
-    assert (b % g).is_zero()
-
-
-@given(a=_poly(F4, 4), e=st.integers(0, 5), m=_poly(F4, 4))
-def test_pow_mod_matches_plain_power(a, e, m):
-    if m.degree < 1:
-        return
-    assert pow_mod(a, e, m) == (a**e) % m
-
-
 @given(a=_poly(F64, 5), xv=st.integers(0, 63))
 def test_evaluate_matches_term_sum(a, xv):
     x = F64.element(xv)
@@ -106,11 +86,9 @@ def test_poly_from_roots_is_product_of_linear_factors(field, roots):
 def test_powers_match_repeated_products(field):
     rng = random.Random(field.order)
     a = UPoly(field, [rng.randrange(field.order) for _ in range(3)] + [1])
-    m = UPoly(field, [rng.randrange(field.order) for _ in range(4)] + [1])
     acc = UPoly(field, [1])
     for e in range(12):
         assert a**e == acc
-        assert pow_mod(a, e, m) == acc % m
         acc = acc * a
 
 
@@ -149,9 +127,9 @@ def test_irreducible_sextic_census_gf2():
     assert "t^6+t^4+t^2+t+1" in found
 
 
-@pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 2), (8, 3), (9, 2)])
 def test_irreducible_count_matches_mobius(q, d):
-    field = make_field(2, 2) if q == 4 else make_field(q, 1)
+    field = make_field(*jsearch._split_prime_power(q))
     count = 0
     for packed in range(q**d):
         coeffs = []
@@ -164,20 +142,35 @@ def test_irreducible_count_matches_mobius(q, d):
     assert count == _mobius_irreducible_count(q, d)
 
 
+def _has_small_factor(f):
+    # trial division: some monic g of degree 1..deg f // 2 divides f
+    q = f.field.order
+    for e in range(1, f.degree // 2 + 1):
+        for packed in range(q**e):
+            g = UPoly(f.field, [packed // q**i % q for i in range(e)] + [1])
+            if (f % g).is_zero():
+                return True
+    return False
+
+
 def test_canonical_moduli_pass_the_general_test():
-    # closes the loop: the modulus found by the internal search is
-    # irreducible per the public polynomial-level test, and the ring
-    # criterion behind that search agrees with it on every small monic
+    # the one irreducibility test against a trial-division oracle: each
+    # canonical modulus is irreducible and every lesser monic candidate is
+    # not, and the test agrees with the oracle on every small monic
     for p, m in [(2, 6), (2, 12), (3, 4), (5, 2), (7, 2)]:
         f = make_field(p, 1)
-        assert is_irreducible(UPoly(f, canonical_modulus(p, m)))
+        modulus = canonical_modulus(p, m)
+        assert not _has_small_factor(UPoly(f, modulus))
+        for packed in range(_pack(modulus[:m], p)):
+            digits = [packed // p**i % p for i in range(m)] + [1]
+            assert _has_small_factor(UPoly(f, digits)), (p, digits)
     for p, top in [(2, 6), (3, 6), (5, 4), (7, 3)]:
         f = make_field(p, 1)
         for m in range(2, top + 1):
             for packed in range(p**m):
                 digits = [packed // p**i % p for i in range(m)] + [1]
-                assert (ffield._is_irreducible_modulus(p, digits)
-                        == is_irreducible(UPoly(f, digits))), (p, digits)
+                assert (ffield.is_irreducible_over(f, digits)
+                        != _has_small_factor(UPoly(f, digits))), (p, digits)
 
 
 def test_irreducibility_over_subfield():

@@ -1,6 +1,8 @@
 """Every name a module imports is referenced somewhere in that module, every
-function parameter is read somewhere in its function, and no function
-imports from the package, so that an import cycle cannot hide in a function.
+function parameter is read somewhere in its function, no function imports
+from the package, so that an import cycle cannot hide in a function, and
+every function of the package is referenced from the program, not only from
+tests.
 
 Scans the package and the scripts with `ast`; a name listed in `__all__`
 counts as referenced (a re-export), and `from __future__` is skipped.
@@ -129,3 +131,83 @@ def test_scan_catches_a_package_import_inside_a_function():
            "        import joubert2.fpoly\n"
            "    return functools, require, random, helper\n")
     assert _local_package_imports(ast.parse(src)) == [6, 8]
+
+
+# functions of the package that no program module references, each with the
+# reason it stays
+_UNREFERENCED_OK = {
+    "fiber_size": "ROADMAP item 2 scalar route",
+    "rhs_value": "ROADMAP item 2 scalar route",
+    "parse_json": "README: manifest parse",
+    "evaluate": "README: polynomial evaluation",
+}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names, attributes and string constants read anywhere in the module,
+    except inside a function of the same name, so that recursion does not
+    count; a string constant counts for getattr-by-name tables."""
+    out = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _unreferenced_functions(defining: dict[str, ast.Module],
+                            referencing: list[ast.Module]) -> list[str]:
+    """module:line:name of each function or method in `defining` that no
+    tree in `referencing` names, dunder methods and exemptions aside."""
+    used = set().union(*map(_references, referencing))
+    out = []
+    for module, tree in defining.items():
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__")
+                             and fn.name.endswith("__"))
+                    and fn.name not in used
+                    and fn.name not in _UNREFERENCED_OK):
+                out.append(f"{module}:{fn.lineno}:{fn.name}")
+    return out
+
+
+def test_every_function_is_referenced_from_the_program():
+    package = sorted((ROOT / "src" / "joubert2").glob("*.py"))
+    program = [*package, *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in program}
+    defining = {p.name: trees[p] for p in package}
+    assert _unreferenced_functions(defining, list(trees.values())) == []
+
+
+def test_scan_catches_an_unreferenced_function():
+    src = ("__all__ = ['exported']\n"
+           "def exported(): pass\n"
+           "def called(): pass\n"
+           "def by_name(): pass\n"
+           "def recursive(n):\n"
+           "    return recursive(n - 1) if n else 0\n"
+           "def parse_json(): pass\n"
+           "class C:\n"
+           "    def __eq__(self, o): return True\n"
+           "    def method(self): pass\n"
+           "    def used(self): return self.method\n"
+           "TABLE = [called, 'by_name']\n")
+    tree = ast.parse(src)
+    assert _unreferenced_functions({"m.py": tree}, [tree]) == [
+        "m.py:5:recursive", "m.py:11:used"]

@@ -8,7 +8,6 @@ from joubert2.cubic import surface_census
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
-    embed_poly,
     format_poly,
     is_irreducible,
 )
@@ -27,7 +26,6 @@ def test_find_q2_pinned_witness():
     assert r.found is not None
     assert r.found.val == 2  # the modulus root itself, first in value order
     assert format_poly(r.found_min_poly) == "t^6+t+1"
-    assert r.mode == "first"
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -99,6 +97,42 @@ def test_enum_check_fails_on_a_planted_non_monic_sextic(monkeypatch):
     assert result.witness == {"error": "not a monic sextic"}
 
 
+def _fixes_t(poly):
+    # Rabin's test without its gcd condition: only t^(Q^d) = t mod f
+    t = UPoly(poly.field, [0, 1])
+    cur, e = UPoly(poly.field, [1]), poly.field.order ** poly.degree
+    base = t % poly
+    while e:
+        if e & 1:
+            cur = cur * base % poly
+        base = base * base % poly
+        e >>= 1
+    return poly.degree > 0 and cur == t % poly
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_enum_check_fails_on_a_gcdless_irreducibility_test(monkeypatch, q):
+    # without its gcd condition the test also admits products of distinct
+    # irreducibles of degrees dividing 6 (84 and 1960 sextics, not 24 and
+    # 672); the enumeration and its re-test of polys[:32] share the plant,
+    # so only the root-side count can see it
+    monkeypatch.setattr(jsearch, "is_irreducible", _fixes_t)
+    monkeypatch.setattr(checks, "is_irreducible", _fixes_t)
+    result = checks.check_generator_enum(q)
+    assert result.outcome == "fail"
+    assert result.witness == {
+        "error": "sextic count disagrees with the root-side count"}
+
+
+def test_split_prime_power():
+    # p by trial division up to sqrt(q): a prime near 2^31 takes ms
+    assert jsearch._split_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert jsearch._split_prime_power(3**13) == (3, 13)
+    for q in (1, 12, 2 * 3**13):
+        with pytest.raises(DomainError):
+            jsearch._split_prime_power(q)
+
+
 def test_enumerate_q4_contains_named_shapes():
     shapes = {format_poly(p) for p in enumerate_joubert_polys(4)}
     # t^6+t^2+t+alpha for both alpha outside the prime field
@@ -144,7 +178,9 @@ def test_witness_min_poly_is_enumerated():
     small = compress_poly(r.found_min_poly, ext)
     polys = enumerate_joubert_polys(4)
     assert small in polys
-    assert embed_poly(small, ext) == r.found_min_poly
+    # back through the digit order of K: the same polynomial over the big field
+    table = ext.k_elements()
+    assert UPoly(ext.big, [table[c] for c in small.coeffs]) == r.found_min_poly
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
