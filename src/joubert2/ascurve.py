@@ -13,13 +13,14 @@ must exist once q is large enough.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, require
-from .fastscan import Workspace, run_chunked
+from .fastscan import ChunkMap, ExtScan, LinearMap, Workspace, run_chunked
 from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
 from .jsearch import _ext_scan, _require_pow2
 
@@ -83,6 +84,29 @@ def rhs_value(x: FElt, ext: ExtDesc) -> FElt:
     return x * xq * (xq + x)
 
 
+class _CensusTables:
+    """The census's linear parts in tower coordinates, on aligned chunks:
+    x -> x^q = F(x), and the subfield tests (F^3 + 1) y = 0 and
+    (F^2 + 1) y = 0 of y = x^q + x, composed from basis images of the tower
+    view's F."""
+
+    def __init__(self, scan: ExtScan):
+        self.view = view = scan.tower
+        order = scan.ext.big.order
+        f = view.frob.scalar
+        y = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
+        self.frob = ChunkMap(view.frob, order)
+        self.cubic = ChunkMap(LinearMap(f(f(f(v))) ^ v for v in y), order,
+                              narrow=True)
+        self.quadratic = ChunkMap(LinearMap(f(f(v)) ^ v for v in y), order,
+                                  narrow=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _census_tables(scan: ExtScan) -> _CensusTables:
+    return _CensusTables(scan)
+
+
 def curve_census(q: int, budget: int | None = None,
                  threads: int = 1) -> CurveCensus:
     """Full fiber census over the sextic extension of F_q.
@@ -93,23 +117,30 @@ def curve_census(q: int, budget: int | None = None,
     scan checks rather than assumes.
     """
     k = _require_pow2(q)
-    scan = _ext_scan(2, k, 6, budget)
-
+    tables = _census_tables(_ext_scan(2, k, 6, budget))
+    tower, trace_hi = tables.view.tower, tables.view.trace_hi
     ws = Workspace()
 
     def tally(lo: int, hi: int) -> tuple[int, int, int]:
+        # x runs through tower coordinates; the tower map is a bijection,
+        # and only counts leave the chunk
         n = hi - lo
         x = ws.arange("x", lo, hi)
-        xq = scan.frob(x, 1, out=ws.get("xq", n))
-        y = np.bitwise_xor(x, xq, out=ws.get("y", n))
-        c = scan.ops.mul(x, xq, out=ws.get("c", n))
-        solvable = scan.trace(scan.ops.mul(c, y, out=c), out=c) == 0
-        # same criterion through the trace identity, as a cross-check
-        t = scan.trace(scan.ops.cube(y, out=c), out=c)
-        require(np.array_equal(solvable, t == 0),
+        xq = tables.frob(lo, hi, out=ws.get("xq", n))
+        # c = x * x^q by its halves, then y = x^q + x and y's three logs
+        c0, c1 = tower.product(tower.add_logs(xq, tower.logs(x)))
+        ly = tower.logs(np.bitwise_xor(x, xq, out=xq))
+        # Tr(y^3) and Tr(c y), each from the w-half of the product; y
+        # itself is spent
+        t = trace_hi(tower.cube_hi(ly, out=x), out=xq)
+        # equal as values, since Tr(x^(3q)) = Tr(x^3): a cross-check
+        require(np.array_equal(t, trace_hi(tower.mul_hi(c0, c1, ly, out=x),
+                                           out=x)),
                 "solvability differs from the trace identity")
-        in_cubic = scan.frob(y, 3, out=c) == y
-        in_quadratic = scan.frob(y, 2, out=c) == y
+        solvable = np.equal(t, 0, out=ws.get("solvable", n, bool))
+        in_cubic = tables.cubic.zeros(lo, hi, out=ws.get("cubic", n, bool))
+        in_quadratic = tables.quadratic.zeros(
+            lo, hi, out=ws.get("quadratic", n, bool))
         require(not np.any(in_cubic & ~solvable),
                 "cubic-subextension fiber is not solvable")
         # trace-qualifying y in the quadratic subextension is already in F_q
@@ -137,6 +168,23 @@ def curve_census(q: int, budget: int | None = None,
                          good_points=q * good_x, bad_points=q * bad_x)
     require(census.bad_points <= q**5, "more than q^5 bad points")
     return census
+
+
+def scalar_counts(q: int, budget: int | None = None) -> tuple[int, int]:
+    """(n_affine, bad_points) by scalar arithmetic, point by point: the
+    fiber over x has fiber_size(rhs_value(x)) points, bad when
+    y = x^q + x is fixed by the third power of the relative Frobenius.  It
+    shares no table with the vector census."""
+    k = _require_pow2(q)
+    ext = make_ext(2, k, 6, limit=budget)
+    n_affine = bad = 0
+    for xv in range(ext.big.order):
+        size = fiber_size(rhs_value(FElt(ext.big, xv), ext), ext)
+        yv = ext.big.add_val(ext.frob_val(xv), xv)
+        n_affine += size
+        if size and ext.frob_iter_val(yv, 3) == yv:
+            bad += size
+    return n_affine, bad
 
 
 def trace_identity_check(q: int, budget: int | None = None,

@@ -15,6 +15,7 @@ import random
 import sys
 import time
 import traceback
+from itertools import product
 
 from . import ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError, require
@@ -22,6 +23,7 @@ from .fastscan import Workspace, run_chunked
 from .ffield import FElt, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
                     format_poly, is_irreducible, parse_poly)
+from .gflinalg import rref
 from .jsearch import _ext_scan
 from .report import CheckResult
 from .sigma import is_joubert, power_traces, sigma_profile
@@ -121,6 +123,30 @@ def check_generator_search(q: int, budget: int | None = None,
         {"q": q}, body)
 
 
+def _berlekamp_irreducible(f: UPoly) -> bool:
+    """Berlekamp's criterion (E. R. Berlekamp, Bell Syst. Tech. J. 46,
+    1967; Knuth, TAOCP vol. 2, 4.6.2): f of degree d over GF(Q) is
+    irreducible iff gcd(f, f') = 1 and Q - I has rank d - 1, where row i of
+    Q holds t^(iQ) mod f.  Its kernel counts the irreducible factors of a
+    squarefree f.  It runs on UPoly arithmetic, not on the coefficient
+    lists of Rabin's test."""
+    field, d = f.field, f.degree
+    a = f
+    b = UPoly(field, [field.mul_val(i % field.p, c)
+                      for i, c in enumerate(f.coeffs)][1:])
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.degree != 0:
+        return False
+    tq = UPoly(field, [0] * field.order + [1]) % f
+    row, rows = UPoly(field, [1]), []
+    for i in range(d):
+        rows.append([field.sub_val(row.coeff(j), int(i == j))
+                     for j in range(d)])
+        row = row * tq % f
+    return len(rref(rows, field)[1]) == d - 1
+
+
 def check_generator_enum(q: int, budget: int | None = None,
                          threads: int = 1) -> CheckResult:
     def body():
@@ -140,9 +166,19 @@ def check_generator_enum(q: int, budget: int | None = None,
                     "nonzero t^5 or t^3 coefficient")
         for f in polys[:32]:
             require(is_irreducible(f), "sextic is reducible")
+        routes = ["rabin"]
+        if roots is None:
+            # no root side: a second criterion over every candidate
+            field = make_field(p, k)
+            listed = [f for f in (UPoly(field, [d, c, b, 0, a, 0, 1])
+                                  for a, b, c, d in product(range(q),
+                                                            repeat=4))
+                      if _berlekamp_irreducible(f)]
+            require(listed == polys,
+                    "sextic list disagrees with Berlekamp's criterion")
+            routes.append("berlekamp")
         require(len(polys) * 6 % (q * q - q) == 0,
                 "generator count is not a multiple of q^2 - q")
-        routes = ["rabin"]
         if roots is not None:
             require(6 * len(polys) == roots,
                     "sextic count disagrees with the root-side count")
@@ -302,6 +338,11 @@ def check_curve(q: int, budget: int | None = None,
         require(census.bad_points <= q**5, "more than q^5 bad points")
         if q > 2:
             require(census.good_points >= 1, "no good fiber point")
+        if q <= 4:
+            # an independent scalar route, point by point
+            require(ascurve.scalar_counts(q, budget) == (census.n_affine,
+                                                         census.bad_points),
+                    "scalar fiber count differs from the census")
         checked = ascurve.trace_identity_check(q, budget=budget,
                                                threads=threads)
         require(checked == q**6, "trace identity did not cover F_q^6")

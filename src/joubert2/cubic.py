@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, require
 from .ffield import ExtDesc, _unpack, check_budget, make_ext
-from .fastscan import LinearMap, Workspace, run_chunked
+from .fastscan import ChunkMap, LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
 from .jsearch import _ext_scan, _require_pow2
 
@@ -128,13 +128,14 @@ def surface_census(q: int, budget: int | None = None,
 
     # independent affine route, vectorized: |S| over the 2^(5k) elements
     scan = _ext_scan(2, k, 6, budget)
-    l0 = LinearMap(_l0_basis_vals(frame))  # digit index -> element of L_0
-    total_l0 = 1 << len(l0.images)
+    images = _l0_basis_vals(frame)  # digit index -> element of L_0
+    total_l0 = 1 << len(images)
     require(total_l0 == q**5, "L_0 does not have q^5 elements")
+    l0 = ChunkMap(LinearMap(images), total_l0)
     ws = Workspace()
 
     def tally(lo: int, hi: int) -> int:
-        v = l0(ws.arange("i", lo, hi), out=ws.get("v", hi - lo))
+        v = l0(lo, hi, out=ws.get("v", hi - lo))
         t = scan.trace(scan.ops.cube(v, out=v), out=v)
         return int(np.count_nonzero(t == 0))
 

@@ -5,20 +5,30 @@ arrays and come out as uint32 arrays.  Every kernel is a short sequence of
 table gathers:
 
 - F_2-linear maps (squaring, the relative Frobenius and its powers, the
-  relative trace, the reduction of a wide product, the index -> L_0 map of
-  the surface census) take one 4096-entry uint32 table per 12-bit window
-  of the input: one gather for m <= 12, two for m = 18 and 24.
+  relative trace, the reduction of a wide product) take one 4096-entry
+  uint32 table per 12-bit window of the input: one gather for m <= 12, two
+  for m = 18 and 24.
 - Products have one kernel per regime of m:
   - m <= 14: exp[log a + log b], with log[0] = 2N (N = 2^m - 1), so that
     a zero operand lands in the zero tail of exp and needs no branch;
   - even m <= 28: a quadratic tower over GF(2^(m/2)), the composite-field
-    method (C. Paar, PhD thesis, 1994; Lidl & Niederreiter ch. 9).  One
-    window map puts each operand into tower coordinates a0 + a1 w with
-    w^2 = w + c; a Karatsuba step takes 3 subfield log/exp products, the
-    multiply by the constant c riding in the log sum; one window map
-    brings the result back;
+    method (C. Paar, PhD thesis, 1994; Lidl & Niederreiter ch. 9), in
+    `Tower`.  One window map puts each operand into tower coordinates
+    a0 + a1 w with w^2 = w + c; a Karatsuba step takes 3 subfield log/exp
+    products, the multiply by the constant c riding in the log sum; one
+    window map brings the result back;
   - odd m > 14, and m = 30, 32: the shift-and-xor loop.  It is also the
     reference every table is derived from.
+- A scan that only counts can stay in tower coordinates throughout:
+  `ExtScan.tower` composes the relative Frobenius powers and the trace
+  with the tower maps, and `Tower` takes products and a cube's w-half from
+  the logs of the halves, with no map in or out.  It serves every even m,
+  the log regime's m <= 14 and m = 30 (K = GF(2^15)) included, built on
+  first use.
+- On the aligned ranges of `run_chunked` a linear map costs no gather at
+  all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), one xor
+  of a per-scan table on [0, CHUNK) with one scalar (`ChunkMap`).  Its
+  zero set in a range is a class of that table, read off a sorted index.
 
 Independence: every table comes from the field's modulus alone, through the
 shift-and-xor reference and set-up steps on plain ints, so the vector layer
@@ -27,7 +37,8 @@ cross-validate the two layers element by element.  Each product table is
 verified when it is built, and a failure raises TableError: exp over one
 period is a permutation of the units and g^N = 1; the tower map composed
 with its inverse is the identity; the table product agrees with
-shift-and-xor on a fixed seeded sample.
+shift-and-xor on a fixed seeded sample; the tower view's maps agree with
+the canonical ones, and its kernels with shift-and-xor, on that sample.
 
 Kernels write into `out=` when it is given and keep their scratch arrays in
 per-thread buffers, so a chunked scan allocates its arrays once per worker
@@ -36,12 +47,13 @@ thread instead of once per chunk.
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError, TableError
+from .errors import DomainError, TableError, require
 from .ffield import ExtDesc, FieldDesc, _pack, prime_divisors
 
 #: Elements per run_chunked range in the exhaustive scans.
@@ -155,6 +167,87 @@ class LinearMap:
         return out
 
 
+def _narrowed(lm: LinearMap) -> LinearMap:
+    """lm followed by the projection onto the leading bits of an echelon
+    basis of its image.  The projection is one-to-one on the image, so the
+    narrowed map tells the same values apart, in as many bits as the
+    image's dimension."""
+    lead = {}  # leading bit -> basis vector of the image
+    for img in lm.images:
+        while img:
+            top = img.bit_length() - 1
+            if top not in lead:
+                lead[top] = img
+                break
+            img ^= lead[top]
+    pivots = sorted(lead)
+    return LinearMap(sum((img >> bit & 1) << j for j, bit in enumerate(pivots))
+                     for img in lm.images)
+
+
+class ChunkMap:
+    """An F_2-linear map L on the aligned ranges of run_chunked.
+
+    A range starts at a multiple lo of CHUNK, so each of its values is
+    lo + i = lo xor i with i < CHUNK, and L(lo + i) = L(lo) xor L(i): the
+    range costs one xor of a per-scan table of L on [0, CHUNK) with the one
+    scalar L(lo), and no gather.  With `narrow` the map is first narrowed
+    to the dimension of its image (`_narrowed`), which keeps its zeros and
+    stores the table in the smallest unsigned dtype.
+    """
+
+    def __init__(self, lm: LinearMap, order: int, narrow: bool = False):
+        self.map = _narrowed(lm) if narrow else lm
+        top = max(self.map.images, default=0)
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32)
+                     if top <= np.iinfo(t).max)
+        # L on [0, 2^b) is the span of its first b images, in order
+        size = min(order, CHUNK)
+        self.table = _span(self.map.images[:(size - 1).bit_length()]
+                           )[:size].astype(dtype, copy=False)
+        self._width = top.bit_length()
+
+    def _offset(self, lo: int, hi: int):
+        """L(lo), in the table's dtype, for the aligned range [lo, hi)."""
+        require(lo % CHUNK == 0 and 0 < hi - lo <= self.table.size,
+                "range is not aligned to the chunk table")
+        return self.table.dtype.type(self.map.scalar(lo))
+
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """L(v) for v in [lo, hi)."""
+        return np.bitwise_xor(self.table[:hi - lo], self._offset(lo, hi),
+                              out=out)
+
+    def zeros(self, lo: int, hi: int, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Whether L(v) = 0, for v in [lo, hi): the table equals L(lo)."""
+        return np.equal(self.table[:hi - lo], self._offset(lo, hi), out=out)
+
+    @functools.cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        # the table's positions grouped by value, each class ascending, and
+        # where each class starts; class by class, so that no index array
+        # of the whole table is ever wider than uint16
+        counts = np.bincount(self.table, minlength=1 << self._width)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        perm = np.empty(self.table.size, dtype=np.uint16)
+        for t in np.flatnonzero(counts).tolist():
+            perm[starts[t]:starts[t + 1]] = np.flatnonzero(self.table == t)
+        return perm, starts
+
+    def zero_offsets(self, lo: int, hi: int) -> np.ndarray:
+        """The i with L(lo + i) = 0 and lo + i < hi, ascending: the class
+        of L(lo) in the table, with no pass over the range.  Meant for a
+        narrow map: the class index has 2^(image bits) entries."""
+        t = int(self._offset(lo, hi))
+        perm, starts = self._classes
+        cls = perm[starts[t]:starts[t + 1]]
+        if hi - lo < self.table.size:
+            cls = cls[:np.searchsorted(cls, hi - lo)]
+        return cls
+
+
 # -- set-up arithmetic on plain ints: shift-and-xor with reduction by the
 # full modulus f (its t^m bit included)
 
@@ -225,16 +318,17 @@ def _exp_walk(times: np.ndarray, n: int) -> np.ndarray:
     return powers[:n + 1]
 
 
-def _log_exp(times: np.ndarray, h: int, c: int = 1
-             ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(log, exp, log c) of GF(2^h) to the base g, on the coordinates that
-    the table `times` of x -> g*x is written in.  The exp walk is verified
-    to run once through every unit and back to 1.
+def _log_exp(times: np.ndarray, h: int, terms: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of GF(2^h) to the base g, on the coordinates that the
+    table `times` of x -> g*x is written in, for sums of up to `terms`
+    logs.  The exp walk is verified to run once through every unit and
+    back to 1.
 
-    With N = 2^h - 1 and Z = 2N + log c: log[0] = Z, and exp[k] = g^(k mod N)
-    for k < Z and 0 from Z on.  So exp[log a + log b] = a*b and
-    exp[log a + log b + log c] = c*a*b for any a, b: a zero operand lands
-    in the zero tail.
+    With N = 2^h - 1 and Z = terms * N: log[0] = Z, and exp[k] = g^(k mod N)
+    for k < Z and 0 from Z to terms * Z.  So exp[log a + log b + ...] is the
+    product for any `terms` factors, constants included: a sum of nonzero
+    logs stays below Z, and one zero factor lands it in the zero tail.
     """
     n = (1 << h) - 1
     powers = _exp_walk(times, n)
@@ -245,11 +339,156 @@ def _log_exp(times: np.ndarray, h: int, c: int = 1
                          "units")
     log = np.empty(n + 1, dtype=np.intp)
     log[units] = np.arange(n)
-    shift = int(log[c])
-    log[0] = zero = 2 * n + shift
-    exp = np.zeros(2 * zero + shift + 1, dtype=np.uint32)
+    log[0] = zero = terms * n
+    exp = np.zeros(terms * zero + 1, dtype=np.uint32)
     exp[:zero] = np.resize(units, zero)
-    return log, exp, shift
+    return log, exp
+
+
+def _sample(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed pair of 256-value samples of GF(2^m), spread by Fibonacci
+    hashing, with the edge values first; importing numpy.random would cost
+    more than a whole table build."""
+    k = np.arange(256, dtype=np.uint64)
+    drop = np.uint64(64 - m)
+    a = k * np.uint64(0x9E3779B97F4A7C15) >> drop
+    b = k * np.uint64(0xC2B2AE3D27D4EB4F) >> drop
+    top = (1 << m) - 1
+    a[:3], b[:3] = (0, top, 1), (top, top, 0)
+    return a, b
+
+
+class Tower:
+    """GF(2^m), m = 2h, as K[w] / (w^2 + w + c) over K = GF(2^h): the
+    composite-field method (C. Paar, PhD thesis, 1994; Lidl & Niederreiter
+    ch. 9).  Tower coordinates pack a0 + a1 w as a0 | a1 << h, each a_i
+    over the basis gamma^0..gamma^(h-1) of K for a primitive gamma.
+
+    K's log/exp tables take sums of up to three logs and one constant's,
+    so a product, c times a product, and a cube's monomials are one exp
+    gather each.  Built from the packed modulus f alone; the tower map and
+    its inverse are verified to invert each other.
+    """
+
+    def __init__(self, f: int, m: int):
+        h = m // 2
+        if m != 2 * h or h < 1:
+            raise DomainError(f"GF(2^{m}) has no quadratic tower")
+
+        def mul(a, b):
+            return _mulmod(a, b, f, m)
+
+        def frob(x):  # x -> x^(2^h), generating Gal(GF(2^m)/K)
+            for _ in range(h):
+                x = mul(x, x)
+            return x
+
+        # a primitive element of K: a norm z^(2^h+1)
+        n = (1 << h) - 1
+        gamma = next(y for y in (mul(z, frob(z)) for z in range(2, 1 << m))
+                     if _has_order(y, n, f, m))
+        # w = t / (t + t^(2^h)) has w + w^(2^h) = 1, so w^2 = w + c for its
+        # norm c = w^(2^h+1) in K; t + t^(2^h) is a nonzero element of K
+        s = 2 ^ frob(2)
+        w = mul(2, _powmod(s, n - 1, f, m))
+        c = mul(w, frob(w))
+        gpow = [1]
+        for _ in range(h):
+            gpow.append(mul(gpow[-1], gamma))
+        self.from_tower = LinearMap(gpow[:h] + [mul(x, w) for x in gpow[:h]])
+        self.to_tower = LinearMap(_invert(list(self.from_tower.images)))
+        to_tower = self.to_tower.scalar
+        gamma_h, c_coord = to_tower(gpow[h]), to_tower(c)
+        if (gamma_h | c_coord) >> h or not c_coord:
+            raise TableError(f"tower of GF(2^{m}) over GF(2^{h}) is not "
+                             "closed")
+        # the subfield times-gamma map on K's coordinates
+        times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
+        self.log, self.exp = _log_exp(times, h, 4)
+        self.h, self.mask = h, (1 << h) - 1
+        self.c_log = int(self.log[c_coord])
+        # log(1 + c); 1 + c = 0, and its log Z, when c = 1, as odd h allows
+        self.c1_log = int(self.log[c_coord ^ 1])
+        for lo in range(0, m, WINDOW):
+            v = np.arange(1 << min(WINDOW, m - lo), dtype=np.uint32) << lo
+            if not (np.array_equal(self.from_tower(self.to_tower(v)), v)
+                    and np.array_equal(self.to_tower(self.from_tower(v)),
+                                       v)):
+                raise TableError(f"tower map of GF(2^{m}) does not invert")
+
+    def _halves(self, x):
+        """x0, x1 and x0 + x1 of tower coordinates x = x0 | x1 << h, in
+        turn, as log-table indices in one reused array."""
+        idx = _SCRATCH.get("p_idx", x.size, np.intp)
+        hi = _SCRATCH.get("p_u", x.size)
+        np.right_shift(x, self.h, out=hi)
+        yield np.bitwise_and(x, self.mask, out=idx)
+        np.copyto(idx, hi)
+        yield idx
+        hi ^= x
+        yield np.bitwise_and(hi, self.mask, out=idx)
+
+    def logs(self, x):
+        """log x0, log x1 and log(x0 + x1) of tower coordinates x, in the
+        product's three scratch sums."""
+        out = [_SCRATCH.get(f"p_sum{i}", x.size, np.intp) for i in range(3)]
+        for i, idx in enumerate(self._halves(x)):
+            np.take(self.log, idx, out=out[i], mode="wrap")
+        return out
+
+    def add_logs(self, x, sums):
+        """sums[i] += the i-th log of `logs(x)`, one log array at a time."""
+        lb = _SCRATCH.get("p_lb", x.size, np.intp)
+        for i, idx in enumerate(self._halves(x)):
+            np.add(sums[i], np.take(self.log, idx, out=lb, mode="wrap"),
+                   out=sums[i])
+        return sums
+
+    def product(self, sums):
+        """Halves r0, r1 of the product from `sums`, the summed logs of both
+        factors' x0, x1 and x0 + x1 (sums[1] gains log c): with p0 = x0 y0,
+        p1 = x1 y1 and p2 = (x0 + x1)(y0 + y1), r0 = p0 + c p1 and
+        r1 = p2 + p0.  The halves land in the product's scratch operands
+        p_ta and p_tb."""
+        n = sums[0].size
+        np.add(sums[1], self.c_log, out=sums[1])
+        r0 = np.take(self.exp, sums[1], out=_SCRATCH.get("p_ta", n),
+                     mode="wrap")
+        r1 = np.take(self.exp, sums[2], out=_SCRATCH.get("p_tb", n),
+                     mode="wrap")
+        p0 = np.take(self.exp, sums[0], out=_SCRATCH.get("p_u", n),
+                     mode="wrap")
+        r0 ^= p0
+        r1 ^= p0
+        return r0, r1
+
+    def cube_hi(self, ly, out):
+        """r1 = y0 y1 (y0 + y1) + (1 + c) y1^3 of y^3 = r0 + r1 w, from y's
+        logs `ly`; r0 = y0^3 + c y1^2 (y0 + y1) is not needed for a
+        trace."""
+        idx = _SCRATCH.get("p_idx", out.size, np.intp)
+        np.add(ly[0], ly[1], out=idx)
+        np.add(idx, ly[2], out=idx)
+        np.take(self.exp, idx, out=out, mode="wrap")
+        np.multiply(ly[1], 3, out=idx)
+        np.add(idx, self.c1_log, out=idx)
+        return np.bitwise_xor(out, np.take(
+            self.exp, idx, out=_SCRATCH.get("p_u", out.size), mode="wrap"),
+            out=out)
+
+    def mul_hi(self, a0, a1, ly, out):
+        """r1 = (a0 + a1)(y0 + y1) + a0 y0 of a y = r0 + r1 w, from a's
+        halves (a1 is overwritten) and y's logs `ly`."""
+        lb = _SCRATCH.get("p_lb", out.size, np.intp)
+        idx = _SCRATCH.get("p_idx", out.size, np.intp)
+        np.copyto(idx, a0)
+        np.add(np.take(self.log, idx, out=lb, mode="wrap"), ly[0], out=lb)
+        np.take(self.exp, lb, out=out, mode="wrap")
+        a1 ^= a0
+        np.copyto(idx, a1)
+        np.add(np.take(self.log, idx, out=lb, mode="wrap"), ly[2], out=lb)
+        return np.bitwise_xor(out, np.take(self.exp, lb, out=a1, mode="wrap"),
+                              out=out)
 
 
 class Gf2Scan:
@@ -298,62 +537,15 @@ class Gf2Scan:
         n = (1 << m) - 1
         g = next(x for x in range(1, n + 1) if _has_order(x, n, f, m))
         times = _span([_mulmod(g, 1 << j, f, m) for j in range(m)])
-        self._log, self._exp, _ = _log_exp(times, m)
+        self._log, self._exp = _log_exp(times, m, 2)
 
     def _build_tower(self) -> None:
-        m, f = self.m, self._f
-        h = m // 2
-
-        def mul(a, b):
-            return _mulmod(a, b, f, m)
-
-        def frob(x):  # x -> x^(2^h), generating Gal(GF(2^m)/GF(2^h))
-            for _ in range(h):
-                x = mul(x, x)
-            return x
-
-        # a primitive element of the subfield K = GF(2^h): a norm z^(2^h+1)
-        n = (1 << h) - 1
-        gamma = next(y for y in (mul(z, frob(z)) for z in range(2, 1 << m))
-                     if _has_order(y, n, f, m))
-        # w = t / (t + t^(2^h)) has w + w^(2^h) = 1, so w^2 = w + c for its
-        # norm c = w^(2^h+1) in K; t + t^(2^h) is a nonzero element of K
-        s = 2 ^ frob(2)
-        w = mul(2, _powmod(s, n - 1, f, m))
-        c = mul(w, frob(w))
-        gpow = [1]
-        for _ in range(h):
-            gpow.append(mul(gpow[-1], gamma))
-        # tower coordinates a0 | a1 << h of a0 + a1 w, a_i over the basis
-        # gamma^0..gamma^(h-1) of K
-        self._from_tower = LinearMap(gpow[:h] + [mul(x, w) for x in gpow[:h]])
-        self._to_tower = LinearMap(_invert(list(self._from_tower.images)))
-        to_tower = self._to_tower.scalar
-        gamma_h, c_coord = to_tower(gpow[h]), to_tower(c)
-        if (gamma_h | c_coord) >> h:
-            raise TableError(f"tower of GF(2^{m}) over GF(2^{h}) is not "
-                             "closed")
-        # the subfield times-gamma map on K's coordinates
-        times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
-        self._log, self._exp, self._c_log = _log_exp(times, h, c_coord)
-        self._h = h
+        self._tower = Tower(self._f, self.m)
+        to_tower = self._tower.to_tower.scalar
         self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
-        for lo in range(0, m, WINDOW):
-            v = np.arange(1 << min(WINDOW, m - lo), dtype=np.uint32) << lo
-            if not (np.array_equal(self._from_tower(self._to_tower(v)), v)
-                    and np.array_equal(self._to_tower(self._from_tower(v)),
-                                       v)):
-                raise TableError(f"tower map of GF(2^{m}) does not invert")
 
     def _verify_product(self) -> None:
-        # a fixed sample spread by Fibonacci hashing, plus the edge values;
-        # importing numpy.random would cost more than the whole build
-        k = np.arange(256, dtype=np.uint64)
-        drop = np.uint64(64 - self.m)
-        a = k * np.uint64(0x9E3779B97F4A7C15) >> drop
-        b = k * np.uint64(0xC2B2AE3D27D4EB4F) >> drop
-        top = (1 << self.m) - 1
-        a[:3], b[:3] = (0, top, 1), (top, top, 0)
+        a, b = _sample(self.m)
         ref = self._loop_mul(a, b)
         cube = self._loop_mul(a, self._loop_mul(a, a))
         if not (np.array_equal(self._product(a, b, None), ref)
@@ -383,41 +575,13 @@ class Gf2Scan:
         n = a.size
         if out is None:
             out = np.empty(n, dtype=np.uint32)
-        s = _SCRATCH
-        ta = self._to_tower(a, out=s.get("p_ta", n))
-        tb = (b_map or self._to_tower)(b, out=s.get("p_tb", n))
-        # log x0 + log y0, log x1 + log y1, log(x0 + x1) + log(y0 + y1)
-        sums = [s.get(f"p_sum{i}", n, np.intp) for i in range(3)]
-        for i, idx in enumerate(self._halves(ta)):
-            np.take(self._log, idx, out=sums[i], mode="wrap")
-        lb = s.get("p_lb", n, np.intp)
-        for i, idx in enumerate(self._halves(tb)):
-            np.take(self._log, idx, out=lb, mode="wrap")
-            np.add(sums[i], lb, out=sums[i])
-        np.add(sums[1], self._c_log, out=sums[1])
-        # with p0 = x0 y0, p1 = x1 y1 and p2 = (x0 + x1)(y0 + y1) the
-        # product is r0 + r1 w, r0 = p0 + c p1 and r1 = p2 + p0
-        p0 = np.take(self._exp, sums[0], out=ta, mode="wrap")
-        r0 = np.take(self._exp, sums[1], out=tb, mode="wrap")
-        r0 ^= p0
-        r1 = np.take(self._exp, sums[2], out=s.get("p_u", n), mode="wrap")
-        r1 ^= p0
-        r1 <<= self._h
+        s, tower = _SCRATCH, self._tower
+        ta = tower.to_tower(a, out=s.get("p_ta", n))
+        tb = (b_map or tower.to_tower)(b, out=s.get("p_tb", n))
+        r0, r1 = tower.product(tower.add_logs(tb, tower.logs(ta)))
+        r1 <<= tower.h
         r1 |= r0
-        return self._from_tower(r1, out=out)
-
-    def _halves(self, x):
-        """x0, x1 and x0 + x1 of tower coordinates x = x0 | x1 << h, in
-        turn, as log-table indices in one reused array."""
-        n, h = x.size, self._h
-        idx = _SCRATCH.get("p_idx", n, np.intp)
-        hi = _SCRATCH.get("p_u", n)
-        np.right_shift(x, h, out=hi)
-        yield np.bitwise_and(x, (1 << h) - 1, out=idx)
-        np.copyto(idx, hi)
-        yield idx
-        hi ^= x
-        yield np.bitwise_and(hi, (1 << h) - 1, out=idx)
+        return tower.from_tower(r1, out=out)
 
     def _loop_mul(self, a, b, out=None):
         a = np.asarray(a, dtype=np.uint64)
@@ -479,6 +643,16 @@ class ExtScan:
         self._frob = [None] + [LinearMap(img.tolist()) for img in images[1:]]
         self._trace = LinearMap(np.bitwise_xor.reduce(images).tolist())
 
+    @functools.cached_property
+    def tower(self) -> TowerView:
+        """The big field in tower coordinates, built on first use."""
+        return TowerView(self)
+
+    @functools.cached_property
+    def trace_chunks(self) -> ChunkMap:
+        """The relative trace on aligned ranges, narrowed to F_q's bits."""
+        return ChunkMap(self._trace, self.ext.big.order, narrow=True)
+
     def frob(self, v: np.ndarray, i: int = 1,
              out: np.ndarray | None = None) -> np.ndarray:
         i %= self.ext.n
@@ -512,6 +686,58 @@ class ExtScan:
             if e:
                 self.ops.square(base, out=base)
         return acc
+
+
+def _in_tower(tower: Tower, lm: LinearMap, tower_out: bool = True
+              ) -> LinearMap:
+    """lm on tower coordinates: images of the tower basis, mapped back to
+    tower coordinates when tower_out."""
+    back = tower.to_tower.scalar if tower_out else int
+    return LinearMap(back(lm.scalar(x)) for x in tower.from_tower.images)
+
+
+class TowerView:
+    """An extension's big field in tower coordinates (see Tower), with the
+    relative Frobenius x -> x^q and the relative trace composed into them
+    from basis images.  The trace of r0 + r1 w is Tr_K(r1) for r0, r1 in
+    K = GF(q^3), since w + w^(q^3) = 1 and Tr_{L/K}(r0) = 2 r0 = 0:
+    `trace_hi` maps r1 alone.  Both maps and the kernels of Tower are
+    checked on the seeded sample against the canonical maps and the
+    shift-and-xor product; a mismatch raises TableError.
+    """
+
+    def __init__(self, scan: "ExtScan"):
+        ops = scan.ops
+        self.tower = tower = (ops._tower if ops.regime == "tower"
+                              else Tower(ops._f, ops.m))
+        h = tower.h
+        self.frob = _in_tower(tower, scan._frob[1])
+        trace = _in_tower(tower, scan._trace, tower_out=False)
+        if any(trace.images[:h]):
+            raise TableError("trace of the tower's subfield is not zero")
+        self.trace_hi = LinearMap(trace.images[h:])
+        self._verify(scan)
+
+    def _verify(self, scan: "ExtScan") -> None:
+        tower, loop = self.tower, scan.ops._loop_mul
+        to, h, n = tower.to_tower, tower.h, 256
+        a, b = _sample(scan.ops.m)
+        ta, tb = to(a), to(b)
+        ok = np.array_equal(self.frob(ta), to(scan.frob(a)))
+        ok &= np.array_equal(self.trace_hi(ta >> h), scan.trace(a))
+        r0, r1 = tower.product(tower.add_logs(tb, tower.logs(ta)))
+        ab = to(loop(a, b))
+        ok &= np.array_equal(r0 | r1 << h, ab)
+        lb = tower.logs(tb)
+        ok &= np.array_equal(
+            tower.mul_hi(ta & tower.mask, ta >> h, lb,
+                         np.empty(n, dtype=np.uint32)), ab >> h)
+        ok &= np.array_equal(
+            tower.cube_hi(lb, np.empty(n, dtype=np.uint32)),
+            to(loop(b, loop(b, b))) >> h)
+        if not ok:
+            raise TableError(f"tower view of GF(2^{scan.ops.m}) disagrees "
+                             "with the canonical maps")
 
 
 def run_chunked(total: int, fn, chunk: int = CHUNK, threads: int = 1) -> list:

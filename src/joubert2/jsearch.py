@@ -80,10 +80,12 @@ def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
 
 def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
                  hi: int) -> np.ndarray:
-    """The y in [lo, hi) with Tr(y) = Tr(y^3) = 0, in value order; the cube
-    is taken only on the trace-zero ones."""
-    vals = ws.arange("vals", lo, hi)
-    cand = vals[scan.trace(vals, out=ws.get("t", hi - lo)) == 0]
+    """The y in [lo, hi) with Tr(y) = Tr(y^3) = 0, in value order.  The
+    trace-zero y are lo + i for the ascending offsets i whose trace class is
+    Tr(lo), read off the per-scan class index; the cube is taken only on
+    them."""
+    offsets = scan.trace_chunks.zero_offsets(lo, hi)
+    cand = np.add(offsets, np.uint32(lo), out=ws.get("cand", offsets.size))
     t = ws.get("t", cand.size)
     scan.trace(scan.ops.cube(cand, out=t), out=t)
     return cand[t == 0]

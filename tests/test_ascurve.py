@@ -6,11 +6,13 @@ from itertools import product
 
 import pytest
 
+from joubert2 import ascurve, checks, fastscan
 from joubert2.ascurve import (bound_inequality, curve_census, fiber_size,
                               genus_of, good_fiber_witness, rhs_value,
-                              trace_identity_check, weil_window)
+                              scalar_counts, trace_identity_check,
+                              weil_window)
 from joubert2.cubic import surface_census
-from joubert2.errors import BudgetError, DomainError
+from joubert2.errors import BudgetError, CheckFailed, DomainError
 from joubert2.ffield import FElt, make_ext, make_field, rel_frobenius
 from joubert2.fpoly import compress_poly, min_poly
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
@@ -23,6 +25,9 @@ PINNED = {
             weil_high=5633, good_points=2304, bad_points=1024),
     8: dict(n_affine=290816, n_smooth=290817, genus=56, weil_low=204801,
             weil_high=319489, good_points=258048, bad_points=32768),
+    16: dict(n_affine=15794176, n_smooth=15794177, genus=240,
+             weil_low=14811137, weil_high=18743297, good_points=14745600,
+             bad_points=1048576),
 }
 
 
@@ -72,6 +77,87 @@ class TestCensus:
         for q in (3, 6, 7):
             with pytest.raises(DomainError):
                 curve_census(q)
+
+
+class TestTowerCensus:
+    def test_tower_path_runs_at_small_q(self, monkeypatch):
+        # GF(2^6) and GF(2^12) multiply in the log regime, yet the census
+        # takes its products in the tower view all the same
+        calls = []
+        real = fastscan.Tower.mul_hi
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.h)
+            return real(self, *args, **kwargs)
+
+        for q, k in ((2, 1), (4, 2)):
+            scan = ascurve._ext_scan(2, k, 6)
+            assert scan.ops.regime == "log"
+            scan.tower  # built and sample-checked
+            monkeypatch.setattr(fastscan.Tower, "mul_hi", spy)
+            calls.clear()
+            c = curve_census(q)
+            assert (c.n_affine, c.bad_points) == (PINNED[q]["n_affine"],
+                                                  PINNED[q]["bad_points"])
+            assert calls == [3 * k]  # one chunk, in K = GF(2^(3k))
+
+    def test_dropped_cube_term_fails_the_trace_identity(self, monkeypatch):
+        # (1 + c) y1^3 planted away from the w-half of y^3, after the tower
+        # view's own sample check: the in-scan cross-check must see it
+        tower = ascurve._ext_scan(2, 3, 6).tower.tower
+        monkeypatch.setattr(tower, "c1_log", int(tower.log[0]))
+        with pytest.raises(CheckFailed,
+                           match="solvability differs from the trace"):
+            curve_census(8)
+        result = checks.check_curve(8)
+        assert result.outcome == "fail"
+        assert result.witness == {
+            "error": "solvability differs from the trace identity"}
+
+    @pytest.mark.parametrize("bit", [0, 17])
+    def test_flipped_frobenius_bit_fails(self, monkeypatch, bit):
+        # one bit of one composed tower-Frobenius image: the view's sample
+        # check raises when the view is built, and the census fails when
+        # the flip bypasses that check
+        real = fastscan._in_tower
+        hit = []
+
+        def planted(tower, lm, tower_out=True):
+            out = real(tower, lm, tower_out)
+            if hit or not tower_out:  # x -> x^q, not the trace
+                return out
+            hit.append(lm)
+            images = list(out.images)
+            images[5] ^= 1 << bit
+            return fastscan.LinearMap(images)
+
+        monkeypatch.setattr(fastscan, "_in_tower", planted)
+        scan = fastscan.ExtScan(make_ext(2, 3, 6))
+        with pytest.raises(fastscan.TableError, match="tower view"):
+            scan.tower
+        assert hit == [scan._frob[1]]
+        monkeypatch.undo()
+        tables = ascurve._census_tables(ascurve._ext_scan(2, 3, 6))
+        images = list(tables.view.frob.images)
+        images[5] ^= 1 << bit
+        monkeypatch.setattr(tables, "frob", fastscan.ChunkMap(
+            fastscan.LinearMap(images), 8**6))
+        with pytest.raises(CheckFailed):
+            curve_census(8)
+
+    def test_scalar_route_matches_the_census(self):
+        for q in (2, 4):
+            c = curve_census(q)
+            assert scalar_counts(q) == (c.n_affine, c.bad_points)
+
+    def test_curve_check_fails_on_a_planted_fiber_size(self, monkeypatch):
+        # the scalar route of check_curve shares no table with the census
+        monkeypatch.setattr(ascurve, "fiber_size", lambda c, ext: ext.q)
+        for q in (2, 4):
+            result = checks.check_curve(q)
+            assert result.outcome == "fail"
+            assert result.witness == {
+                "error": "scalar fiber count differs from the census"}
 
 
 class TestFibers:

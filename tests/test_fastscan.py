@@ -7,8 +7,8 @@ import pytest
 
 from joubert2 import checks, fastscan, ffield
 from joubert2.ascurve import curve_census
-from joubert2.errors import DomainError
-from joubert2.fastscan import ExtScan, Gf2Scan, LinearMap
+from joubert2.errors import CheckFailed, DomainError
+from joubert2.fastscan import CHUNK, ChunkMap, ExtScan, Gf2Scan, LinearMap
 from joubert2.ffield import make_ext, make_field
 from joubert2.jsearch import count_joubert_generators
 
@@ -196,6 +196,65 @@ def test_vector_tables_need_no_scalar_arithmetic(monkeypatch):
     with pytest.raises(AssertionError):
         exts[0].big.mul_val(2, 2)
     for ext in exts:
-        ExtScan(ext)
+        scan = ExtScan(ext)
+        scan.tower, scan.trace_chunks._classes
     for field in fields:
         Gf2Scan(field)
+
+
+@pytest.mark.parametrize("bits,total,narrow", [
+    (18, 3 * CHUNK + 1000, False),  # a partial last chunk
+    (20, 4 * CHUNK, True),
+    (10, 1000, False),  # order below CHUNK: one short chunk
+    (12, 4096, True)])
+def test_chunk_map_matches_the_window_gather(bits, total, narrow):
+    rng = np.random.default_rng(bits)
+    # a 24-bit map of rank at most 6, so that narrowing has bits to drop
+    # and each chunk holds many zeros
+    basis = rng.integers(0, 2**24, size=6).tolist()
+    masks = rng.integers(0, 64, size=bits).tolist()
+    lm = LinearMap(LinearMap(basis).scalar(mk) for mk in masks)
+    cm = ChunkMap(lm, total, narrow=narrow)
+    starts = sorted({0, (total // CHUNK // 2) * CHUNK,
+                     (total - 1) // CHUNK * CHUNK})
+    for lo in starts:
+        hi = min(lo + CHUNK, total)
+        vals = np.arange(lo, hi, dtype=np.uint32)
+        want = lm(vals)
+        zero = np.flatnonzero(want == 0)
+        assert np.array_equal(cm.zeros(lo, hi), want == 0)
+        assert np.array_equal(cm.zero_offsets(lo, hi), zero)
+        if narrow:
+            assert cm.table.dtype == np.uint8
+            assert np.array_equal(cm(lo, hi) == 0, want == 0)
+        else:
+            assert np.array_equal(cm(lo, hi), want)
+    with pytest.raises(CheckFailed, match="not aligned"):
+        cm(starts[-1] + 1, total)
+    with pytest.raises(CheckFailed, match="not aligned"):
+        cm.zeros(0, CHUNK + 1)
+
+
+def test_trace_chunks_class_the_trace():
+    scan = ExtScan(make_ext(2, 3, 6))
+    for lo in (0, 3 * CHUNK):
+        vals = np.arange(lo, lo + CHUNK, dtype=np.uint32)
+        zero = np.flatnonzero(scan.trace(vals) == 0)
+        got = scan.trace_chunks.zero_offsets(lo, lo + CHUNK)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, zero)
+
+
+def test_tower_of_gf2_30_is_built_on_first_use():
+    # q = 32: K = GF(2^15) is past the log regime, and GF(2^30) multiplies
+    # by shift-and-xor, so the tower exists only for the tower view
+    scan = ExtScan(make_ext(2, 5, 6, limit=2**30))
+    assert scan.ops.regime == "loop" and "tower" not in vars(scan)
+    tower = scan.tower.tower
+    assert tower.h == 15 > fastscan._LOG_MAX
+    rng = np.random.default_rng(30)
+    a = rng.integers(0, 2**30, size=500, dtype=np.uint64)
+    ta = tower.to_tower(a)
+    assert np.array_equal(scan.tower.frob(ta),
+                          tower.to_tower(scan.frob(a)))
+    assert np.array_equal(scan.tower.trace_hi(ta >> 15), scan.trace(a))

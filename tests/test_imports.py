@@ -136,8 +136,6 @@ def test_scan_catches_a_package_import_inside_a_function():
 # functions of the package that no program module references, each with the
 # reason it stays
 _UNREFERENCED_OK = {
-    "fiber_size": "ROADMAP item 2 scalar route",
-    "rhs_value": "ROADMAP item 2 scalar route",
     "parse_json": "README: manifest parse",
     "evaluate": "README: polynomial evaluation",
 }

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from joubert2 import (BudgetError, DomainError, checks, jsearch, make_ext,
@@ -110,18 +112,38 @@ def _fixes_t(poly):
     return poly.degree > 0 and cur == t % poly
 
 
-@pytest.mark.parametrize("q", [4, 8])
+@pytest.mark.parametrize("q", [4, 8, 3, 5])
 def test_enum_check_fails_on_a_gcdless_irreducibility_test(monkeypatch, q):
     # without its gcd condition the test also admits products of distinct
     # irreducibles of degrees dividing 6 (84 and 1960 sextics, not 24 and
-    # 672); the enumeration and its re-test of polys[:32] share the plant,
-    # so only the root-side count can see it
+    # 672, at q = 4 and 8; 26, not 12, at q = 3); the enumeration and its
+    # re-test of polys[:32] share the plant, so only a second route can see
+    # it: the root-side count for q = 2^k, Berlekamp's criterion for odd q
     monkeypatch.setattr(jsearch, "is_irreducible", _fixes_t)
     monkeypatch.setattr(checks, "is_irreducible", _fixes_t)
     result = checks.check_generator_enum(q)
     assert result.outcome == "fail"
-    assert result.witness == {
-        "error": "sextic count disagrees with the root-side count"}
+    assert result.witness == {"error": (
+        "sextic count disagrees with the root-side count" if q % 2 == 0
+        else "sextic list disagrees with Berlekamp's criterion")}
+
+
+@pytest.mark.parametrize("q,count", [(3, 12), (5, 100)])
+def test_enum_check_runs_berlekamp_for_odd_q(q, count):
+    result = checks.check_generator_enum(q)
+    assert result.outcome == "pass"
+    assert result.witness["count"] == count
+    assert result.witness["routes"] == ["rabin", "berlekamp"]
+
+
+def test_berlekamp_agrees_with_rabin():
+    # every monic polynomial of degree 2-4 over GF(2), GF(3) and GF(4)
+    for p, k in ((2, 1), (3, 1), (2, 2)):
+        field = make_field(p, k)
+        for d in (2, 3, 4):
+            for low in product(range(field.order), repeat=d):
+                f = UPoly(field, list(low) + [1])
+                assert checks._berlekamp_irreducible(f) == is_irreducible(f)
 
 
 def test_split_prime_power():
