@@ -123,6 +123,16 @@ def check_generator_search(q: int, budget: int | None = None,
         {"q": q}, body)
 
 
+def _squarefree(f: UPoly) -> bool:
+    """Whether gcd(f, f') = 1, by Euclid on UPoly arithmetic."""
+    field, a = f.field, f
+    b = UPoly(field, [field.mul_val(i % field.p, c)
+                      for i, c in enumerate(f.coeffs)][1:])
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.degree == 0
+
+
 def _berlekamp_irreducible(f: UPoly) -> bool:
     """Berlekamp's criterion (E. R. Berlekamp, Bell Syst. Tech. J. 46,
     1967; Knuth, TAOCP vol. 2, 4.6.2): f of degree d over GF(Q) is
@@ -131,12 +141,7 @@ def _berlekamp_irreducible(f: UPoly) -> bool:
     squarefree f.  It runs on UPoly arithmetic, not on the coefficient
     lists of Rabin's test."""
     field, d = f.field, f.degree
-    a = f
-    b = UPoly(field, [field.mul_val(i % field.p, c)
-                      for i, c in enumerate(f.coeffs)][1:])
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.degree != 0:
+    if not _squarefree(f):
         return False
     tq = UPoly(field, [0] * field.order + [1]) % f
     row, rows = UPoly(field, [1]), []
@@ -159,14 +164,14 @@ def check_generator_enum(q: int, budget: int | None = None,
         if p == 2 and 6 * k <= 32:
             roots = jsearch.count_joubert_generators(
                 q, budget=budget, threads=threads).count
+        # the divisor sieve lists them; Rabin's test re-tests each one
         polys = jsearch.enumerate_joubert_polys(q, budget=budget)
         for f in polys:
             require(f.degree == 6 and f.is_monic(), "not a monic sextic")
             require(f.coeff(5) == 0 and f.coeff(3) == 0,
                     "nonzero t^5 or t^3 coefficient")
-        for f in polys[:32]:
             require(is_irreducible(f), "sextic is reducible")
-        routes = ["rabin"]
+        routes = ["sieve", "rabin"]
         if roots is None:
             # no root side: a second criterion over every candidate
             field = make_field(p, k)

@@ -144,6 +144,23 @@ def _monic(field: FieldDesc, a: list[int]) -> list[int]:
     return [field.mul_val(inv, c) for c in a]
 
 
+def _frobenius_matrix(field: FieldDesc, f: list[int]) -> list[list[int]]:
+    """Columns t^(jQ) mod f, j < d, of monic f of degree d >= 2 over
+    `field` (of order Q); t^Q comes by square-and-multiply."""
+    d = len(f) - 1
+    tq, base, e = [1], [0, 1] + [0] * (d - 2), field.order
+    while e:
+        if e & 1:
+            tq = _mulmod(field, tq, base, f)
+        e >>= 1
+        if e:
+            base = _mulmod(field, base, base, f)
+    cols = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        cols.append(_mulmod(field, cols[-1], tq, f))
+    return cols
+
+
 def is_irreducible_over(field: FieldDesc, coeffs) -> bool:
     """Whether f = sum(coeffs[i] t^i), coefficients packed values of
     `field` (of order Q), is irreducible over `field` (Rabin, 1980).
@@ -161,16 +178,7 @@ def is_irreducible_over(field: FieldDesc, coeffs) -> bool:
         return d == 1
     f = _monic(field, f)
     t = [0, 1] + [0] * (d - 2)
-    tq, base, e = [1], t, field.order  # t^Q by square-and-multiply
-    while e:
-        if e & 1:
-            tq = _mulmod(field, tq, base, f)
-        e >>= 1
-        if e:
-            base = _mulmod(field, base, base, f)
-    cols = [[1] + [0] * (d - 1)]
-    for _ in range(d - 1):
-        cols.append(_mulmod(field, cols[-1], tq, f))
+    cols = _frobenius_matrix(field, f)
     add, mul = field.add_val, field.mul_val
     cur = t
     for i in range(1, d + 1):

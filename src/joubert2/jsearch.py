@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, require
-from .ffield import (ExtDesc, FElt, check_budget, make_ext, make_field,
-                     prime_divisors, require_odd_prime)
+from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
+                     make_field, prime_divisors, require_odd_prime)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .sigma import is_generator, is_joubert
@@ -161,21 +162,74 @@ def count_joubert_generators(q: int, budget: int | None = None,
                         scanned=ext.big.order)
 
 
+def _sieve(field: FieldDesc, top: int, exps: tuple[int, ...],
+           divisors) -> bytearray:
+    """Marks, among the monic f = t^top + sum x_i t^exps[i] over `field`
+    (indexed by the packed (x_0, x_1, ...) in ascending order), those that
+    some monic g in `divisors` (coefficient lists) divides.
+
+    Every g must have a degree e < len(exps), and the last e exponents
+    must be e - 1, ..., 0.  Then t^j mod g = t^j for them, so f = 0 mod g
+    is e linear equations that fix the last e coordinates from the others,
+    and g crosses out q^(len(exps) - e) polynomials.
+    """
+    q = field.order
+    add, mul, sub = field.add_val, field.mul_val, field.sub_val
+    marks = bytearray(q ** len(exps))
+    for g in divisors:
+        e = len(g) - 1
+        free = len(exps) - e
+        npw = [[field.neg_val(1)] + [0] * (e - 1)]  # -t^j mod g
+        for _ in range(top):
+            cur = npw[-1]  # times t, then t^e replaced by t^e - g
+            npw.append([sub(x, mul(cur[-1], y))
+                        for x, y in zip([0] + cur[:-1], g)])
+        # (packed free coordinates but the last, the fixed part they give)
+        rows = [(0, npw[top])]
+        for j in exps[:free - 1]:
+            steps = [[mul(x, y) for y in npw[j]] for x in range(q)]
+            rows = [(off * q + x, [add(u, v) for u, v in zip(res, step)])
+                    for off, res in rows for x, step in enumerate(steps)]
+        # the last free coordinate: the offsets of its q polynomials depend
+        # only on the fixed part so far, which takes at most q^e values
+        steps = [[mul(x, y) for y in npw[exps[free - 1]]] for x in range(q)]
+        memo = {}
+        for off, res in rows:
+            key = tuple(res)
+            if key not in memo:
+                memo[key] = [_pack([add(u, v) for u, v in zip(res, step)], q)
+                             + x * q**e for x, step in enumerate(steps)]
+            base = off * q ** (e + 1)
+            for i in memo[key]:
+                marks[base + i] = 1
+    return marks
+
+
 def enumerate_joubert_polys(q: int, budget: int | None = None) -> list[UPoly]:
     """All irreducible monic sextics t^6 + a t^4 + b t^2 + c t + d over F_q,
-    ordered by ascending (a, b, c, d) packed-value tuples."""
+    ordered by ascending (a, b, c, d) packed-value tuples.
+
+    A reducible sextic has a monic irreducible factor of degree at most 3,
+    so the sextics are sieved by every monic linear, and by the quadratics
+    and cubics with no root, which the same sieve finds by the linears and
+    which must number (q^2 - q)/2 and (q^3 - q)/3 (Gauss).
+    """
     p, k = _split_prime_power(q)
     check_budget("q^4", q**4, budget)
     field = make_field(p, k)
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    poly = UPoly(field, [d, c, b, 0, a, 0, 1])
-                    if is_irreducible(poly):
-                        out.append(poly)
-    return out
+    linears = [[r, 1] for r in range(q)]
+    divisors = list(linears)
+    for e in (2, 3):
+        marks = _sieve(field, e, tuple(range(e - 1, -1, -1)), linears)
+        found = [[*x[::-1], 1] for x, m in zip(product(range(q), repeat=e),
+                                              marks) if not m]
+        require(e * len(found) == q**e - q,
+                f"{len(found)} irreducibles of degree {e}, not (q^{e}-q)/{e}")
+        divisors += found
+    marks = _sieve(field, 6, (4, 2, 1, 0), divisors)
+    return [UPoly(field, [d, c, b, 0, a, 0, 1])
+            for (a, b, c, d), m in zip(product(range(q), repeat=4), marks)
+            if not m]
 
 
 def hermite_search(q: int, budget: int | None = None) -> SearchReport:

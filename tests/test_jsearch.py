@@ -1,12 +1,17 @@
+import json
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from joubert2 import (BudgetError, DomainError, checks, jsearch, make_ext,
-                      make_field)
+from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
+                      make_ext, make_field)
 from joubert2.ascurve import (curve_census, good_fiber_witness,
                               trace_identity_check)
 from joubert2.cubic import surface_census
+from joubert2.errors import CheckFailed
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -21,6 +26,8 @@ from joubert2.jsearch import (
     hermite_search,
 )
 from joubert2.sigma import is_joubert, sigma_profile
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_find_q2_pinned_witness():
@@ -81,10 +88,43 @@ def test_enumerate_invariants():
             assert is_irreducible(p)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_sieve_equals_the_rabin_filter(q):
+    field = make_field(*jsearch._split_prime_power(q))
+    rabin = [f for f in (UPoly(field, [d, c, b, 0, a, 0, 1])
+                         for a, b, c, d in product(range(q), repeat=4))
+             if is_irreducible(f)]
+    assert enumerate_joubert_polys(q) == rabin
+
+
+def test_enumerate_q16_matches_the_root_side_count():
+    # 57600 Joubert generators of GF(2^24)/GF(16), six per sextic
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        assert json.load(fh)["scan"]["16"] == 57600
+    polys = enumerate_joubert_polys(16)
+    assert len(polys) == 9600
+    assert 6 * len(polys) == count_joubert_generators(16).count == 57600
+
+
+def test_sieve_requires_gauss_counts(monkeypatch):
+    # a root marking that skips the root 0 keeps t^2 and t^3 + t^2 (and
+    # more) among the "irreducible" quadratics and cubics
+    real = jsearch._sieve
+
+    def planted(field, top, exps, divisors):
+        if top < 6:
+            divisors = divisors[1:]
+        return real(field, top, exps, divisors)
+
+    monkeypatch.setattr(jsearch, "_sieve", planted)
+    with pytest.raises(CheckFailed, match="irreducibles of degree 2"):
+        enumerate_joubert_polys(3)
+
+
 def test_enum_check_fails_on_a_planted_non_monic_sextic(monkeypatch):
     # t times the last GF(8) sextic: still degree 6 with zero t^5 and t^3
-    # terms, past the irreducibility re-test of polys[:32]; only the monic
-    # claim can catch it
+    # terms, and still irreducible, so Rabin's re-test passes it; only the
+    # monic claim can catch it
     real = jsearch.enumerate_joubert_polys
 
     def planted(q, budget=None):
@@ -112,20 +152,135 @@ def _fixes_t(poly):
     return poly.degree > 0 and cur == t % poly
 
 
+# Plants for `joubert-enum`: each takes a setattr (monkeypatch.setattr) and
+# breaks one route.
+
+def _cubicless_sieve(patch):
+    # the sieve without its cubic divisors also lists the products of two
+    # irreducible cubics
+    real = jsearch._sieve
+
+    def planted(field, top, exps, divisors):
+        return real(field, top, exps, [g for g in divisors if len(g) < 4])
+
+    patch(jsearch, "_sieve", planted)
+
+
+def _gcdless_retest(patch):
+    patch(checks, "is_irreducible", _fixes_t)
+
+
+def _corrupt_frobenius_entry(patch):
+    # the t coefficient of t^Q mod f, off by 1, in every Frobenius matrix
+    # that Rabin's test builds: the re-test then rejects every sextic at
+    # q = 3 and 4 (the constant coefficient off by 1 instead only admits
+    # reducible sextics, which a re-test of the sieve's list cannot meet)
+    real = ffield._frobenius_matrix
+
+    def planted(field, f):
+        cols = real(field, f)
+        cols[1][1] = field.add_val(cols[1][1], 1)
+        return cols
+
+    patch(ffield, "_frobenius_matrix", planted)
+
+
+def _squarefreeless_berlekamp(patch):
+    # the rank test alone also admits the powers of one irreducible: t^6
+    # at every odd q, and (t^2 + 1)^3 = t^6 + 1 at q = 3
+    patch(checks, "_squarefree", lambda f: True)
+
+
+def _dropped_candidate(patch):
+    real = jsearch.enumerate_joubert_polys
+
+    def planted(q, budget=None):
+        polys = real(q, budget=budget)
+        del polys[len(polys) // 2]
+        return polys
+
+    patch(jsearch, "enumerate_joubert_polys", planted)
+
+
+ENUM_PLANTS = {
+    "cubicless-sieve": (_cubicless_sieve,),
+    "cubicless-sieve+gcdless-retest": (_cubicless_sieve, _gcdless_retest),
+    "frobenius-entry": (_corrupt_frobenius_entry,),
+    "squarefreeless-berlekamp": (_squarefreeless_berlekamp,),
+    "dropped-candidate": (_dropped_candidate,),
+}
+
+BERLEKAMP = "sextic list disagrees with Berlekamp's criterion"
+
+# (plant, q) -> the error that the check reports
+ENUM_PLANT_ERRORS = {
+    **{("cubicless-sieve", q): "sextic is reducible" for q in (3, 4, 5, 8)},
+    # in characteristic 2 the squares of the irreducible cubics also have
+    # zero t^5 and t^3 terms, and they are not squarefree, so the gcd-less
+    # re-test still rejects them; at odd q only Berlekamp's list sees the
+    # products of two distinct cubics
+    **{("cubicless-sieve+gcdless-retest", q): (
+        "sextic is reducible" if q % 2 == 0 else BERLEKAMP)
+       for q in (4, 8, 3, 5)},
+    **{("frobenius-entry", q): "sextic is reducible" for q in (3, 4)},
+    **{("squarefreeless-berlekamp", q): BERLEKAMP for q in (3, 5)},
+    ("dropped-candidate", 3): BERLEKAMP,
+    ("dropped-candidate", 8): "generator count is not a multiple of q^2 - q",
+}
+
+
+def _plant(patch, name):
+    for plant in ENUM_PLANTS[name]:
+        plant(patch)
+
+
 @pytest.mark.parametrize("q", [4, 8, 3, 5])
 def test_enum_check_fails_on_a_gcdless_irreducibility_test(monkeypatch, q):
-    # without its gcd condition the test also admits products of distinct
-    # irreducibles of degrees dividing 6 (84 and 1960 sextics, not 24 and
-    # 672, at q = 4 and 8; 26, not 12, at q = 3); the enumeration and its
-    # re-test of polys[:32] share the plant, so only a second route can see
-    # it: the root-side count for q = 2^k, Berlekamp's criterion for odd q
-    monkeypatch.setattr(jsearch, "is_irreducible", _fixes_t)
-    monkeypatch.setattr(checks, "is_irreducible", _fixes_t)
+    # the gcd-less Rabin test in the re-test of a sieve without its cubic
+    # divisors
+    name = "cubicless-sieve+gcdless-retest"
+    _plant(monkeypatch.setattr, name)
     result = checks.check_generator_enum(q)
     assert result.outcome == "fail"
-    assert result.witness == {"error": (
-        "sextic count disagrees with the root-side count" if q % 2 == 0
-        else "sextic list disagrees with Berlekamp's criterion")}
+    assert result.witness == {"error": ENUM_PLANT_ERRORS[name, q]}
+
+
+SINGLE_PLANTS = [key for key in ENUM_PLANT_ERRORS if "+" not in key[0]]
+
+
+@pytest.mark.parametrize("name,q", SINGLE_PLANTS,
+                         ids=[f"{n}-{q}" for n, q in SINGLE_PLANTS])
+def test_enum_check_fails_on_a_plant(monkeypatch, name, q):
+    _plant(monkeypatch.setattr, name)
+    result = checks.check_generator_enum(q)
+    assert result.outcome == "fail"
+    assert result.witness == {"error": ENUM_PLANT_ERRORS[name, q]}
+
+
+def test_enum_plants_fail_under_optimize():
+    # every plant in a `python -O` process, after an unplanted pass at each
+    # q, with the same errors
+    qs = sorted({q for _, q in ENUM_PLANT_ERRORS})
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+        "import pytest\n"
+        "import test_jsearch as t\n"
+        "from joubert2 import checks\n"
+        f"for q in {qs!r}:\n"
+        "    print(checks.check_generator_enum(q).outcome)\n"
+        "for name, q in t.ENUM_PLANT_ERRORS:\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        t._plant(mp.setattr, name)\n"
+        "        r = checks.check_generator_enum(q)\n"
+        "    print(r.outcome, r.witness.get('error'))\n"
+        "print(sys.flags.optimize)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines() == (
+        ["pass"] * len(qs)
+        + [f"fail {error}" for error in ENUM_PLANT_ERRORS.values()]
+        + ["1"]), proc.stderr
 
 
 @pytest.mark.parametrize("q,count", [(3, 12), (5, 100)])
@@ -133,7 +288,7 @@ def test_enum_check_runs_berlekamp_for_odd_q(q, count):
     result = checks.check_generator_enum(q)
     assert result.outcome == "pass"
     assert result.witness["count"] == count
-    assert result.witness["routes"] == ["rabin", "berlekamp"]
+    assert result.witness["routes"] == ["sieve", "rabin", "berlekamp"]
 
 
 def test_berlekamp_agrees_with_rabin():
