@@ -15,18 +15,19 @@ import random
 import sys
 import time
 import traceback
+from array import array
 from itertools import product
 
 from . import ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError, require
 from .fastscan import Workspace, run_chunked
-from .ffield import FElt, make_ext, make_field
+from .ffield import FElt, TableOps, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
                     format_poly, is_irreducible, parse_poly)
 from .gflinalg import rref
 from .jsearch import _ext_scan
 from .report import CheckResult
-from .sigma import is_joubert, power_traces, sigma_profile
+from .sigma import is_joubert, power_traces, sigma_profile, sigma_profiles
 
 import numpy as np
 
@@ -72,20 +73,27 @@ def check_shape_census(budget: int | None = None,
 
 def check_named_polynomials(budget: int | None = None,
                             threads: int = 1) -> CheckResult:
+    def irreducible(poly: UPoly) -> bool:
+        # Rabin's verdict, required to agree with Berlekamp's criterion
+        verdict = is_irreducible(poly)
+        require(_berlekamp_irreducible(poly) == verdict,
+                "Rabin's and Berlekamp's criteria disagree")
+        return verdict
+
     def body():
         f2 = make_field(2, 1, limit=budget)
-        require(is_irreducible(parse_poly("t^6+t+1", f2)),
+        require(irreducible(parse_poly("t^6+t+1", f2)),
                 "t^6+t+1 is reducible over GF(2)")
         f4 = make_field(2, 2, limit=budget)
         quartic_alphas = []
         for a in (2, 3):  # the two elements outside GF(2)
             poly = UPoly(f4, (a, 1, 1, 0, 0, 0, 1))
-            require(is_irreducible(poly),
+            require(irreducible(poly),
                     "quartic-alpha sextic is reducible over GF(4)")
             quartic_alphas.append(format_poly(poly))
         f8 = make_field(2, 3, limit=budget)
         betas = [b for b in range(2, 8)
-                 if is_irreducible(UPoly(f8, (b, 1, 0, 0, 0, 0, 1)))]
+                 if irreducible(UPoly(f8, (b, 1, 0, 0, 0, 0, 1)))]
         require(betas, "no constant term in GF(8) - GF(2) works")
         return {"gf2": "t^6+t+1", "gf4": quartic_alphas,
                 "gf8_betas": [format_poly(UPoly(f8, (b,))) for b in betas]}
@@ -388,6 +396,7 @@ def check_curve_bounds(budget: int | None = None,
 def check_newton_identities(budget: int | None = None,
                             threads: int = 1) -> CheckResult:
     def between(y, ext):
+        # the scalar route: sigma_profile, power_traces and FElt arithmetic
         prof = sigma_profile(y, ext)
         big = ext.big
         s1 = FElt(big, prof.sigma(1))
@@ -395,8 +404,32 @@ def check_newton_identities(budget: int | None = None,
         rhs = s1**3 - 3 * s1 * s2
         if ext.n >= 3:
             rhs = rhs + 3 * FElt(big, prof.sigma(3))
-        require(power_traces(y, ext, 3)[2] == rhs.val,
+        tr3 = power_traces(y, ext, 3)[2]
+        require(tr3 == rhs.val, "Tr(y^3) differs from s1^3 - 3 s1 s2 + 3 s3")
+        return prof.sigmas, tr3
+
+    def batched(ext, vals):
+        # the array route: sigma_profiles and gathers in the trace table
+        ops = TableOps(ext.big)
+        y = np.asarray(vals, dtype=np.intp)
+        sig = sigma_profiles(y, ext, ops)
+        tr3 = np.asarray(ext.whole_table("trace"))[ops.mul(ops.mul(y, y), y)]
+        s1, s2, three = sig[0], sig[1], 3 % ext.big.p
+        rhs = ops.sub(ops.mul(ops.mul(s1, s1), s1),
+                      ops.mul(three, ops.mul(s1, s2)))
+        if ext.n >= 3:
+            rhs = ops.add(rhs, ops.mul(three, sig[2]))
+        require(np.array_equal(tr3, rhs),
                 "Tr(y^3) differs from s1^3 - 3 s1 s2 + 3 s3")
+        return sig, tr3
+
+    def audit(ext, vals, picks):
+        # both routes must give the same sigmas and Tr(y^3) at each pick
+        sig, tr3 = batched(ext, vals)
+        for j in picks:
+            require(between(FElt(ext.big, vals[j]), ext)
+                    == (tuple(sig[:, j].tolist()), tr3[j]),
+                    "batched profile differs from the scalar one")
 
     def body():
         fulls = [make_ext(p, k, n, limit=budget)
@@ -405,16 +438,17 @@ def check_newton_identities(budget: int | None = None,
                  for p, k, n in ((2, 1, 12), (3, 1, 5), (5, 1, 6))]
         exhaustive = {}
         for ext in fulls:
-            for v in range(ext.big.order):
-                between(FElt(ext.big, v), ext)
+            audit(ext, range(ext.big.order), range(ext.big.order))
             exhaustive[f"GF({ext.big.p}^{ext.big.m})"] = ext.big.order
         rng = random.Random(99991)
-        sampled = 0
-        for _ in range(10000):
-            ext = pools[sampled % len(pools)]
-            between(FElt(ext.big, rng.randrange(ext.big.order)), ext)
-            sampled += 1
-        return {"exhaustive": exhaustive, "sampled": sampled}
+        drawn = [array("l") for _ in pools]  # packed, not 10000 int objects
+        for i in range(10000):
+            k = i % len(pools)
+            drawn[k].append(rng.randrange(pools[k].big.order))
+        picks = random.Random(2014)
+        for ext, vals in zip(pools, drawn):
+            audit(ext, vals, picks.sample(range(len(vals)), 64))
+        return {"exhaustive": exhaustive, "sampled": sum(map(len, drawn))}
 
     return _run(
         "newton-identities",

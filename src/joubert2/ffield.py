@@ -9,7 +9,8 @@ has one arithmetic backend, fixed by its order:
 - GF(p^m) with m > 1 and at most _TABLE_MAX elements, any p: log/antilog
   tables for products, quotients and powers, and Zech logarithms for sums
   in odd characteristic (Lidl & Niederreiter, *Finite Fields*, ch. 9),
-  built with the field;
+  built with the field; `TableOps` runs the same tables on whole numpy
+  arrays;
 - larger fields: carry-less products of machine integers for p = 2, digit
   vectors reduced by the modulus for odd p.
 
@@ -420,7 +421,7 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]):
     g = next(g for g in range(p, q)  # values below p lie in GF(p)
              if all(slow.pow_val(g, n // r) != 1 for r in prime_divisors(n)))
     acc = np.zeros_like(digits)
-    for c in reversed(_unpack(g, p, m)):  # Horner in t
+    for c in reversed(_strip(_unpack(g, p, m))):  # Horner, top digit first
         acc = (times_t(acc) + c * digits) % p
     times_g = (acc @ weights).tolist()
     powers = [1]
@@ -490,6 +491,52 @@ class _TableField(FieldDesc):
         if e < 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         return 0 if e else 1
+
+
+class TableOps:
+    """Whole-array arithmetic on the packed values of one table field, from
+    its own log/exp/Zech tables: a product is exp[log a + log b], a sum
+    g^(la + zech[lb - la]) with zero terms taken apart, a difference the
+    sum with exp[log b + log(-1)]; in characteristic 2 sums and
+    differences are xors.  Verified against add_val, sub_val and mul_val on
+    a seeded sample when built."""
+
+    def __init__(self, field: FieldDesc):
+        if not isinstance(field, _TableField):
+            raise DomainError(f"{field!r} has no log tables")
+        self.field = field
+        self.exp, self.log, self.zech = (
+            np.asarray(t).astype(np.int32)
+            for t in (field._exp, field._log, field._zech))
+        rng = random.Random(2014)
+        pairs = [(0, 0), (0, 1), (1, 0), (1, field.neg_val(1))] + [
+            (rng.randrange(field.order), rng.randrange(field.order))
+            for _ in range(252)]
+        a, b = (np.array(x) for x in zip(*pairs))
+        for name in ("add", "sub", "mul"):
+            ref = getattr(field, name + "_val")
+            if getattr(self, name)(a, b).tolist() != [ref(x, y)
+                                                      for x, y in pairs]:
+                raise TableError(f"batched {name} of {field!r} disagrees "
+                                 f"with {name}_val")
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def neg(self, a):
+        if self.field.p == 2:
+            return a
+        return self.exp[self.log[a] + self.field._log_neg1]
+
+    def add(self, a, b):
+        if self.field.p == 2:
+            return a ^ b
+        la, lb = self.log[a], self.log[b]
+        s = self.exp[la + self.zech[(lb - la) % (self.field.order - 1)]]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
 
 class _Char2:
@@ -765,6 +812,14 @@ class ExtDesc:
 
     def trace_val(self, v: int) -> int:
         return self._trace(v)
+
+    def whole_table(self, key: str) -> array:
+        """The verified map `key` ("frob" or "trace") as its one table over
+        the whole field, entry v the image of v; only a big field of at
+        most _TABLE_MAX elements has one."""
+        if self.big.order > _TABLE_MAX:
+            raise DomainError(f"{self!r} has no whole-field {key} table")
+        return (self._frob if key == "frob" else self._trace).__self__
 
     def _trace_by_powers(self, v: int) -> int:
         acc = 0

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gflinalg
 from .errors import CheckFailed, DomainError, require
 from .ffield import (FieldDesc, _pack, _unpack, check_budget, make_field,
@@ -346,36 +348,34 @@ def brute_force_oracle(g: GroupG, field: FieldDesc,
     in the variety, the list of invariant planes found).
 
     Enumerates canonical reduced bases directly: pivot columns j1 < j2, free
-    entries right of the pivots.  Independent of the structured enumeration.
+    entries right of the pivots, each pivot pair swept as whole digit
+    arrays in slices of at most _SLICE assignments.  Independent of the
+    structured enumeration.
     """
     total = count_2planes(g.n, field.order)
     check_budget("2-plane count", total, budget)
+    # xor is the subtraction only in characteristic 2, and the product
+    # indices c q + x of uint8 digits stay below 256 only for q <= 16
+    require(field.p == 2 and field.order <= 16,
+            "the sweep needs GF(2^d) with d <= 4")
     variety = PowerSumVariety(field=field, p=g.p)
     q = field.order
     n = g.n
+    mul = _product_table(field)
     found = []
     excluded = True
     seen = 0
     for j1 in range(n):
         for j2 in range(j1 + 1, n):
-            free1 = [c for c in range(j1 + 1, n) if c != j2]
-            free2 = list(range(j2 + 1, n))
-            nfree = len(free1) + len(free2)
-            for assign in range(q**nfree):
-                row1 = [0] * n
-                row2 = [0] * n
-                row1[j1] = 1
-                row2[j2] = 1
-                a = assign
-                for c in free1:
-                    row1[c] = a % q
-                    a //= q
-                for c in free2:
-                    row2[c] = a % q
-                    a //= q
-                seen += 1
-                if _is_invariant_fast(g, field, row1, row2, j1, j2):
-                    plane = InvPlane(basis=(tuple(row1), tuple(row2)),
+            size = q ** (2 * n - j1 - j2 - 3)  # q^(free entries)
+            for lo in range(0, size, _SLICE):
+                row1, row2 = _pivot_rows(n, q, j1, j2, lo,
+                                         min(lo + _SLICE, size))
+                seen += row1.shape[1]
+                mask = _invariant_mask(g, mul, row1, row2, j1, j2)
+                for k in np.flatnonzero(mask):
+                    plane = InvPlane(basis=(tuple(row1[:, k].tolist()),
+                                            tuple(row2[:, k].tolist())),
                                      origin="brute-force")
                     found.append(plane)
                     if _exclude_plane(plane, variety, field) is None:
@@ -384,20 +384,43 @@ def brute_force_oracle(g: GroupG, field: FieldDesc,
     return excluded, found
 
 
-def _is_invariant_fast(g: GroupG, field: FieldDesc, row1, row2,
-                       j1: int, j2: int) -> bool:
-    # membership against the two pivot columns, no general reduction needed
+#: Most assignments of one pivot pair that the sweep holds at once.
+_SLICE = 2**12
+
+
+def _product_table(field: FieldDesc) -> np.ndarray:
+    """The q x q products of `field` by mul_val, as uint8 digits."""
+    q = field.order
+    return np.array([[field.mul_val(c, x) for x in range(q)]
+                     for c in range(q)], dtype=np.uint8)
+
+
+def _pivot_rows(n: int, q: int, j1: int, j2: int, lo: int, hi: int):
+    """Reduced bases with pivots j1 < j2 for the assignments lo..hi-1 of the
+    free entries, as two (n, hi - lo) uint8 digit arrays: digit k of an
+    assignment fills the k-th free entry, those of the first row first."""
+    free = ([(0, c) for c in range(j1 + 1, n) if c != j2]
+            + [(1, c) for c in range(j2 + 1, n)])
+    rows = np.zeros((2, n, hi - lo), dtype=np.uint8)
+    rows[0, j1] = rows[1, j2] = 1
+    assign = np.arange(lo, hi)
+    for k, (r, c) in enumerate(free):
+        rows[r, c] = assign // q**k % q
+    return rows[0], rows[1]
+
+
+def _invariant_mask(g: GroupG, mul: np.ndarray, row1, row2, j1: int,
+                    j2: int) -> np.ndarray:
+    """For each column of the digit arrays row1, row2 (pivots j1 < j2),
+    whether the span of its two rows is G-stable: each moved row must be
+    c1 row1 + c2 row2 for c1, c2 its entries at the pivots, and the
+    residual of that is an xor in characteristic 2.  mul.take reads the
+    flattened q x q table, so entry c q + x is c x."""
+    q = len(mul)
+    ok = np.ones(row1.shape[1], dtype=bool)
     for perm in g.gens:
         for row in (row1, row2):
-            moved = [row[perm[i]] for i in range(len(perm))]
-            c1, c2 = moved[j1], moved[j2]
-            for i, x in enumerate(moved):
-                t = field.sub_val(
-                    x, field.add_val(field.mul_val(c1, row1[i]),
-                                     field.mul_val(c2, row2[i])))
-                if t:
-                    break
-            else:
-                continue
-            return False
-    return True
+            moved = row[list(perm)]
+            ok &= ~(moved ^ mul.take(moved[j1] * q + row1)
+                    ^ mul.take(moved[j2] * q + row2)).any(axis=0)
+    return ok

@@ -6,14 +6,20 @@ read off the characteristic polynomial: char(t) = t^n - s_1 t^(n-1) + ...
 + (-1)^n s_n, so s_i = (-1)^i * coeff(t^(n-i)).  An element is a "Joubert
 generator" when it generates L over K and s_1 = s_3 = 0; its minimal
 polynomial then has zero coefficients in the two relevant positions.
+
+`sigma_profiles` takes the profiles of many elements of a field of at most
+2^14 elements at once, on one numpy array per coefficient; `sigma_profile`
+is the scalar route for one element of any field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, require
-from .ffield import ExtDesc, FElt
+from .ffield import ExtDesc, FElt, TableOps
 from .fpoly import char_poly, conjugates
 
 
@@ -51,6 +57,37 @@ def sigma_profile(y: FElt, ext: ExtDesc) -> SigmaProfile:
     require(all(ext.frob_val(s) == s for s in sig),
             "sigma left the base field")
     return SigmaProfile(ext, tuple(sig))
+
+
+def _poly_from_roots(ops: TableOps, roots) -> list:
+    """fpoly.poly_from_roots on one array per coefficient: the coefficient
+    arrays, low first, of the product of t - r over the root arrays."""
+    c = [np.ones_like(roots[0])]
+    for r in roots:
+        c.append(c[-1])
+        for i in range(len(c) - 2, 0, -1):
+            c[i] = ops.sub(c[i - 1], ops.mul(r, c[i]))
+        c[0] = ops.neg(ops.mul(r, c[0]))
+    return c
+
+
+def sigma_profiles(vals, ext: ExtDesc, ops: TableOps | None = None
+                   ) -> np.ndarray:
+    """Profiles of many elements of a big field of at most 2^14 elements:
+    row i - 1 of the (n, len(vals)) result holds s_i of every value.  The
+    n conjugates (with multiplicity) are gathers in the verified Frobenius
+    table, and the characteristic polynomial is their product."""
+    frob = np.asarray(ext.whole_table("frob"))
+    ops = TableOps(ext.big) if ops is None else ops
+    roots = [np.asarray(vals, dtype=np.intp)]
+    for _ in range(ext.n - 1):
+        roots.append(frob[roots[-1]])
+    c = _poly_from_roots(ops, roots)
+    n = ext.n
+    sig = np.array([ops.neg(c[n - i]) if i % 2 else c[n - i]
+                    for i in range(1, n + 1)])
+    require(np.array_equal(frob[sig], sig), "sigma left the base field")
+    return sig
 
 
 def is_generator(y: FElt, ext: ExtDesc) -> bool:

@@ -6,6 +6,8 @@ and prints one PASS/FAIL line straight to the terminal.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 from joubert2 import checks
@@ -191,6 +193,18 @@ def test_10_verify_all_determinism(capsys, tmp_path):
             path = tmp_path / f"manifest-t{t}.json"
             assert main(["verify-all", "--format", "json", "--threads", t,
                          "--out", str(path)]) == 0
+            assert strip_timing(path.read_text(encoding="utf-8")) == recorded
+        # the same two runs in one `python -O` process
+        code = ("import sys\n"
+                "from joubert2.cli import main\n"
+                f"print([main(['verify-all', '--format', 'json', '--threads', "
+                f"t, '--out', {str(tmp_path)!r} + '/manifest-O-t' + t + "
+                f"'.json']) for t in '12'], sys.flags.optimize)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.stdout.splitlines()[-1:] == ["[0, 0] 1"], proc.stderr
+        for t in ("1", "2"):
+            path = tmp_path / f"manifest-O-t{t}.json"
             assert strip_timing(path.read_text(encoding="utf-8")) == recorded
 
     _criterion(capsys, "10 verify-all thread determinism", None, body)

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from joubert2 import (
     rel_trace,
 )
 from joubert2 import ffield
-from joubert2.ffield import _pack, _unpack
+from joubert2.ffield import TableOps, _pack, _unpack
 from joubert2.fpoly import UPoly
 
 F64 = make_field(2, 6)
@@ -536,3 +537,43 @@ def test_odd_characteristic_extension():
     for e in [big.gen, big.gen**7, big.from_int(3)]:
         assert in_subfield(rel_trace(e, ext), ext, 1)
     assert len(ext.subfield_vals(2)) == 25
+
+
+# -- whole-array arithmetic and whole-field tables ---------------------------
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (7, 2)])
+def test_table_ops_match_scalar_arithmetic(p, m):
+    field = make_field(p, m)
+    ops = TableOps(field)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(field.order),
+                                             np.arange(field.order)))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert ops.add(a, b).tolist() == [field.add_val(x, y) for x, y in pairs]
+    assert ops.sub(a, b).tolist() == [field.sub_val(x, y) for x, y in pairs]
+    assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y in pairs]
+    assert ops.neg(a).tolist() == [field.neg_val(x) for x in a.tolist()]
+
+
+def test_table_ops_reject_a_sum_without_zero_terms(monkeypatch):
+    def planted(self, a, b):  # g^(la + zech[lb - la]) even where a or b is 0
+        la, lb = self.log[a], self.log[b]
+        return self.exp[la + self.zech[(lb - la) % (self.field.order - 1)]]
+
+    monkeypatch.setattr(TableOps, "add", planted)
+    with pytest.raises(ffield.TableError, match="batched add"):
+        TableOps(make_field(5, 4))
+
+
+def test_whole_table_is_the_scalar_map():
+    ext = make_ext(5, 1, 4)
+    frob, trace = ext.whole_table("frob"), ext.whole_table("trace")
+    assert [frob[v] for v in range(625)] == [ext.frob_val(v)
+                                             for v in range(625)]
+    assert [trace[v] for v in range(625)] == [ext.trace_val(v)
+                                              for v in range(625)]
+    # only fields of at most 2^14 elements have tables over the whole field
+    with pytest.raises(DomainError):
+        make_ext(2, 4, 6).whole_table("frob")
+    with pytest.raises(DomainError):
+        TableOps(make_field(2, 20))

@@ -301,6 +301,17 @@ def test_berlekamp_agrees_with_rabin():
                 assert checks._berlekamp_irreducible(f) == is_irreducible(f)
 
 
+@pytest.mark.parametrize("route", ["is_irreducible", "_berlekamp_irreducible"])
+def test_named_polynomials_fail_when_one_criterion_errs(monkeypatch, route):
+    # a criterion that calls every polynomial irreducible meets the other's
+    # verdict on the reducible t^6 + t + b over GF(8)
+    monkeypatch.setattr(checks, route, lambda f: True)
+    result = checks.check_named_polynomials()
+    assert result.outcome == "fail"
+    assert result.witness == {
+        "error": "Rabin's and Berlekamp's criteria disagree"}
+
+
 def test_split_prime_power():
     # p by trial division up to sqrt(q): a prime near 2^31 takes ms
     assert jsearch._split_prime_power(2**31 - 1) == (2**31 - 1, 1)

@@ -1,9 +1,14 @@
 """Invariant-plane obstruction: eigen-decomposition, power sums, plane
 enumeration, and the brute-force subspace sweep."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from joubert2 import obstruct
+from joubert2 import checks, obstruct
 from joubert2.errors import BudgetError, CheckFailed, DomainError
 from joubert2.ffield import DEFAULT_LIMIT, make_field
 from joubert2.obstruct import (PowerSumVariety, apply_perm, block_indicators,
@@ -13,6 +18,7 @@ from joubert2.obstruct import (PowerSumVariety, apply_perm, block_indicators,
                                find_order_p, invariant_planes, no_plane_in_x)
 
 PARAMS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+TESTS = Path(__file__).resolve().parent
 
 
 def _setup(p, m):
@@ -283,15 +289,102 @@ class TestBruteForce:
         assert exc.value.budget == DEFAULT_LIMIT
 
     def test_invariance_filter_agrees_with_generic_check(self):
+        # the sweep's vector mask, one column per plane: it accepts every
+        # structured plane and rejects the plane (e1, e2)
         g, E = _setup(3, 1)
+        mul = obstruct._product_table(E)
         hits = 0
         for pl in invariant_planes(g, E):
             r0, r1 = pl.basis
             j1 = next(i for i, x in enumerate(r0) if x)
             j2 = next(i for i, x in enumerate(r1) if x)
-            assert obstruct._is_invariant_fast(
-                g, E, list(r0), list(r1), j1, j2)
+            rows = np.array(pl.basis, dtype=np.uint8)[:, :, None]
+            assert obstruct._invariant_mask(
+                g, mul, rows[0], rows[1], j1, j2).tolist() == [True]
             hits += 1
         assert hits == 27
-        assert not obstruct._is_invariant_fast(
-            g, E, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], 0, 1)
+        e = np.eye(g.n, dtype=np.uint8)[:, :, None]
+        assert obstruct._invariant_mask(
+            g, mul, e[0], e[1], 0, 1).tolist() == [False]
+
+    def test_pivot_rows_fill_the_free_entries_in_order(self):
+        # assignment a puts its base-q digits into the free entries, those
+        # of the first row first, in column order
+        # pivots (1, 3) of GF(4)^6 leave 3 + 2 free entries
+        row1, row2 = obstruct._pivot_rows(6, 4, 1, 3, 0, 4**5)
+        a = 4**5 - 1 - 2 * 4**3  # digits 3 3 3 1 3, low first
+        assert row1[:, a].tolist() == [0, 1, 3, 0, 3, 3]
+        assert row2[:, a].tolist() == [0, 0, 0, 1, 1, 3]
+        assert obstruct._pivot_rows(6, 4, 1, 3, 5, 9)[0].shape == (6, 4)
+
+    def test_sweep_needs_characteristic_2(self):
+        g = build_group(3, 1)
+        with pytest.raises(CheckFailed, match="GF"):
+            brute_force_oracle(g, make_field(3, 2))
+
+
+# Plants for the brute-force sweep: each takes a setattr
+# (monkeypatch.setattr) and breaks one part of it.
+
+def _corrupt_product_entry(patch):
+    # the product 2 * 3 = 1 in GF(4), read as 0
+    real = obstruct._product_table
+
+    def planted(field):
+        table = real(field)
+        table[2, 3] ^= 1
+        return table
+
+    patch(obstruct, "_product_table", planted)
+
+
+def _skipped_assignment(patch):
+    # pivot pair (0, 1) stops one assignment short
+    real = obstruct._pivot_rows
+
+    def planted(n, q, j1, j2, lo, hi):
+        row1, row2 = real(n, q, j1, j2, lo, hi)
+        if (j1, j2) == (0, 1) and hi == q ** (2 * n - 4):
+            return row1[:, :-1], row2[:, :-1]
+        return row1, row2
+
+    patch(obstruct, "_pivot_rows", planted)
+
+
+BRUTE_PLANTS = {
+    "product-table-entry": (
+        _corrupt_product_entry,
+        "brute-force planes differ from the structured list"),
+    "skipped-assignment": (
+        _skipped_assignment, "sweep count differs from the subspace count"),
+}
+
+
+@pytest.mark.parametrize("name", BRUTE_PLANTS)
+def test_brute_check_fails_on_a_plant(monkeypatch, name):
+    plant, error = BRUTE_PLANTS[name]
+    plant(monkeypatch.setattr)
+    result = checks.check_obstruction_brute(3, 1)
+    assert result.outcome == "fail"
+    assert result.witness == {"error": error}
+
+
+def test_brute_plants_fail_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "import pytest\n"
+        "import test_obstruct as t\n"
+        "from joubert2 import checks\n"
+        "print(checks.check_obstruction_brute(3, 1).outcome)\n"
+        "for plant, _ in t.BRUTE_PLANTS.values():\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        plant(mp.setattr)\n"
+        "        r = checks.check_obstruction_brute(3, 1)\n"
+        "    print(r.outcome, r.witness.get('error'))\n"
+        "print(sys.flags.optimize)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines() == (
+        ["pass"] + [f"fail {error}" for _, error in BRUTE_PLANTS.values()]
+        + ["1"]), proc.stderr

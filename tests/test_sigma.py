@@ -1,13 +1,15 @@
 import itertools
+import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joubert2 import (DomainError, ExtDesc, iter_elements, make_ext,
-                      make_field, rel_trace)
+from joubert2 import (DomainError, ExtDesc, checks, iter_elements, make_ext,
+                      make_field, rel_trace, sigma)
 from joubert2.errors import CheckFailed
 from joubert2.fpoly import conjugates, format_poly, min_poly
 from joubert2.sigma import (
@@ -15,8 +17,11 @@ from joubert2.sigma import (
     is_joubert,
     power_traces,
     sigma_profile,
+    sigma_profiles,
     trace_conditions,
 )
+
+TESTS = Path(__file__).resolve().parent
 
 F64 = make_field(2, 6)
 E64_2 = make_ext(2, 1, 6)
@@ -81,6 +86,70 @@ def test_sigma_of_subfield_element_counts_multiplicity():
             total = big.add_val(total, v)
         assert prof.sigma(1) == total
         assert prof.sigma(E64_4.n) == big.pow_val(v, E64_4.n)
+
+
+# -- the batched route ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_sigma_profiles_equal_the_scalar_profile(p, k, n):
+    # every element, base degree 2 included; a subfield element's conjugates
+    # repeat, so both routes must give min_poly^(n/d)
+    ext = make_ext(p, k, n)
+    sig = sigma_profiles(range(ext.big.order), ext)
+    assert sig.shape == (n, ext.big.order)
+    for y in iter_elements(ext.big):
+        assert tuple(sig[:, y.val].tolist()) == sigma_profile(y, ext).sigmas
+
+
+# Plants for the batched route of `newton-identities`: each takes a setattr
+# (monkeypatch.setattr) and breaks that route.
+
+def _corrupt_frobenius_entry(patch):
+    # GF(2^12)'s Frobenius table, one entry off by 1, at the first value
+    # that the check draws from that pool
+    ext = make_ext(2, 1, 12)
+    table = ext.whole_table("frob")[:]
+    table[random.Random(99991).randrange(4096)] ^= 1
+    patch(ext, "_frob", table.__getitem__)
+
+
+def _dropped_conjugate(patch):
+    real = sigma._poly_from_roots
+    patch(sigma, "_poly_from_roots", lambda ops, roots: real(ops, roots[:-1]))
+
+
+NEWTON_PLANTS = {"frobenius-table-entry": _corrupt_frobenius_entry,
+                 "dropped-conjugate": _dropped_conjugate}
+
+
+@pytest.mark.parametrize("name", NEWTON_PLANTS)
+def test_newton_identities_fail_on_a_plant(monkeypatch, name):
+    NEWTON_PLANTS[name](monkeypatch.setattr)
+    result = checks.check_newton_identities()
+    assert result.outcome == "fail"
+    assert result.witness == {"error": "sigma left the base field"}
+
+
+def test_newton_plants_fail_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "import pytest\n"
+        "import test_sigma as t\n"
+        "from joubert2 import checks\n"
+        "print(checks.check_newton_identities().outcome)\n"
+        "for plant in t.NEWTON_PLANTS.values():\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        plant(mp.setattr)\n"
+        "        r = checks.check_newton_identities()\n"
+        "    print(r.outcome, r.witness.get('error'))\n"
+        "print(sys.flags.optimize)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines() == (
+        ["pass"] + ["fail sigma left the base field"] * len(NEWTON_PLANTS)
+        + ["1"]), proc.stderr
 
 
 # -- Newton identities relating power traces to the profile -----------------
