@@ -209,18 +209,3 @@ def trace_identity_check(q: int, budget: int | None = None,
         return n
 
     return sum(run_chunked(q**6, check, threads=threads))
-
-
-def good_fiber_witness(q: int, budget: int | None = None) -> FElt | None:
-    """Least x whose fiber is solvable with y = x^q + x a generator, or
-    None when no such x exists."""
-    k = _require_pow2(q)
-    ext = make_ext(2, k, 6, limit=budget)
-    for xv in range(ext.big.order):
-        yv = ext.big.add_val(ext.frob_val(xv), xv)
-        if ext.trace_val(ext.big.pow_val(yv, 3)):
-            continue
-        if ext.frob_iter_val(yv, 3) == yv:
-            continue
-        return FElt(ext.big, xv)
-    return None

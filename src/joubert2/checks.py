@@ -274,20 +274,6 @@ def check_surface(q: int, budget: int | None = None,
         {"q": q}, body)
 
 
-def check_smoothness(q: int, ext_deg: int, budget: int | None = None,
-                     threads: int = 1) -> CheckResult:
-    def body():
-        singular = cubic.smoothness_scan(q, ext_deg=ext_deg, budget=budget)
-        require(singular == [], "singular point found")
-        return {"singular_points": [], "scanned_field": f"GF({q**ext_deg})"}
-
-    return _run(
-        f"surface-smooth-q{q}-d{ext_deg}",
-        f"The cubic form on the trace-zero quotient over F_q (q = {q}) has "
-        f"no singular point with coordinates in GF({q**ext_deg}).",
-        {"q": q, "ext_deg": ext_deg}, body)
-
-
 def check_obstruction(p: int, m: int, budget: int | None = None,
                       threads: int = 1) -> CheckResult:
     def body():
@@ -514,24 +500,6 @@ def check_charpoly_routes(budget: int | None = None,
         "the product of Frobenius conjugates equals the determinant of the "
         "multiplication matrix route; zero mismatches.",
         {"q": 2, "n": 6}, body)
-
-
-def check_explore(q: int, p: int, m: int, budget: int | None = None,
-                  threads: int = 1) -> CheckResult:
-    def body():
-        rep = jsearch.explore_trace_conditions(q, p, m, budget=budget)
-        gens = rep.extra["generators"]
-        non = rep.extra["non_generators"]
-        require(gens + non == rep.count, "split does not sum to the count")
-        return {"n": rep.n, "qualifying": rep.count, "generators": gens,
-                "non_generators": non}
-
-    return _run(
-        f"explore-q{q}-p{p}m{m}",
-        f"Count of y outside F_q (q = {q}) in the degree-{2 * p**m} "
-        f"extension with Tr(y^j) = 0 for j = 1..{p}, split by whether y "
-        "generates; informational, no target value.",
-        {"q": q, "p": p, "m": m}, body)
 
 
 def verify_all_checks(budget: int | None = None,

@@ -76,13 +76,8 @@ COMMANDS = {
         checks=[("check_hermite", ["q"], None)]),
     "surface": dict(
         help="census of the cubic locus on the trace-zero projective quotient",
-        options={"q": _Q_POW2,
-                 "smooth_deg": dict(
-                     type=int, choices=[1, 2], default=None,
-                     help="also scan for singular points with coordinates "
-                          "in the degree-D extension")},
-        checks=[("check_surface", ["q"], None),
-                ("check_smoothness", ["q", "smooth_deg"], "smooth_deg")]),
+        options={"q": _Q_POW2},
+        checks=[("check_surface", ["q"], None)]),
     "obstruction": dict(
         help="invariant-plane obstruction for the block action of "
              "(Z/pZ)^m x (Z/pZ)^m",
@@ -96,11 +91,6 @@ COMMANDS = {
         help="fiber census of u^q - u = x^(2q+1) + x^(q+2)",
         options={"q": _Q_POW2},
         checks=[("check_curve", ["q"], None)]),
-    "explore": dict(
-        help="informational count of elements killing the first p power "
-             "traces in degree 2p^m",
-        options={"q": _Q_POW2, "p": _P, "m": _M},
-        checks=[("check_explore", ["q", "p", "m"], None)]),
     "verify-all": dict(
         help="run the complete check registry",
         options={},

@@ -16,13 +16,12 @@ outside the constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, require
-from .ffield import ExtDesc, _unpack, check_budget, make_ext
+from .ffield import ExtDesc, _unpack, make_ext
 from .fastscan import ChunkMap, LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
 from .jsearch import _ext_scan, _require_pow2
@@ -157,105 +156,3 @@ def _l0_basis_vals(frame: QuotientFrame) -> list[int]:
     ext = frame.ext
     return [ext.big.mul_val(kp, b)
             for b in frame.basis for kp in ext.kappa_powers]
-
-
-# ---------------------------------------------------------------------------
-# The cubic form and its gradient, as explicit coefficients over K
-
-
-def _multinomial_mod_p(multiset: tuple[int, ...], p: int) -> int:
-    counts = {}
-    for i in multiset:
-        counts[i] = counts.get(i, 0) + 1
-    total = math.factorial(3)
-    for c in counts.values():
-        total //= math.factorial(c)
-    return total % p
-
-
-def cubic_form(frame: QuotientFrame) -> dict[tuple[int, int, int], int]:
-    """Coefficients c_{ijk} (i <= j <= k over the four lift coordinates) of
-    C(v) = Tr(lift(v)^3), as packed base-field values.  All 20 monomials are
-    present as keys, including those whose coefficient vanishes."""
-    ext = frame.ext
-    big = ext.big
-    bs = frame.basis[1:]
-    out = {}
-    for i in range(4):
-        for j in range(i, 4):
-            for kk in range(j, 4):
-                mult = _multinomial_mod_p((i, j, kk), big.p)
-                prod = big.mul_val(big.mul_val(bs[i], bs[j]), bs[kk])
-                tr = ext.trace_val(prod)
-                out[(i, j, kk)] = big.mul_val(mult, tr)
-    return out
-
-
-def eval_cubic(frame: QuotientFrame,
-               coeffs: dict[tuple[int, int, int], int], coords) -> int:
-    """C(v) from the coefficient table; coords are base-field packed values."""
-    big = frame.ext.big
-    acc = 0
-    for (i, j, kk), c in coeffs.items():
-        if c:
-            term = big.mul_val(big.mul_val(coords[i], coords[j]), coords[kk])
-            acc = big.add_val(acc, big.mul_val(c, term))
-    return acc
-
-
-def _gradient_terms(coeffs: dict[tuple[int, int, int], int], p: int):
-    """Formal partials of the cubic: for each variable l, a list of
-    (multiplicity mod p, coefficient, (i, j)) quadratic monomial terms."""
-    out: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(4)]
-    for (i, j, kk), c in coeffs.items():
-        if not c:
-            continue
-        mono = (i, j, kk)
-        for l in set(mono):
-            count = mono.count(l) % p
-            if not count:
-                continue
-            rest = list(mono)
-            rest.remove(l)
-            out[l].append((count, c, tuple(rest)))
-    return out
-
-
-def gradient(frame: QuotientFrame, coeffs: dict[tuple[int, int, int], int],
-             coords) -> tuple[int, int, int, int]:
-    """The four formal partial derivatives of C at coords."""
-    big = frame.ext.big
-    terms = _gradient_terms(coeffs, big.p)
-    grads = []
-    for l in range(4):
-        acc = 0
-        for count, c, (i, j) in terms[l]:
-            val = big.mul_val(big.mul_val(count, c),
-                              big.mul_val(coords[i], coords[j]))
-            acc = big.add_val(acc, val)
-        grads.append(acc)
-    return tuple(grads)
-
-
-def smoothness_scan(q: int, ext_deg: int = 1,
-                    budget: int | None = None) -> list[tuple[int, ...]]:
-    """All projective points over F_{q^ext_deg} where the cubic and its full
-    gradient vanish together.  An empty list supports (never proves)
-    smoothness; the scan degree is part of the report."""
-    if ext_deg not in (1, 2):
-        raise DomainError(f"scan degree must be 1 or 2, got {ext_deg}")
-    _require_pow2(q)
-    qq = q**ext_deg
-    check_budget("(q^ext_deg)^4", qq**4, budget)
-    frame = build_frame(q, budget)
-    coeffs = cubic_form(frame)
-    sub = frame.ext.subfield_vals(ext_deg)
-    require(len(sub) == qq, "subfield does not have q^ext_deg elements")
-    singular = []
-    for idx_coords in _projective_reps(qq):
-        coords = [sub[i] for i in idx_coords]
-        if eval_cubic(frame, coeffs, coords) != 0:
-            continue
-        if all(g == 0 for g in gradient(frame, coeffs, coords)):
-            singular.append(tuple(coords))
-    return singular

@@ -1,6 +1,6 @@
 """Exhaustive searches: trace-constrained generators of F_{q^6}/F_q, the
-sextic polynomials they realize, degree-5 analogues in any characteristic,
-and informational scans of the first-p power-trace conditions.
+sextic polynomials they realize, and degree-5 analogues in any
+characteristic.
 
 Search order is always ascending packed value, so witnesses are reproducible;
 chunked scans merge their parts in chunk order, which keeps results
@@ -10,17 +10,17 @@ independent of thread count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
-                     make_field, prime_divisors, require_odd_prime)
+                     make_field, prime_divisors)
 from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
-from .sigma import is_generator, is_joubert
+from .sigma import is_joubert
 
 
 @dataclass
@@ -33,7 +33,6 @@ class SearchReport:
     found_min_poly: UPoly | None = None
     count: int | None = None
     scanned: int = 0
-    extra: dict = dc_field(default_factory=dict)
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
@@ -255,49 +254,3 @@ def hermite_search(q: int, budget: int | None = None) -> SearchReport:
     if found is not None:
         report.found_min_poly = _verify_joubert_witness(found, ext)
     return report
-
-
-def explore_trace_conditions(q: int, p: int, m: int,
-                             budget: int | None = None) -> SearchReport:
-    """Count y in F_{q^n} - F_q (n = 2p^m) with Tr(y^j) = 0 for j = 1..p,
-    split by whether y generates the extension.
-
-    Purely informational: no outcome is asserted, since the analogous
-    function-field statement does not constrain any specific finite field.
-    """
-    require_odd_prime(p)
-    if m < 1:
-        raise DomainError(f"m = {m} must be positive")
-    k = _require_pow2(q)
-    n = 2 * p**m
-    ext = make_ext(2, k, n, limit=budget)
-    big = ext.big
-    base = set(ext.subfield_vals(1))
-    gens = 0
-    non_gens = 0
-    first_gen = None
-    first_non = None
-    for v in range(big.order):
-        if v in base:
-            continue
-        cur = v
-        ok = True
-        for _ in range(p):
-            if ext.trace_val(cur) != 0:
-                ok = False
-                break
-            cur = big.mul_val(cur, v)
-        if not ok:
-            continue
-        if is_generator(big.element(v), ext):
-            gens += 1
-            if first_gen is None:
-                first_gen = v
-        else:
-            non_gens += 1
-            if first_non is None:
-                first_non = v
-    return SearchReport(
-        q=q, n=n, count=gens + non_gens, scanned=big.order,
-        extra={"p": p, "m": m, "generators": gens, "non_generators": non_gens,
-               "first_generator": first_gen, "first_non_generator": first_non})

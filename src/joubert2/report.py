@@ -82,19 +82,31 @@ def emit_json(manifest: Manifest) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _fields(obj, what: str, keys: tuple[str, ...]) -> list:
+    """The values of `keys` in the JSON object `obj`, in order."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise DomainError(f"{what} is missing {key!r}")
+    return [obj[key] for key in keys]
+
+
 def parse_json(text: str) -> Manifest:
-    doc = json.loads(text)
-    for key in ("version", "config", "checks", "verdict"):
-        if key not in doc:
-            raise DomainError(f"manifest is missing {key!r}")
-    checks = [
-        CheckResult(check_id=c["id"], anchor=c["anchor"], params=c["params"],
-                    outcome=c["outcome"], witness=c["witness"],
-                    elapsed_ms=c["elapsed_ms"])
-        for c in doc["checks"]
-    ]
-    m = Manifest(version=doc["version"], config=doc["config"], checks=checks)
-    if doc["verdict"] != m.verdict:
+    """Inverse of `emit_json`.  A document that is not an object, lacks a
+    key, repeats a check id or contradicts its verdict raises DomainError."""
+    version, config, entries, verdict = _fields(
+        json.loads(text), "manifest", ("version", "config", "checks",
+                                       "verdict"))
+    if not isinstance(entries, list):
+        raise DomainError("manifest checks is not a JSON list")
+    checks = [CheckResult(*_fields(c, "check", ("id", "anchor", "params",
+                                                "outcome", "witness",
+                                                "elapsed_ms")))
+              for c in entries]
+    m = Manifest(version=version, config=config, checks=checks)
+    m.sorted_checks()  # rejects duplicate ids, as emit_json does
+    if verdict != m.verdict:
         raise DomainError("stored verdict contradicts check outcomes")
     return m
 

@@ -121,12 +121,3 @@ def power_traces(y: FElt, ext: ExtDesc, kmax: int) -> list[int]:
         out.append(ext.trace_val(cur))
         cur = big.mul_val(cur, y.val)
     return out
-
-
-def trace_conditions(y: FElt, ext: ExtDesc) -> tuple[int, int]:
-    """(Tr(y), Tr(y^3)) as packed values.  In characteristic 2 these vanish
-    together exactly when s_1 = s_3 = 0, which makes them a cheap prefilter
-    for Joubert searches; the sigma-based predicate stays authoritative."""
-    big = ext.big
-    y3 = big.mul_val(big.mul_val(y.val, y.val), y.val)
-    return ext.trace_val(y.val), ext.trace_val(y3)

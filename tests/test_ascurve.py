@@ -8,15 +8,12 @@ import pytest
 
 from joubert2 import ascurve, checks, fastscan
 from joubert2.ascurve import (bound_inequality, curve_census, fiber_size,
-                              genus_of, good_fiber_witness, rhs_value,
-                              scalar_counts, trace_identity_check,
-                              weil_window)
+                              genus_of, rhs_value, scalar_counts,
+                              trace_identity_check, weil_window)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, CheckFailed, DomainError
 from joubert2.ffield import FElt, make_ext, make_field, rel_frobenius
-from joubert2.fpoly import compress_poly, min_poly
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
-from joubert2.sigma import is_joubert
 
 PINNED = {
     2: dict(n_affine=80, n_smooth=81, genus=2, weil_low=33, weil_high=97,
@@ -232,28 +229,6 @@ class TestIdentityAndBounds:
             bound_inequality(9)
         with pytest.raises(DomainError):
             genus_of(3)
-
-
-class TestWitnesses:
-    def test_good_witness_q2(self):
-        w = good_fiber_witness(2)
-        assert w is not None and w.val == 6
-        ext = make_ext(2, 1, 6)
-        y = rel_frobenius(w, ext) + w
-        assert is_joubert(y, ext)
-
-    def test_witness_y_is_an_enumerated_polynomial_root(self):
-        for q, k in ((2, 1), (4, 2)):
-            ext = make_ext(2, k, 6)
-            w = good_fiber_witness(q)
-            y = rel_frobenius(w, ext) + w
-            mp = compress_poly(min_poly(y, ext), ext)
-            assert mp in enumerate_joubert_polys(q)
-
-    def test_witness_fiber_is_solvable(self):
-        ext = make_ext(2, 2, 6)
-        w = good_fiber_witness(4)
-        assert fiber_size(rhs_value(w, ext), ext) == 4
 
 
 class TestCrossModule:

@@ -5,10 +5,6 @@ from joubert2 import BudgetError, DomainError, iter_elements, make_field
 from joubert2.cubic import (
     _l0_basis_vals,
     build_frame,
-    cubic_form,
-    eval_cubic,
-    gradient,
-    smoothness_scan,
     surface_census,
 )
 from joubert2.fastscan import LinearMap
@@ -146,85 +142,6 @@ def test_manin_floor_binding_at_16():
     assert c.manin_floor == 145
     assert c.total >= 145
     assert c.generator_points >= 1
-
-
-# -- the explicit form ------------------------------------------------------
-
-
-@pytest.mark.parametrize("q", [2, 4, 8])
-def test_cubic_form_matches_trace_predicate(q):
-    fr = build_frame(q)
-    coeffs = cubic_form(fr)
-    assert len(coeffs) == 20
-    big = fr.ext.big
-    kv = fr.ext.k_elements()
-    for idx in range(q**4):
-        r = idx
-        coords = []
-        for _ in range(4):
-            coords.append(kv[r % q])
-            r //= q
-        y = fr.lift(coords)
-        y3 = big.mul_val(big.mul_val(y, y), y)
-        assert eval_cubic(fr, coeffs, coords) == fr.ext.trace_val(y3)
-
-
-def test_cubic_form_char2_structure():
-    # squarefree monomials carry multinomial 6 = 0; nothing else is forced
-    fr = build_frame(4)
-    coeffs = cubic_form(fr)
-    for (i, j, k), c in coeffs.items():
-        if i < j < k:
-            assert c == 0
-
-
-def test_cubic_form_homogeneity():
-    fr = build_frame(4)
-    coeffs = cubic_form(fr)
-    big = fr.ext.big
-    kv = fr.ext.k_elements()
-    coords = [kv[1], kv[3], kv[0], kv[2]]
-    base = eval_cubic(fr, coeffs, coords)
-    for lam in kv[1:]:
-        scaled = [big.mul_val(lam, c) for c in coords]
-        assert eval_cubic(fr, coeffs, scaled) == big.mul_val(
-            big.pow_val(lam, 3), base)
-
-
-def test_gradient_char2_closed_form():
-    # partial_l C = Tr(b_l^3) v_l^2 + sum_{i != l} Tr(b_i^2 b_l) v_i^2
-    fr = build_frame(4)
-    coeffs = cubic_form(fr)
-    ext = fr.ext
-    big = ext.big
-    bs = fr.basis[1:]
-    kv = ext.k_elements()
-    for coords in [(kv[1], kv[2], kv[3], kv[0]), (kv[3], kv[3], kv[1], kv[2])]:
-        grads = gradient(fr, coeffs, coords)
-        for l in range(4):
-            acc = big.mul_val(
-                ext.trace_val(big.pow_val(bs[l], 3)),
-                big.mul_val(coords[l], coords[l]))
-            for i in range(4):
-                if i == l:
-                    continue
-                bi2bl = big.mul_val(big.mul_val(bs[i], bs[i]), bs[l])
-                acc = big.add_val(acc, big.mul_val(
-                    ext.trace_val(bi2bl), big.mul_val(coords[i], coords[i])))
-            assert grads[l] == acc
-
-
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (4, 1)])
-def test_no_singular_points_found(q, d):
-    assert smoothness_scan(q, d) == []
-
-
-def test_smoothness_guards():
-    with pytest.raises(DomainError):
-        smoothness_scan(2, 3)
-    with pytest.raises(BudgetError) as exc:
-        smoothness_scan(8, 2, budget=10**6)
-    assert (exc.value.needed, exc.value.budget) == (64**4, 10**6)
 
 
 def test_frame_lift_validates_arity():

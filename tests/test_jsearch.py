@@ -8,8 +8,7 @@ import pytest
 
 from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
                       make_ext, make_field)
-from joubert2.ascurve import (curve_census, good_fiber_witness,
-                              trace_identity_check)
+from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
 from joubert2.fpoly import (
@@ -21,7 +20,6 @@ from joubert2.fpoly import (
 from joubert2.jsearch import (
     count_joubert_generators,
     enumerate_joubert_polys,
-    explore_trace_conditions,
     find_joubert_generator,
     hermite_search,
 )
@@ -386,35 +384,6 @@ def test_hermite_witness_every_characteristic(q):
         assert not is_joubert(ext.big.element(v), ext)
 
 
-def test_explore_q2_p3():
-    r = explore_trace_conditions(2, 3, 1)
-    assert r.n == 6
-    assert r.count == 18
-    assert r.extra["generators"] == 12  # the Joubert generators
-    assert r.extra["non_generators"] == 6  # GF(8) minus GF(2)
-
-
-def test_explore_q2_p5():
-    # non-generators come exactly from GF(32) minus GF(2): traces of their
-    # powers all vanish through the even relative degree
-    r = explore_trace_conditions(2, 5, 1)
-    assert r.n == 10
-    assert r.extra["non_generators"] == 30
-    assert r.extra["generators"] == 120
-    assert r.count == 150
-
-
-def test_explore_guards():
-    with pytest.raises(DomainError):
-        explore_trace_conditions(2, 2, 1)
-    with pytest.raises(DomainError):
-        explore_trace_conditions(2, 9, 1)
-    with pytest.raises(DomainError):
-        explore_trace_conditions(3, 3, 1)
-    with pytest.raises(BudgetError):
-        explore_trace_conditions(2, 5, 1, budget=100)
-
-
 def test_budget_errors_carry_parameters():
     with pytest.raises(BudgetError) as exc:
         enumerate_joubert_polys(16, budget=1000)
@@ -426,13 +395,10 @@ def test_budget_errors_carry_parameters():
     (find_joubert_generator, 64),
     (count_joubert_generators, 64),
     (hermite_search, 32),
-    (lambda q, budget: explore_trace_conditions(q, 3, 1, budget=budget), 64),
     (curve_census, 64),
     (trace_identity_check, 64),
-    (good_fiber_witness, 64),
     (surface_census, 64),
-], ids=["find", "count", "hermite", "explore", "curve", "trace-identity",
-        "good-fiber", "surface"])
+], ids=["find", "count", "hermite", "curve", "trace-identity", "surface"])
 def test_scans_are_capped_by_field_order(scan, order):
     # at q = 2 each scan runs over a field of `order` elements, and the
     # field-order cap of make_field is the one budget check it meets

@@ -92,8 +92,21 @@ class TestManifest:
             _result("a", outcome="maybe")
 
     def test_parse_rejects_missing_keys(self):
-        with pytest.raises(DomainError):
-            parse_json('{"version": "0", "config": {}, "checks": []}')
+        entry = json.loads(emit_json(Manifest(
+            version="0", config={}, checks=[_result("a")])))["checks"][0]
+        partial = {k: v for k, v in entry.items() if k != "witness"}
+        for doc in ({"version": "0", "config": {}, "checks": []},
+                    5,  # not an object
+                    {"version": "0", "config": {}, "checks": {},
+                     "verdict": "pass"},
+                    {"version": "0", "config": {}, "checks": [partial],
+                     "verdict": "pass"},
+                    {"version": "0", "config": {}, "checks": ["a"],
+                     "verdict": "pass"},
+                    {"version": "0", "config": {}, "checks": [entry, entry],
+                     "verdict": "pass"}):
+            with pytest.raises(DomainError):
+                parse_json(json.dumps(doc))
 
     def test_parse_rejects_tampered_verdict(self):
         m = Manifest(version="0", config={}, checks=[
@@ -140,12 +153,11 @@ class TestCli:
         assert "verdict: pass" in out
 
     def test_json_output_parses(self, capsys):
-        assert main(["explore", "--q", "2", "--p", "3", "--m", "1",
-                     "--format", "json"]) == 0
+        assert main(["joubert-enum", "--q", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "pass"
-        assert doc["config"]["command"] == "explore"
-        assert doc["checks"][0]["witness"]["qualifying"] == 18
+        assert doc["config"]["command"] == "joubert-enum"
+        assert doc["checks"][0]["witness"]["count"] == 2
 
     def test_usage_errors_exit_2(self):
         for argv in (["curve", "--q", "3"],
@@ -155,14 +167,10 @@ class TestCli:
                      ["hermite", "--q", "1"],
                      ["hermite"],
                      ["no-such-command"],
-                     ["surface", "--q", "2", "--smooth-deg", "0"],
-                     ["surface", "--q", "2", "--smooth-deg", "3"],
                      ["hermite", "--q", "2", "--threads", "0"],
                      ["hermite", "--q", "2", "--budget", "0"],
                      ["joubert-enum", "--q", "6"],
-                     ["explore", "--q", "2", "--p", "9", "--m", "1"],
-                     ["obstruction", "--p", "2", "--m", "1"],
-                     ["explore", "--q", "3", "--p", "3", "--m", "1"]):
+                     ["obstruction", "--p", "2", "--m", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -263,10 +271,9 @@ class TestCli:
         argvs = [["joubert-search", "--q", "2"],
                  ["joubert-enum", "--q", "2"],
                  ["hermite", "--q", "2"],
-                 ["surface", "--q", "2", "--smooth-deg", "1"],
+                 ["surface", "--q", "2"],
                  ["obstruction", "--p", "3", "--m", "1", "--brute-force"],
                  ["curve", "--q", "2"],
-                 ["explore", "--q", "2", "--p", "3", "--m", "1"],
                  ["verify-all"]]
         assert {argv[0] for argv in argvs} == set(COMMANDS)
         for argv in argvs:
