@@ -165,9 +165,9 @@ def check_generator_enum(q: int, budget: int | None = None,
     def body():
         p, k = jsearch._split_prime_power(q)
         # the root side: six roots per sextic, all Joubert generators,
-        # counted by the vector kernels of GF(q^6) (Gf2Scan takes m <= 32);
-        # run before the enumeration, so that a GF(q^6) over budget skips
-        # at once
+        # counted by the vector kernels of GF(q^6) (Gf2Scan takes even
+        # m <= 32); run before the enumeration, so that a GF(q^6) over
+        # budget skips at once
         roots = None
         if p == 2 and 6 * k <= 32:
             roots = jsearch.count_joubert_generators(

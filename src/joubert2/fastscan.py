@@ -8,23 +8,19 @@ table gathers:
   relative trace, the reduction of a wide product) take one 4096-entry
   uint32 table per 12-bit window of the input: one gather for m <= 12, two
   for m = 18 and 24.
-- Products have one kernel per regime of m:
-  - m <= 14: exp[log a + log b], with log[0] = 2N (N = 2^m - 1), so that
-    a zero operand lands in the zero tail of exp and needs no branch;
-  - even m <= 28: a quadratic tower over GF(2^(m/2)), the composite-field
-    method (C. Paar, PhD thesis, 1994; Lidl & Niederreiter ch. 9), in
-    `Tower`.  One window map puts each operand into tower coordinates
-    a0 + a1 w with w^2 = w + c; a Karatsuba step takes 3 subfield log/exp
-    products, the multiply by the constant c riding in the log sum; one
-    window map brings the result back;
-  - odd m > 14, and m = 30, 32: the shift-and-xor loop.  It is also the
-    reference every table is derived from.
+- Products have one kernel, for every even m <= 32: a quadratic tower
+  over GF(2^(m/2)), the composite-field method (C. Paar, PhD thesis,
+  1994; Lidl & Niederreiter ch. 9), in `Tower`.  One window map puts each
+  operand into tower coordinates a0 + a1 w with w^2 = w + c; a Karatsuba
+  step takes 3 subfield log/exp products, the multiply by the constant c
+  riding in the log sum; one window map brings the result back.  Odd m
+  has no such tower and is rejected.  The shift-and-xor loop is kept as
+  the reference every table is derived from and checked against.
 - A scan that only counts can stay in tower coordinates throughout:
-  `ExtScan.tower` composes the relative Frobenius powers and the trace
-  with the tower maps, and `Tower` takes products and a cube's w-half from
-  the logs of the halves, with no map in or out.  It serves every even m,
-  the log regime's m <= 14 and m = 30 (K = GF(2^15)) included, built on
-  first use.
+  `ExtScan.tower`, built on first use, composes the relative Frobenius
+  powers and the trace with the maps of the scan's own tower, and `Tower`
+  takes products and a cube's w-half from the logs of the halves, with no
+  map in or out.
 - On the aligned ranges of `run_chunked` a linear map costs no gather at
   all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), one xor
   of a per-scan table on [0, CHUNK) with one scalar (`ChunkMap`).  Its
@@ -62,10 +58,6 @@ CHUNK = 1 << 16
 #: Input bits per linear-map window: one 4096-entry table each.
 WINDOW = 12
 _WINDOW_MASK = (1 << WINDOW) - 1
-
-#: Largest degree whose product is one log/exp gather; a tower's subfield
-#: degree is capped the same.
-_LOG_MAX = 14
 
 
 class Workspace(threading.local):
@@ -492,7 +484,8 @@ class Tower:
 
 
 class Gf2Scan:
-    """Element-wise field arithmetic on arrays over one GF(2^m)."""
+    """Element-wise field arithmetic on arrays over one GF(2^m), m even and
+    at most 32, with every product taken through the field's `Tower`."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2:
@@ -502,7 +495,7 @@ class Gf2Scan:
                               "headroom")
         self.field = field
         self.m = m = field.m
-        self._f = f = _pack(field.modulus, 2)
+        f = _pack(field.modulus, 2)
         # t^(m+j) mod f for the high bits of a carry-less product
         hi = []
         cur = f ^ (1 << m)
@@ -516,58 +509,21 @@ class Gf2Scan:
         # (t^j)^2 = t^(2j), reduced
         wide = np.array([1 << 2 * j for j in range(m)], dtype=np.uint64)
         self._sqr = LinearMap(self.reduce_wide(wide).tolist())
-        if m <= _LOG_MAX:
-            self.regime = "log"
-            self._product = self._log_mul
-            self._build_log()
-        elif m % 2 == 0 and m // 2 <= _LOG_MAX:
-            self.regime = "tower"
-            self._product = self._tower_mul
-            self._build_tower()
-        else:
-            self.regime = "loop"
-            self._product = self._loop_mul
-        if self.regime != "loop":
-            self._verify_product()
-
-    # -- tables
-
-    def _build_log(self) -> None:
-        m, f = self.m, self._f
-        n = (1 << m) - 1
-        g = next(x for x in range(1, n + 1) if _has_order(x, n, f, m))
-        times = _span([_mulmod(g, 1 << j, f, m) for j in range(m)])
-        self._log, self._exp = _log_exp(times, m, 2)
-
-    def _build_tower(self) -> None:
-        self._tower = Tower(self._f, self.m)
+        self._tower = Tower(f, m)
         to_tower = self._tower.to_tower.scalar
         self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
+        self._verify_product()
 
     def _verify_product(self) -> None:
         a, b = _sample(self.m)
         ref = self._loop_mul(a, b)
         cube = self._loop_mul(a, self._loop_mul(a, a))
-        if not (np.array_equal(self._product(a, b, None), ref)
+        if not (np.array_equal(self._tower_mul(a, b, None), ref)
                 and np.array_equal(self._cube(a, None), cube)):
             raise TableError(f"table product of GF(2^{self.m}) disagrees "
                              "with shift-and-xor")
 
-    # -- product kernels, one per regime
-
-    def _log_mul(self, a, b, out):
-        n = a.size
-        if out is None:
-            out = np.empty(n, dtype=np.uint32)
-        idx = _SCRATCH.get("p_idx", n, np.intp)
-        la = _SCRATCH.get("p_sum0", n, np.intp)
-        lb = _SCRATCH.get("p_lb", n, np.intp)
-        np.copyto(idx, a)
-        np.take(self._log, idx, out=la, mode="wrap")
-        np.copyto(idx, b)
-        np.take(self._log, idx, out=lb, mode="wrap")
-        np.add(la, lb, out=la)
-        return np.take(self._exp, la, out=out, mode="wrap")
+    # -- the product kernel and its shift-and-xor reference
 
     def _tower_mul(self, a, b, out, b_map=None):
         """a * b through tower coordinates; b enters through b_map (default
@@ -606,7 +562,7 @@ class Gf2Scan:
 
     def mul(self, a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-        return _sliced(self._product, out, a, b)
+        return _sliced(self._tower_mul, out, a, b)
 
     def square(self, a: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
@@ -617,10 +573,7 @@ class Gf2Scan:
         return _sliced(self._cube, out, a)
 
     def _cube(self, a, out):
-        if self.regime == "tower":
-            return self._tower_mul(a, a, out, b_map=self._sqr_to_tower)
-        sq = self._sqr(a, out=_SCRATCH.get("c_sq", a.size))
-        return self._product(a, sq, out)
+        return self._tower_mul(a, a, out, b_map=self._sqr_to_tower)
 
 
 class ExtScan:
@@ -708,8 +661,7 @@ class TowerView:
 
     def __init__(self, scan: "ExtScan"):
         ops = scan.ops
-        self.tower = tower = (ops._tower if ops.regime == "tower"
-                              else Tower(ops._f, ops.m))
+        self.tower = tower = ops._tower
         h = tower.h
         self.frob = _in_tower(tower, scan._frob[1])
         trace = _in_tower(tower, scan._trace, tower_out=False)

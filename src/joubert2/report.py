@@ -82,28 +82,31 @@ def emit_json(manifest: Manifest) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fields(obj, what: str, keys: tuple[str, ...]) -> list:
-    """The values of `keys` in the JSON object `obj`, in order."""
+def _fields(obj, what: str, keys: dict) -> list:
+    """The values of `keys` in the JSON object `obj`, in order, each an
+    instance of the type that `keys` maps it to (object: any value; a bool
+    is never a number)."""
     if not isinstance(obj, dict):
         raise DomainError(f"{what} is not a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in obj:
             raise DomainError(f"{what} is missing {key!r}")
+        if (kind is not object and isinstance(obj[key], bool)
+                or not isinstance(obj[key], kind)):
+            raise DomainError(f"{what} {key!r} has the wrong JSON type")
     return [obj[key] for key in keys]
 
 
 def parse_json(text: str) -> Manifest:
     """Inverse of `emit_json`.  A document that is not an object, lacks a
-    key, repeats a check id or contradicts its verdict raises DomainError."""
+    key, holds a value of the wrong type, repeats a check id or contradicts
+    its verdict raises DomainError."""
     version, config, entries, verdict = _fields(
-        json.loads(text), "manifest", ("version", "config", "checks",
-                                       "verdict"))
-    if not isinstance(entries, list):
-        raise DomainError("manifest checks is not a JSON list")
-    checks = [CheckResult(*_fields(c, "check", ("id", "anchor", "params",
-                                                "outcome", "witness",
-                                                "elapsed_ms")))
-              for c in entries]
+        json.loads(text), "manifest", {"version": str, "config": dict,
+                                       "checks": list, "verdict": object})
+    checks = [CheckResult(*_fields(c, "check", {
+        "id": str, "anchor": str, "params": dict, "outcome": object,
+        "witness": object, "elapsed_ms": (int, float)})) for c in entries]
     m = Manifest(version=version, config=config, checks=checks)
     m.sorted_checks()  # rejects duplicate ids, as emit_json does
     if verdict != m.verdict:

@@ -2,7 +2,10 @@
 inequality, and the links back to generator search and the surface scan."""
 
 import math
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, CheckFailed, DomainError
 from joubert2.ffield import FElt, make_ext, make_field, rel_frobenius
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
+
+TESTS = Path(__file__).resolve().parent
 
 PINNED = {
     2: dict(n_affine=80, n_smooth=81, genus=2, weil_low=33, weil_high=97,
@@ -78,8 +83,6 @@ class TestCensus:
 
 class TestTowerCensus:
     def test_tower_path_runs_at_small_q(self, monkeypatch):
-        # GF(2^6) and GF(2^12) multiply in the log regime, yet the census
-        # takes its products in the tower view all the same
         calls = []
         real = fastscan.Tower.mul_hi
 
@@ -89,7 +92,6 @@ class TestTowerCensus:
 
         for q, k in ((2, 1), (4, 2)):
             scan = ascurve._ext_scan(2, k, 6)
-            assert scan.ops.regime == "log"
             scan.tower  # built and sample-checked
             monkeypatch.setattr(fastscan.Tower, "mul_hi", spy)
             calls.clear()
@@ -250,3 +252,57 @@ class TestCrossModule:
             c = curve_census(q)
             s = surface_census(q)
             assert c.n_affine == q**2 * s.affine_zero_count
+
+
+# Plants for the curve census: each takes a setattr (monkeypatch.setattr)
+# and breaks one part of it for q = 2, 4 and 8.
+
+def _flipped_exp_entry(patch):
+    # exp[7] = 1 in the subfield exp table that Gf2Scan's products and the
+    # tower view share, read as 0
+    for k in (1, 2, 3):
+        tower = ascurve._ext_scan(2, k, 6).tower.tower
+        exp = tower.exp.copy()
+        exp[7] ^= 1
+        patch(tower, "exp", exp)
+
+
+CURVE_PLANTS = {
+    "tower-exp-entry": (_flipped_exp_entry,
+                        "solvability differs from the trace identity"),
+}
+
+
+@pytest.mark.parametrize("name", CURVE_PLANTS)
+def test_curve_checks_fail_on_a_plant(monkeypatch, name):
+    plant, error = CURVE_PLANTS[name]
+    plant(monkeypatch.setattr)
+    for q in (2, 4, 8):
+        result = checks.check_curve(q)
+        assert result.outcome == "fail", q
+        assert result.witness == {"error": error}
+
+
+def test_curve_plants_fail_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "import pytest\n"
+        "import test_ascurve as t\n"
+        "from joubert2 import checks\n"
+        "qs = (2, 4, 8)\n"
+        "print(*(checks.check_curve(q).outcome for q in qs))\n"
+        "for plant, _ in t.CURVE_PLANTS.values():\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        plant(mp.setattr)\n"
+        "        rs = [checks.check_curve(q) for q in qs]\n"
+        "    print(*(f\"{r.outcome} {r.witness.get('error')}\" for r in rs),\n"
+        "          sep='; ')\n"
+        "print(sys.flags.optimize)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines() == (
+        ["pass pass pass"]
+        + ["; ".join([f"fail {error}"] * 3) for _, error in
+           CURVE_PLANTS.values()]
+        + ["1"]), proc.stderr

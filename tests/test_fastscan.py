@@ -1,6 +1,7 @@
 """Vector kernels against scalar arithmetic and the shift-and-xor reference:
-every product regime, the window maps, the build-time table checks, and the
-Frobenius and trace tables of every registry extension."""
+the tower product at every even degree, the window maps, the build-time
+table checks, and the Frobenius and trace tables of every registry
+extension."""
 
 import numpy as np
 import pytest
@@ -29,20 +30,17 @@ def test_mul_matches_scalar_at_wide_degrees(m):
 def test_mul_all_pairs_gf64():
     field = make_field(2, 6)
     ops = Gf2Scan(field)
-    assert ops.regime == "log"
     a, b = (x.ravel() for x in np.meshgrid(np.arange(64), np.arange(64)))
     assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y
                                       in zip(a.tolist(), b.tolist())]
 
 
-@pytest.mark.parametrize("m,regime,size", [
-    (12, "log", 2**16), (18, "tower", 2**16), (24, "tower", 2**16),
-    (1, "log", 500), (14, "log", 500), (15, "loop", 500), (16, "tower", 500),
-    (28, "tower", 500)])
-def test_mul_seeded_pairs_match_scalar_and_reference(m, regime, size):
+@pytest.mark.parametrize("m,size", [
+    (12, 2**16), (18, 2**16), (24, 2**16),
+    (2, 500), (14, 500), (4, 500), (16, 500), (28, 500)])
+def test_mul_seeded_pairs_match_scalar_and_reference(m, size):
     field = make_field(2, m, limit=2**m)
     ops = Gf2Scan(field)
-    assert ops.regime == regime
     rng = np.random.default_rng(100 + m)
     a = rng.integers(0, 2**m, size=size, dtype=np.uint64)
     b = rng.integers(0, 2**m, size=size, dtype=np.uint64)
@@ -111,7 +109,7 @@ def test_corrupted_exp_entry_raises(monkeypatch):
         return powers
 
     monkeypatch.setattr(fastscan, "_exp_walk", corrupted)
-    for m in (12, 24):  # the log regime and the tower's subfield
+    for m in (12, 24):  # the subfield exp walks of GF(2^6) and GF(2^12)
         with pytest.raises(fastscan.TableError):
             Gf2Scan(make_field(2, m))
 
@@ -139,6 +137,13 @@ def test_scans_independent_of_thread_count():
 def test_degree_beyond_headroom_rejected():
     with pytest.raises(DomainError):
         Gf2Scan(make_field(2, 33, limit=2**33))
+
+
+def test_odd_degrees_rejected():
+    # no quadratic tower, hence no product kernel; 33 is past uint32 too
+    for m in (1, 3, 15, 31, 33):
+        with pytest.raises(DomainError):
+            Gf2Scan(make_field(2, m, limit=2**m))
 
 
 @pytest.mark.parametrize("where", ["at-one", "everywhere"])
@@ -246,12 +251,12 @@ def test_trace_chunks_class_the_trace():
 
 
 def test_tower_of_gf2_30_is_built_on_first_use():
-    # q = 32: K = GF(2^15) is past the log regime, and GF(2^30) multiplies
-    # by shift-and-xor, so the tower exists only for the tower view
+    # q = 32: the view over K = GF(2^15) shares the product's tower, and
+    # is composed only when asked for
     scan = ExtScan(make_ext(2, 5, 6, limit=2**30))
-    assert scan.ops.regime == "loop" and "tower" not in vars(scan)
+    assert "tower" not in vars(scan)
     tower = scan.tower.tower
-    assert tower.h == 15 > fastscan._LOG_MAX
+    assert tower is scan.ops._tower and tower.h == 15
     rng = np.random.default_rng(30)
     a = rng.integers(0, 2**30, size=500, dtype=np.uint64)
     ta = tower.to_tower(a)

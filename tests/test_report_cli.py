@@ -95,7 +95,16 @@ class TestManifest:
         entry = json.loads(emit_json(Manifest(
             version="0", config={}, checks=[_result("a")])))["checks"][0]
         partial = {k: v for k, v in entry.items() if k != "witness"}
+        mistyped = [{**entry, key: val} for key, val in (
+            ("id", 1), ("anchor", None), ("params", []),
+            ("elapsed_ms", "slow"), ("elapsed_ms", True))]
         for doc in ({"version": "0", "config": {}, "checks": []},
+                    {"version": 0, "config": {}, "checks": [],
+                     "verdict": "pass"},
+                    {"version": "0", "config": [], "checks": [],
+                     "verdict": "pass"},
+                    *({"version": "0", "config": {}, "checks": [c],
+                       "verdict": "pass"} for c in mistyped),
                     5,  # not an object
                     {"version": "0", "config": {}, "checks": {},
                      "verdict": "pass"},
