@@ -20,7 +20,7 @@ from itertools import product
 
 from . import ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError, require
-from .fastscan import Workspace, run_chunked
+from .fastscan import MAX_DEGREE, Workspace, run_chunked
 from .ffield import FElt, TableOps, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
                     format_poly, is_irreducible, parse_poly)
@@ -166,10 +166,10 @@ def check_generator_enum(q: int, budget: int | None = None,
         p, k = jsearch._split_prime_power(q)
         # the root side: six roots per sextic, all Joubert generators,
         # counted by the vector kernels of GF(q^6) (Gf2Scan takes even
-        # m <= 32); run before the enumeration, so that a GF(q^6) over
-        # budget skips at once
+        # m <= MAX_DEGREE); run before the enumeration, so that a GF(q^6)
+        # over budget skips at once
         roots = None
-        if p == 2 and 6 * k <= 32:
+        if p == 2 and 6 * k <= MAX_DEGREE:
             roots = jsearch.count_joubert_generators(
                 q, budget=budget, threads=threads).count
         # the divisor sieve lists them; Rabin's test re-tests each one

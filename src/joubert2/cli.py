@@ -16,6 +16,7 @@ import sys
 
 from . import __version__, checks
 from .errors import DomainError
+from .fastscan import MAX_DEGREE
 from .ffield import require_odd_prime
 from .jsearch import _require_pow2, _split_prime_power
 from .report import EMITTERS, Manifest
@@ -49,9 +50,19 @@ def _int(require):
     return parse
 
 
+def _require_vector_q(q: int) -> None:
+    m = 6 * _require_pow2(q)
+    if m > MAX_DEGREE:
+        raise DomainError(f"q = {q} needs GF(2^{m}); the vector kernels take "
+                          f"degree at most {MAX_DEGREE}")
+
+
 _positive = _int(_require_positive)
 _Q_POW2 = dict(type=_int(_require_pow2), required=True,
                help="base field size, a power of 2")
+_Q_VECTOR = dict(type=_int(_require_vector_q), required=True,
+                 help=f"base field size, a power of 2 with q^6 <= "
+                      f"2^{MAX_DEGREE}")
 _Q_ANY = dict(type=_int(_split_prime_power), required=True,
               help="base field size, any prime power")
 _P = dict(type=_int(require_odd_prime), required=True, help="odd prime")
@@ -76,7 +87,7 @@ COMMANDS = {
         checks=[("check_hermite", ["q"], None)]),
     "surface": dict(
         help="census of the cubic locus on the trace-zero projective quotient",
-        options={"q": _Q_POW2},
+        options={"q": _Q_VECTOR},
         checks=[("check_surface", ["q"], None)]),
     "obstruction": dict(
         help="invariant-plane obstruction for the block action of "
@@ -89,7 +100,7 @@ COMMANDS = {
                 ("check_obstruction_brute", ["p", "m"], "brute_force")]),
     "curve": dict(
         help="fiber census of u^q - u = x^(2q+1) + x^(q+2)",
-        options={"q": _Q_POW2},
+        options={"q": _Q_VECTOR},
         checks=[("check_curve", ["q"], None)]),
     "verify-all": dict(
         help="run the complete check registry",

@@ -55,6 +55,9 @@ from .ffield import ExtDesc, FieldDesc, _pack, prime_divisors
 #: Elements per run_chunked range in the exhaustive scans.
 CHUNK = 1 << 16
 
+#: Largest m of a GF(2^m) the kernels take: packed values fit in uint32.
+MAX_DEGREE = 32
+
 #: Input bits per linear-map window: one 4096-entry table each.
 WINDOW = 12
 _WINDOW_MASK = (1 << WINDOW) - 1
@@ -485,12 +488,12 @@ class Tower:
 
 class Gf2Scan:
     """Element-wise field arithmetic on arrays over one GF(2^m), m even and
-    at most 32, with every product taken through the field's `Tower`."""
+    at most MAX_DEGREE, every product taken through the field's `Tower`."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2:
             raise DomainError("vector kernels are characteristic-2 only")
-        if field.m > 32:
+        if field.m > MAX_DEGREE:
             raise DomainError(f"packed degree {field.m} exceeds uint32 "
                               "headroom")
         self.field = field

@@ -746,13 +746,15 @@ def iter_elements(field: FieldDesc, start: int = 0,
                   stop: int | None = None) -> Iterator[FElt]:
     """All field elements in canonical (packed-integer) order.
 
-    The [start, stop) form yields a sub-range, so scans can be split into
-    disjoint chunks and processed independently.
+    The [start, stop) form, 0 <= start <= stop <= order, yields a sub-range,
+    so scans can be split into disjoint chunks and processed independently.
     """
     if stop is None:
         stop = field.order
-    for v in range(start, stop):
-        yield FElt(field, v)
+    if not 0 <= start <= stop <= field.order:
+        raise DomainError(f"range [{start}, {stop}) is not inside "
+                          f"[0, {field.order})")
+    return (FElt(field, v) for v in range(start, stop))
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,10 @@ _TERM_RE = re.compile(
 
 def _parse_coeff(text: str, field: FieldDesc, ext: ExtDesc | None) -> int:
     if text.startswith("["):
-        digits = [int(d) for d in text[1:-1].split(",")] if text != "[]" else []
+        parts = text[1:-1].split(",") if text != "[]" else []
+        if not all(parts):
+            raise DomainError(f"empty digit in coefficient {text!r}")
+        digits = [int(d) for d in parts]
         if any(not 0 <= d < field.p for d in digits):
             raise DomainError(f"digit out of range in coefficient {text!r}")
         if ext is not None:

@@ -4,7 +4,7 @@ characteristic.
 
 Search order is always ascending packed value, so witnesses are reproducible;
 chunked scans merge their parts in chunk order, which keeps results
-independent of thread count.
+independent of thread count.  First-witness searches are scalar walks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
                      make_field, prime_divisors)
-from .fastscan import CHUNK, ExtScan, Workspace, run_chunked
+from .fastscan import ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .sigma import is_joubert
 
@@ -91,38 +91,35 @@ def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
     return cand[t == 0]
 
 
-def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
-    """First y (in value order) generating F_{q^6}/F_q with s_1 = s_3 = 0.
+def _first_generator(q: int, n: int, budget: int | None) -> SearchReport:
+    """First y (in value order) generating F_{q^n}/F_q with s_1 = s_3 = 0.
 
-    Characteristic 2 only; the vectorized scan prefilters on the equivalent
-    pair Tr(y) = Tr(y^3) = 0, then re-verifies candidates through the
-    sigma-based predicate.  Chunks are walked in value order on the calling
-    thread and the walk stops at the first hit, so `scanned` ends at that
-    chunk.  One thread suffices: the witnesses sit at values 2, 6, 258 and
-    410 for q = 2, 4, 8 and 16, inside the first chunk, so parallel chunks
-    would only scan past the hit.
+    The pair Tr(y) = Tr(y^3) = 0 only rejects: Tr(y) = s_1, and by Newton's
+    identity Tr(y^3) = s_1^3 - 3 s_1 s_2 + 3 s_3, which vanishes whenever
+    s_1 = s_3 = 0 in every characteristic (in characteristic 3 it is Tr(y)^3
+    and rejects nothing more).  Acceptance goes through `is_joubert`.
     """
-    k = _require_pow2(q)
-    scan = _ext_scan(2, k, 6, budget)
-    ext = scan.ext
-
-    ws = Workspace()
-    found_val = None
-    scanned = 0
-    for lo in range(0, ext.big.order, CHUNK):
-        scanned = min(lo + CHUNK, ext.big.order)
-        found_val = next(
-            (v for v in _trace_pairs(scan, ws, lo, scanned).tolist()
-             if is_joubert(ext.big.element(v), ext)), None)
-        if found_val is not None:
+    p, k = _split_prime_power(q)
+    ext = make_ext(p, k, n, limit=budget)
+    big = ext.big
+    report = SearchReport(q=q, n=n)
+    for v in range(big.order):
+        report.scanned = v + 1
+        if (ext.trace_val(v) == 0
+                and ext.trace_val(big.mul_val(v, big.mul_val(v, v))) == 0
+                and is_joubert(big.element(v), ext)):
+            report.found = big.element(v)
+            report.found_min_poly = _verify_joubert_witness(report.found, ext)
             break
-
-    report = SearchReport(q=q, n=6, scanned=scanned)
-    if found_val is not None:
-        y = ext.big.element(found_val)
-        report.found = y
-        report.found_min_poly = _verify_joubert_witness(y, ext)
     return report
+
+
+def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
+    """First y (in value order) generating F_{q^6}/F_q with s_1 = s_3 = 0,
+    characteristic 2 only.  The witnesses sit at values 2, 6, 258, 410 and
+    326 for q = 2, 4, 8, 16 and 64."""
+    _require_pow2(q)
+    return _first_generator(q, 6, budget)
 
 
 def count_joubert_generators(q: int, budget: int | None = None,
@@ -232,25 +229,5 @@ def enumerate_joubert_polys(q: int, budget: int | None = None) -> list[UPoly]:
 
 
 def hermite_search(q: int, budget: int | None = None) -> SearchReport:
-    """First generator of F_{q^5}/F_q with s_1 = s_3 = 0, any characteristic.
-
-    The trace prefilter only rejects (s_1 = trace in all characteristics);
-    acceptance always goes through the sigma profile.
-    """
-    p, k = _split_prime_power(q)
-    ext = make_ext(p, k, 5, limit=budget)
-    big = ext.big
-    found = None
-    scanned = 0
-    for v in range(big.order):
-        scanned = v + 1
-        if ext.trace_val(v) != 0:
-            continue
-        y = big.element(v)
-        if is_joubert(y, ext):
-            found = y
-            break
-    report = SearchReport(q=q, n=5, scanned=scanned, found=found)
-    if found is not None:
-        report.found_min_poly = _verify_joubert_witness(found, ext)
-    return report
+    """First generator of F_{q^5}/F_q with s_1 = s_3 = 0, any characteristic."""
+    return _first_generator(q, 5, budget)

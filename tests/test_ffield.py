@@ -347,6 +347,11 @@ def test_iter_elements_complete_and_splittable():
     chunked = [e.val for e in iter_elements(F64, 0, 20)]
     chunked += [e.val for e in iter_elements(F64, 20, 64)]
     assert chunked == full
+    assert list(iter_elements(F64, 64, 64)) == []
+    # a range outside [0, order] is refused before anything is yielded
+    for start, stop in [(2, 6), (-1, 2), (3, 2)]:
+        with pytest.raises(DomainError):
+            iter_elements(make_field(2, 2), start, stop)
 
 
 # -- relative extensions ----------------------------------------------------

@@ -306,6 +306,9 @@ def test_parse_whitespace_and_errors():
     for bad in ["", "t^", "t^2++1", "5", "[3]*t"]:
         with pytest.raises((DomainError, ValueError)):
             parse_poly(bad, F3)
+    for bad in ["[1,]", "[1,,1]*t"]:
+        with pytest.raises(DomainError, match="empty digit in coefficient"):
+            parse_poly(bad, F3)
 
 
 def test_coefficient_range_checked():

@@ -48,19 +48,21 @@ def test_find_witness_exists_and_verifies(q):
 
 
 def test_find_witness_is_minimal():
-    a = find_joubert_generator(4)
-    # nothing below the witness qualifies
-    ext = make_ext(2, 2, 6)
-    for v in range(a.found.val):
-        assert not is_joubert(ext.big.element(v), ext)
+    # nothing below the witness qualifies, so the Tr(y) = Tr(y^3) = 0
+    # prefilter skipped no generator
+    for q in (4, 8, 16):
+        a = find_joubert_generator(q)
+        ext = make_ext(2, q.bit_length() - 1, 6)
+        for v in range(a.found.val):
+            assert not is_joubert(ext.big.element(v), ext), (q, v)
 
 
 @pytest.mark.parametrize("calls", [1, 2])
-def test_find_stops_at_the_witness_chunk(calls):
-    # the q = 8 witness (value 258) lies in the first chunk; a repeat call
-    # runs on the extension's cached tables and must stop at the same place
+def test_find_stops_at_the_witness(calls):
+    # the walk ends at the q = 8 witness (value 258); a repeat call runs on
+    # the extension's cached tables and must stop at the same place
     reports = [find_joubert_generator(8) for _ in range(calls)]
-    assert [(r.scanned, r.found.val) for r in reports] == [(65536, 258)] * calls
+    assert [(r.scanned, r.found.val) for r in reports] == [(259, 258)] * calls
 
 
 def test_find_rejects_bad_q():
@@ -379,8 +381,9 @@ def test_hermite_witness_every_characteristic(q):
     p = 2 if q in (2, 4, 8) else (3 if q in (3, 9) else 5)
     ext = make_ext(p, {2: 1, 3: 1, 4: 2, 5: 1, 8: 3, 9: 2}[q], 5)
     assert is_joubert(r.found, ext)
-    # nothing below the witness qualifies (canonical order pins the result)
-    for v in range(min(r.found.val, 40)):
+    # nothing below the witness qualifies (canonical order pins the result,
+    # and the trace prefilter skipped no generator)
+    for v in range(r.found.val):
         assert not is_joubert(ext.big.element(v), ext)
 
 

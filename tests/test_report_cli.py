@@ -179,7 +179,10 @@ class TestCli:
                      ["hermite", "--q", "2", "--threads", "0"],
                      ["hermite", "--q", "2", "--budget", "0"],
                      ["joubert-enum", "--q", "6"],
-                     ["obstruction", "--p", "2", "--m", "1"]):
+                     ["obstruction", "--p", "2", "--m", "1"],
+                     # GF(2^36) is past the vector kernels' degree 32
+                     ["curve", "--q", "64"],
+                     ["surface", "--q", "64"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -212,12 +215,16 @@ class TestCli:
         # both witnesses are re-verified in GF(2^30), inside a 2^31 budget
         (lambda: checks.check_generator_search(32, budget=2**31), "pass"),
         (lambda: checks.check_hermite(64, budget=2**31), "pass"),
+        # the witness (326) is found and re-verified in GF(2^36) by scalar
+        # arithmetic, past the vector kernels' degree 32
+        (lambda: checks.check_generator_search(64, budget=2**36), "pass"),
         # GF(2^6) has 64 elements, more than 10
         (lambda: checks.check_charpoly_routes(budget=10), "skip"),
         # GF(8) and GF(16) have more than 5 elements
         (lambda: checks.check_named_polynomials(budget=5), "skip"),
         (lambda: checks.check_obstruction(5, 1, budget=5), "skip"),
-    ], ids=["generator-search-q32", "hermite-q64", "charpoly-routes",
+    ], ids=["generator-search-q32", "hermite-q64", "generator-search-q64",
+            "charpoly-routes",
             "named-polynomials", "obstruction-p5m1"])
     def test_budget_reaches_reverification(self, run, outcome):
         assert run().outcome == outcome
