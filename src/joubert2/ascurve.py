@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, require
 from .fastscan import ChunkMap, ExtScan, LinearMap, Workspace, run_chunked
 from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
-from .jsearch import _ext_scan, _require_pow2
+from .jsearch import _ext_scan, _require_pow2, _require_vector_q
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ def bound_inequality(q: int) -> bool:
     The right side is the smooth point at infinity plus the largest
     possible number of bad fiber points.
     """
-    _require_pow2(q)
     lo, _ = weil_window(q)
     return lo > 1 + q**5
 
@@ -116,7 +115,7 @@ def curve_census(q: int, budget: int | None = None,
     quadratic subextension is impossible for trace-qualifying y, which the
     scan checks rather than assumes.
     """
-    k = _require_pow2(q)
+    k = _require_vector_q(q)
     tables = _census_tables(_ext_scan(2, k, 6, budget))
     tower, trace_hi = tables.view.tower, tables.view.trace_hi
     ws = Workspace()
@@ -192,7 +191,7 @@ def trace_identity_check(q: int, budget: int | None = None,
     """Exhaustively confirm Tr((x^q + x)^3) = Tr(x^(2q+1) + x^(q+2)); the
     right side is evaluated from the raw monomials, not the factored form.
     Returns the number of points checked."""
-    k = _require_pow2(q)
+    k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
 
     ws = Workspace()

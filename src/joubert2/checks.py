@@ -1,5 +1,5 @@
-"""Registry of verification checks behind `verify-all` and the per-topic
-CLI subcommands.
+"""Verification checks and `REGISTRY`, the rows `verify-all` runs; the
+per-topic CLI subcommands run rows of their own through the same runner.
 
 Every check re-derives the facts its witness reports before the witness is
 serialized; a failed `require`, or any other exception, becomes a "fail"
@@ -20,7 +20,7 @@ from itertools import product
 
 from . import ascurve, cubic, jsearch, obstruct
 from .errors import BudgetError, DomainError, require
-from .fastscan import MAX_DEGREE, Workspace, run_chunked
+from .fastscan import Workspace, run_chunked
 from .ffield import FElt, TableOps, make_ext, make_field
 from .fpoly import (UPoly, char_poly, char_poly_det, compress_poly,
                     format_poly, is_irreducible, parse_poly)
@@ -56,13 +56,11 @@ def check_shape_census(budget: int | None = None,
         texts = [format_poly(f) for f in polys]
         require(texts == ["t^6+t+1", "t^6+t^4+t^2+t+1"],
                 "GF(2) sextics are not the two named ones")
-        f2 = make_field(2, 1)
-        hits = 0
         for text in texts:
-            require(is_irreducible(parse_poly(text, f2)),
+            require(is_irreducible(parse_poly(text, make_field(2, 1))),
                     "named sextic is reducible")
-            hits += 1
-        return {"candidates": 16, "irreducible": texts, "reverified": hits}
+        return {"candidates": 16, "irreducible": texts,
+                "reverified": len(texts)}
 
     return _run(
         "shape-census-gf2",
@@ -106,13 +104,19 @@ def check_named_polynomials(budget: int | None = None,
         {}, body)
 
 
+def _witness(search, q: int, n: int, budget: int | None):
+    """search(q)'s report and F_{q^n}, the witness re-verified there."""
+    rep = search(q, budget=budget)
+    require(rep.found is not None, "no generator found")
+    ext = make_ext(*jsearch._split_prime_power(q), n, limit=budget)
+    require(is_joubert(rep.found, ext), "not a Joubert generator")
+    return rep, ext
+
+
 def check_generator_search(q: int, budget: int | None = None,
                            threads: int = 1) -> CheckResult:
     def body():
-        rep = jsearch.find_joubert_generator(q, budget=budget)
-        require(rep.found is not None, "no generator found")
-        ext = make_ext(2, q.bit_length() - 1, 6, limit=budget)
-        require(is_joubert(rep.found, ext), "not a Joubert generator")
+        rep, ext = _witness(jsearch.find_joubert_generator, q, 6, budget)
         prof = sigma_profile(rep.found, ext)
         require(prof.sigma(1) == 0 and prof.sigma(3) == 0,
                 "witness has nonzero s1 or s3")
@@ -163,13 +167,11 @@ def _berlekamp_irreducible(f: UPoly) -> bool:
 def check_generator_enum(q: int, budget: int | None = None,
                          threads: int = 1) -> CheckResult:
     def body():
-        p, k = jsearch._split_prime_power(q)
         # the root side: six roots per sextic, all Joubert generators,
-        # counted by the vector kernels of GF(q^6) (Gf2Scan takes even
-        # m <= MAX_DEGREE); run before the enumeration, so that a GF(q^6)
-        # over budget skips at once
+        # counted by the vector kernels of GF(q^6) where they apply; run
+        # before the enumeration, so that a GF(q^6) over budget skips at once
         roots = None
-        if p == 2 and 6 * k <= MAX_DEGREE:
+        if jsearch._vector_q(q):
             roots = jsearch.count_joubert_generators(
                 q, budget=budget, threads=threads).count
         # the divisor sieve lists them; Rabin's test re-tests each one
@@ -182,7 +184,7 @@ def check_generator_enum(q: int, budget: int | None = None,
         routes = ["sieve", "rabin"]
         if roots is None:
             # no root side: a second criterion over every candidate
-            field = make_field(p, k)
+            field = make_field(*jsearch._split_prime_power(q))
             listed = [f for f in (UPoly(field, [d, c, b, 0, a, 0, 1])
                                   for a, b, c, d in product(range(q),
                                                             repeat=4))
@@ -210,11 +212,7 @@ def check_generator_enum(q: int, budget: int | None = None,
 def check_hermite(q: int, budget: int | None = None,
                   threads: int = 1) -> CheckResult:
     def body():
-        rep = jsearch.hermite_search(q, budget=budget)
-        require(rep.found is not None, "no generator found")
-        p, k = jsearch._split_prime_power(q)
-        ext = make_ext(p, k, 5, limit=budget)
-        require(is_joubert(rep.found, ext), "not a Joubert generator")
+        rep, ext = _witness(jsearch.hermite_search, q, 5, budget)
         return {"witness_val": rep.found.val,
                 "min_poly": format_poly(rep.found_min_poly, ext),
                 "scanned": rep.scanned}
@@ -228,26 +226,20 @@ def check_hermite(q: int, budget: int | None = None,
 
 def check_hermite_family(budget: int | None = None,
                          threads: int = 1) -> CheckResult:
-    def body():
-        out = {}
-        for q in (2, 3, 4, 5, 8, 9):
-            rep = jsearch.hermite_search(q, budget=budget)
-            require(rep.found is not None, "no generator found")
-            p, k = jsearch._split_prime_power(q)
-            ext = make_ext(p, k, 5, limit=budget)
-            require(is_joubert(rep.found, ext), "not a Joubert generator")
-            out[str(q)] = rep.found.val
-        return {"witness_vals": out}
-
+    params = {"qs": [2, 3, 4, 5, 8, 9]}
     return _run(
         "hermite-family",
         "For q in {2,3,4,5,8,9}, F_q^5 contains a generator over F_q with "
         "zero first and third elementary symmetric functions.",
-        {"qs": [2, 3, 4, 5, 8, 9]}, body)
+        params, lambda: {"witness_vals": {
+            str(q): _witness(jsearch.hermite_search, q, 5, budget)[0].found.val
+            for q in params["qs"]}})
 
 
 def check_surface(q: int, budget: int | None = None,
                   threads: int = 1) -> CheckResult:
+    jsearch._require_vector_q(q)  # a code limit, not a false claim
+
     def body():
         census = cubic.surface_census(q, budget=budget, threads=threads)
         require(census.on_line == q + 1, "line does not have q + 1 points")
@@ -329,6 +321,8 @@ def check_obstruction_brute(p: int, m: int, budget: int | None = None,
 
 def check_curve(q: int, budget: int | None = None,
                 threads: int = 1) -> CheckResult:
+    jsearch._require_vector_q(q)  # a code limit, not a false claim
+
     def body():
         census = ascurve.curve_census(q, budget=budget, threads=threads)
         require(census.n_affine % q == 0, "affine count is not divisible by q")
@@ -364,8 +358,10 @@ def check_curve(q: int, budget: int | None = None,
 
 def check_curve_bounds(budget: int | None = None,
                        threads: int = 1) -> CheckResult:
+    params = {"qs": [2, 4, 8, 16]}
+
     def body():
-        flags = {str(q): ascurve.bound_inequality(q) for q in (2, 4, 8, 16)}
+        flags = {str(q): ascurve.bound_inequality(q) for q in params["qs"]}
         require(flags == {"2": False, "4": True, "8": True, "16": True},
                 "bound inequality flags differ")
         lo, _ = ascurve.weil_window(2)
@@ -376,11 +372,13 @@ def check_curve_bounds(budget: int | None = None,
         "curve-bound-inequality",
         "q^6 + 1 - 2q(q-1)q^3 > 1 + q^5 fails with equality at q = 2 and "
         "holds for q = 4, 8, 16.",
-        {"qs": [2, 4, 8, 16]}, body)
+        params, body)
 
 
 def check_newton_identities(budget: int | None = None,
                             threads: int = 1) -> CheckResult:
+    params = {"count": 10000}
+
     def between(y, ext):
         # the scalar route: sigma_profile, power_traces and FElt arithmetic
         prof = sigma_profile(y, ext)
@@ -427,8 +425,8 @@ def check_newton_identities(budget: int | None = None,
             audit(ext, range(ext.big.order), range(ext.big.order))
             exhaustive[f"GF({ext.big.p}^{ext.big.m})"] = ext.big.order
         rng = random.Random(99991)
-        drawn = [array("l") for _ in pools]  # packed, not 10000 int objects
-        for i in range(10000):
+        drawn = [array("l") for _ in pools]  # packed, not one int per sample
+        for i in range(params["count"]):
             k = i % len(pools)
             drawn[k].append(rng.randrange(pools[k].big.order))
         picks = random.Random(2014)
@@ -441,14 +439,16 @@ def check_newton_identities(budget: int | None = None,
         "Tr(y^3) equals s1^3 - 3 s1 s2 + 3 s3 (the s3 term absent in "
         "degree 2) for every element of F_5^4 and F_7^2 and for 10000 "
         "seeded samples from three larger extensions.",
-        {"count": 10000}, body)
+        params, body)
 
 
 def check_trace_square(budget: int | None = None,
                        threads: int = 1) -> CheckResult:
+    params = {"qs": [2, 4, 8]}
+
     def body():
-        scans = {q: _ext_scan(2, k, 6, budget)
-                 for q, k in ((2, 1), (4, 2), (8, 3))}
+        scans = {q: _ext_scan(2, q.bit_length() - 1, 6, budget)
+                 for q in params["qs"]}
         ws = Workspace()
 
         def agree(scan, lo: int, hi: int) -> int:
@@ -479,20 +479,17 @@ def check_trace_square(budget: int | None = None,
         "trace-square-frobenius",
         "Tr(z^2) = Tr(z)^2 for every z in F_q^6, q in {2, 4, 8}: the "
         "relative trace commutes with squaring in characteristic 2.",
-        {"qs": [2, 4, 8]}, body)
+        params, body)
 
 
 def check_charpoly_routes(budget: int | None = None,
                           threads: int = 1) -> CheckResult:
     def body():
         ext = make_ext(2, 1, 6, limit=budget)
-        mismatches = 0
-        for v in range(64):
-            y = FElt(ext.big, v)
-            if char_poly(y, ext) != char_poly_det(y, ext):
-                mismatches += 1
-        require(mismatches == 0, "char_poly routes disagree")
-        return {"elements": 64, "mismatches": 0}
+        ys = [FElt(ext.big, v) for v in range(ext.big.order)]
+        wrong = sum(char_poly(y, ext) != char_poly_det(y, ext) for y in ys)
+        require(wrong == 0, "char_poly routes disagree")
+        return {"elements": len(ys), "mismatches": wrong}
 
     return _run(
         "charpoly-two-routes",
@@ -502,22 +499,22 @@ def check_charpoly_routes(budget: int | None = None,
         {"q": 2, "n": 6}, body)
 
 
-def verify_all_checks(budget: int | None = None,
-                      threads: int = 1) -> list[CheckResult]:
-    out = [check_shape_census(budget, threads),
-           check_named_polynomials(budget, threads)]
-    for q in (2, 4, 8, 16):
-        out.append(check_generator_search(q, budget, threads))
-    for q in (2, 4, 8, 16):
-        out.append(check_surface(q, budget, threads))
-    for p, m in ((3, 1), (5, 1), (7, 1), (3, 2)):
-        out.append(check_obstruction(p, m, budget, threads))
-    out.append(check_obstruction_brute(3, 1, budget, threads))
-    for q in (2, 4, 8):
-        out.append(check_curve(q, budget, threads))
-    out.append(check_curve_bounds(budget, threads))
-    out.append(check_hermite_family(budget, threads))
-    out.append(check_newton_identities(budget, threads))
-    out.append(check_trace_square(budget, threads))
-    out.append(check_charpoly_routes(budget, threads))
-    return out
+# (check_* name, args) rows in run order; the names are looked up on this
+# module when they run, so a replaced check_* runs in its place
+REGISTRY = (
+    ("check_shape_census", ()),
+    ("check_named_polynomials", ()),
+    *[("check_generator_search", (q,)) for q in (2, 4, 8, 16)],
+    *[("check_surface", (q,)) for q in (2, 4, 8, 16)],
+    *[("check_obstruction", pm) for pm in ((3, 1), (5, 1), (7, 1), (3, 2))],
+    ("check_obstruction_brute", (3, 1)),
+    *[("check_curve", (q,)) for q in (2, 4, 8)],
+    *[(name, ()) for name in ("check_curve_bounds", "check_hermite_family",
+                              "check_newton_identities", "check_trace_square",
+                              "check_charpoly_routes")],
+)
+
+
+def verify_all_checks(budget: int | None = None, threads: int = 1,
+                      rows=REGISTRY) -> list[CheckResult]:
+    return [globals()[name](*args, budget, threads) for name, args in rows]

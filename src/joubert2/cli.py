@@ -18,7 +18,7 @@ from . import __version__, checks
 from .errors import DomainError
 from .fastscan import MAX_DEGREE
 from .ffield import require_odd_prime
-from .jsearch import _require_pow2, _split_prime_power
+from .jsearch import _require_pow2, _require_vector_q, _split_prime_power
 from .report import EMITTERS, Manifest
 
 EXIT_PASS = 0
@@ -50,13 +50,6 @@ def _int(require):
     return parse
 
 
-def _require_vector_q(q: int) -> None:
-    m = 6 * _require_pow2(q)
-    if m > MAX_DEGREE:
-        raise DomainError(f"q = {q} needs GF(2^{m}); the vector kernels take "
-                          f"degree at most {MAX_DEGREE}")
-
-
 _positive = _int(_require_positive)
 _Q_POW2 = dict(type=_int(_require_pow2), required=True,
                help="base field size, a power of 2")
@@ -68,27 +61,26 @@ _Q_ANY = dict(type=_int(_split_prime_power), required=True,
 _P = dict(type=_int(require_odd_prime), required=True, help="odd prime")
 _M = dict(type=_positive, required=True, help="exponent rank")
 
-# command -> its help, its options (dest -> argparse keywords) and its check
-# rows (checks function, option dests passed to it, option that gates it).
-# Rows name the function so it is looked up on `checks` at call time.
+# command -> its help, its options (dest -> argparse keywords) and `rows`,
+# from those options to the rows that `checks.verify_all_checks` runs.
 COMMANDS = {
     "joubert-search": dict(
         help="find and re-verify one degree-6 generator with s1 = s3 = 0",
         options={"q": _Q_POW2},
-        checks=[("check_generator_search", ["q"], None)]),
+        rows=lambda q: [("check_generator_search", (q,))]),
     "joubert-enum": dict(
         help="enumerate the monic irreducible sextics with zero t^5 and t^3 "
              "coefficients",
         options={"q": _Q_ANY},
-        checks=[("check_generator_enum", ["q"], None)]),
+        rows=lambda q: [("check_generator_enum", (q,))]),
     "hermite": dict(
         help="find a degree-5 generator with s1 = s3 = 0",
         options={"q": _Q_ANY},
-        checks=[("check_hermite", ["q"], None)]),
+        rows=lambda q: [("check_hermite", (q,))]),
     "surface": dict(
         help="census of the cubic locus on the trace-zero projective quotient",
         options={"q": _Q_VECTOR},
-        checks=[("check_surface", ["q"], None)]),
+        rows=lambda q: [("check_surface", (q,))]),
     "obstruction": dict(
         help="invariant-plane obstruction for the block action of "
              "(Z/pZ)^m x (Z/pZ)^m",
@@ -96,16 +88,16 @@ COMMANDS = {
                  "brute_force": dict(
                      action="store_true",
                      help="also sweep every 2-dim subspace as an oracle")},
-        checks=[("check_obstruction", ["p", "m"], None),
-                ("check_obstruction_brute", ["p", "m"], "brute_force")]),
+        rows=lambda p, m, brute_force: [("check_obstruction", (p, m))] + (
+            [("check_obstruction_brute", (p, m))] if brute_force else [])),
     "curve": dict(
         help="fiber census of u^q - u = x^(2q+1) + x^(q+2)",
         options={"q": _Q_VECTOR},
-        checks=[("check_curve", ["q"], None)]),
+        rows=lambda q: [("check_curve", (q,))]),
     "verify-all": dict(
         help="run the complete check registry",
         options={},
-        checks=[]),  # main runs checks.verify_all_checks instead
+        rows=lambda: checks.REGISTRY),
 }
 
 
@@ -167,17 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     budget = _resolve_budget(ap, args)
     spec = COMMANDS[args.command]
-    if args.command == "verify-all":
-        results = checks.verify_all_checks(budget, args.threads)
-    else:
-        results = [getattr(checks, name)(*(getattr(args, d) for d in dests),
-                                         budget, args.threads)
-                   for name, dests, gate in spec["checks"]
-                   if gate is None or getattr(args, gate)]
-    config = {dest: getattr(args, dest) for dest in spec["options"]
-              if getattr(args, dest) is not None}
-    config["command"] = args.command
-    config["budget"] = budget
+    opts = {dest: getattr(args, dest) for dest in spec["options"]}
+    results = checks.verify_all_checks(budget, args.threads,
+                                       spec["rows"](**opts))
+    config = dict(opts, command=args.command, budget=budget)
     manifest = Manifest(version=__version__, config=config, checks=results)
     text = EMITTERS[args.format](manifest)
     if args.out:

@@ -24,7 +24,7 @@ from .errors import DomainError, require
 from .ffield import ExtDesc, _unpack, make_ext
 from .fastscan import ChunkMap, LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
-from .jsearch import _ext_scan, _require_pow2
+from .jsearch import _ext_scan, _require_pow2, _require_vector_q
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def surface_census(q: int, budget: int | None = None,
     F_{q^3}-line or a generator class, the line has exactly q+1 points, and
     the two counting routes agree.
     """
-    k = _require_pow2(q)
+    k = _require_vector_q(q)
     frame = build_frame(q, budget)
     ext = frame.ext
     big = ext.big

@@ -44,6 +44,7 @@ thread instead of once per chunk.
 from __future__ import annotations
 
 import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -699,10 +700,14 @@ def run_chunked(total: int, fn, chunk: int = CHUNK, threads: int = 1) -> list:
     """fn(lo, hi) over [0, total) split into ranges; results in range order.
 
     Thread count never changes the output: results are collected by chunk
-    index, and fn must be pure.
+    index, and fn must be pure.  At most one worker per range and per CPU
+    this process may use is started, whatever `threads` asks for.
     """
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if threads <= 1 or len(ranges) <= 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(ranges), cpus)
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
                      make_field, prime_divisors)
-from .fastscan import ExtScan, Workspace, run_chunked
+from .fastscan import MAX_DEGREE, ExtScan, Workspace, run_chunked
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .sigma import is_joubert
 
@@ -49,6 +49,20 @@ def _require_pow2(q: int) -> int:
     p, k = _split_prime_power(q)
     if p != 2:
         raise DomainError(f"q = {q} must be a power of 2")
+    return k
+
+
+def _vector_q(q: int) -> bool:
+    """Whether the vector kernels take GF(q^6): q = 2^k, 6k <= MAX_DEGREE."""
+    p, k = _split_prime_power(q)
+    return p == 2 and 6 * k <= MAX_DEGREE
+
+
+def _require_vector_q(q: int) -> int:
+    k = _require_pow2(q)
+    if not _vector_q(q):
+        raise DomainError(f"q = {q} needs GF(2^{6 * k}); the vector kernels "
+                          f"take degree at most {MAX_DEGREE}")
     return k
 
 
@@ -125,7 +139,7 @@ def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
 def count_joubert_generators(q: int, budget: int | None = None,
                              threads: int = 1) -> SearchReport:
     """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
-    k = _require_pow2(q)
+    k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
     ext = scan.ext
 

@@ -134,6 +134,39 @@ def test_scans_independent_of_thread_count():
     assert curve_census(8, threads=1) == curve_census(8, threads=2)
 
 
+def test_run_chunked_caps_its_workers(monkeypatch):
+    # a pool that records its size and maps serially, so no thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(fastscan, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(fastscan.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    span = fastscan.run_chunked
+    want = [(lo, lo + 10) for lo in range(0, 100, 10)]
+    assert span(100, lambda lo, hi: (lo, hi), 10, 100000) == want
+    assert span(100, lambda lo, hi: (lo, hi), 10, 2) == want
+    assert span(20, lambda lo, hi: (lo, hi), 10, 8) == want[:2]
+    assert span(100, lambda lo, hi: (lo, hi), 10, 1) == want
+    monkeypatch.delattr(fastscan.os, "sched_getaffinity")
+    monkeypatch.setattr(fastscan.os, "cpu_count", lambda: 4)
+    assert span(100, lambda lo, hi: (lo, hi), 10, 100000) == want
+    # CPUs, threads, ranges, CPUs from os.cpu_count; one thread runs inline
+    assert sizes == [3, 2, 2, 4]
+
+
 def test_degree_beyond_headroom_rejected():
     with pytest.raises(DomainError):
         Gf2Scan(make_field(2, 33, limit=2**33))

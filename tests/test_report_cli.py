@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,34 @@ class TestCli:
             assert main(argv) == 0, argv
         capsys.readouterr()
         assert sorted(set(names) - set(reached)) == []
+
+    def test_verify_all_runs_exactly_the_registry(self, capsys, monkeypatch):
+        calls = []
+
+        def recorder(name):
+            def record(*args):
+                calls.append((name, args))
+                return _result(f"{name}-{len(calls)}")
+            return record
+
+        for name in [n for n in vars(checks) if n.startswith("check_")]:
+            monkeypatch.setattr(checks, name, recorder(name))
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        assert main(["verify-all"]) == 0
+        capsys.readouterr()
+        assert calls == [(name, (*args, None, 1))
+                         for name, args in checks.REGISTRY]
+        assert len(calls) == 23
+
+    def test_kernel_limit_is_a_domain_error(self):
+        # GF(2^36) is past the vector kernels' degree 32: a code limit, so
+        # the call raises at once instead of reporting a false claim
+        for check in (checks.check_curve, checks.check_surface,
+                      checks.ascurve.curve_census, checks.cubic.surface_census):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match="degree at most 32"):
+                check(64, budget=2**36)
+            assert time.perf_counter() - t0 < 0.5, check
 
     def test_unexpected_exception_is_a_fail(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
