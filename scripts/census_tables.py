@@ -1,18 +1,33 @@
 """Print the census tables behind the headline counts: qualifying sextics
 per base field, surface classes, and curve fiber splits, with timings.
+A q whose scan exceeds the budget gets a `skip` row.
 
 Usage:
-    python scripts/census_tables.py --max-k 3
+    python scripts/census_tables.py --max-k 3 [--budget N]
 """
 
 import argparse
 import time
 
 from joubert2.ascurve import bound_inequality, curve_census
+from joubert2.cli import BUDGET_ENV, _positive, _resolve_budget
 from joubert2.cubic import surface_census
-from joubert2.errors import require
+from joubert2.errors import BudgetError, require
 from joubert2.jsearch import (count_joubert_generators,
                               enumerate_joubert_polys)
+
+
+def table(title: str, header: str, qs: list[int], row) -> None:
+    """One table: row(q) gives the cells after q, timed."""
+    print(f"\n{title}\n{'q':>4} {header} {'sec':>7}")
+    for q in qs:
+        t0 = time.perf_counter()
+        try:
+            cells = row(q)
+        except BudgetError as e:
+            print(f"{q:>4} skip: {e}")
+            continue
+        print(f"{q:>4} {cells} {time.perf_counter() - t0:>7.2f}")
 
 
 def main() -> None:
@@ -20,40 +35,39 @@ def main() -> None:
     ap.add_argument("--max-k", type=int, default=3,
                     help="largest exponent k for q = 2^k (default 3)")
     ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--budget", type=_positive, default=None,
+                    help="largest element count any single scan may touch "
+                         f"(default: ${BUDGET_ENV} or 2^28)")
     args = ap.parse_args()
+    budget, threads = _resolve_budget(ap, args), args.threads
     qs = [2**k for k in range(1, args.max_k + 1)]
 
-    print("qualifying sextics and generators")
-    print(f"{'q':>4} {'polys':>7} {'generators':>11} {'sec':>7}")
-    for q in qs:
-        t0 = time.perf_counter()
-        polys = enumerate_joubert_polys(q)
-        count = count_joubert_generators(q, threads=args.threads).count
+    def generators(q):
+        polys = enumerate_joubert_polys(q, budget=budget)
+        count = count_joubert_generators(q, budget=budget,
+                                         threads=threads).count
         require(count == 6 * len(polys), "generator count is not 6 per sextic")
-        print(f"{q:>4} {len(polys):>7} {count:>11} "
-              f"{time.perf_counter() - t0:>7.2f}")
+        return f"{len(polys):>7} {count:>11}"
 
-    print("\nsurface classes (trace-zero projective quotient)")
-    print(f"{'q':>4} {'total':>7} {'on line':>8} {'generator':>10} "
-          f"{'floor':>7} {'sec':>7}")
-    for q in qs:
-        t0 = time.perf_counter()
-        c = surface_census(q, threads=args.threads)
-        print(f"{q:>4} {c.total:>7} {c.on_line:>8} "
-              f"{c.generator_points:>10} {c.manin_floor:>7} "
-              f"{time.perf_counter() - t0:>7.2f}")
+    def surface(q):
+        c = surface_census(q, budget=budget, threads=threads)
+        return (f"{c.total:>7} {c.on_line:>8} {c.generator_points:>10} "
+                f"{c.manin_floor:>7}")
 
-    print("\ncurve fibers (u^q - u = x^(2q+1) + x^(q+2))")
-    print(f"{'q':>4} {'affine':>8} {'good':>8} {'bad':>8} "
-          f"{'weil window':>17} {'bound':>6} {'sec':>7}")
-    for q in qs:
-        t0 = time.perf_counter()
-        c = curve_census(q, threads=args.threads)
+    def curve(q):
+        c = curve_census(q, budget=budget, threads=threads)
         window = f"[{c.weil_low}, {c.weil_high}]"
-        print(f"{q:>4} {c.n_affine:>8} {c.good_points:>8} "
-              f"{c.bad_points:>8} {window:>17} "
-              f"{str(bound_inequality(q)):>6} "
-              f"{time.perf_counter() - t0:>7.2f}")
+        return (f"{c.n_affine:>8} {c.good_points:>8} {c.bad_points:>8} "
+                f"{window:>17} {str(bound_inequality(q)):>6}")
+
+    table("qualifying sextics and generators",
+          f"{'polys':>7} {'generators':>11}", qs, generators)
+    table("surface classes (trace-zero projective quotient)",
+          f"{'total':>7} {'on line':>8} {'generator':>10} {'floor':>7}",
+          qs, surface)
+    table("curve fibers (u^q - u = x^(2q+1) + x^(q+2))",
+          f"{'affine':>8} {'good':>8} {'bad':>8} {'weil window':>17} "
+          f"{'bound':>6}", qs, curve)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require
-from .fastscan import ChunkMap, ExtScan, LinearMap, Workspace, run_chunked
+from .fastscan import (ChunkMap, ExtScan, SubfieldTests, Workspace,
+                       run_chunked)
 from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
 from .jsearch import _ext_scan, _require_pow2, _require_vector_q
 
@@ -85,25 +86,17 @@ def rhs_value(x: FElt, ext: ExtDesc) -> FElt:
 
 class _CensusTables:
     """The census's linear parts in tower coordinates, on aligned chunks:
-    x -> x^q = F(x), and the subfield tests (F^3 + 1) y = 0 and
-    (F^2 + 1) y = 0 of y = x^q + x, composed from basis images of the tower
-    view's F."""
+    x -> x^q = F(x), and the subfield tests of y = x^q + x."""
 
     def __init__(self, scan: ExtScan):
         self.view = view = scan.tower
         order = scan.ext.big.order
-        f = view.frob.scalar
         y = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
         self.frob = ChunkMap(view.frob, order)
-        self.cubic = ChunkMap(LinearMap(f(f(f(v))) ^ v for v in y), order,
-                              narrow=True)
-        self.quadratic = ChunkMap(LinearMap(f(f(v)) ^ v for v in y), order,
-                                  narrow=True)
+        self.tests = SubfieldTests(view, y, order)
 
 
-@functools.lru_cache(maxsize=None)
-def _census_tables(scan: ExtScan) -> _CensusTables:
-    return _CensusTables(scan)
+_census_tables = functools.lru_cache(maxsize=None)(_CensusTables)
 
 
 def curve_census(q: int, budget: int | None = None,
@@ -136,15 +129,7 @@ def curve_census(q: int, budget: int | None = None,
         require(np.array_equal(t, trace_hi(tower.mul_hi(c0, c1, ly, out=x),
                                            out=x)),
                 "solvability differs from the trace identity")
-        solvable = np.equal(t, 0, out=ws.get("solvable", n, bool))
-        in_cubic = tables.cubic.zeros(lo, hi, out=ws.get("cubic", n, bool))
-        in_quadratic = tables.quadratic.zeros(
-            lo, hi, out=ws.get("quadratic", n, bool))
-        require(not np.any(in_cubic & ~solvable),
-                "cubic-subextension fiber is not solvable")
-        # trace-qualifying y in the quadratic subextension is already in F_q
-        require(not np.any(solvable & in_quadratic & ~in_cubic),
-                "solvable y in F_{q^2} lies outside F_q")
+        solvable, in_cubic = tables.tests.split(t, lo, hi, ws)
         good = solvable & ~in_cubic
         return (int(np.count_nonzero(solvable)),
                 int(np.count_nonzero(solvable & in_cubic)),
@@ -199,7 +184,7 @@ def trace_identity_check(q: int, budget: int | None = None,
     def check(lo: int, hi: int) -> int:
         n = hi - lo
         x = ws.arange("x", lo, hi)
-        y = scan.frob(x, 1, out=ws.get("y", n))
+        y = scan.frob(x, out=ws.get("y", n))
         y ^= x
         lhs = scan.trace(scan.ops.cube(y, out=y), out=y)
         r = scan.power(x, 2 * q + 1, out=ws.get("r", n))

@@ -4,8 +4,8 @@ Canonical packed GF(2^m) values (m <= 32) go in as unsigned integer numpy
 arrays and come out as uint32 arrays.  Every kernel is a short sequence of
 table gathers:
 
-- F_2-linear maps (squaring, the relative Frobenius and its powers, the
-  relative trace, the reduction of a wide product) take one 4096-entry
+- F_2-linear maps (squaring, the relative Frobenius, the relative
+  trace, the reduction of a wide product) take one 4096-entry
   uint32 table per 12-bit window of the input: one gather for m <= 12, two
   for m = 18 and 24.
 - Products have one kernel, for every even m <= 32: a quadratic tower
@@ -18,13 +18,15 @@ table gathers:
   the reference every table is derived from and checked against.
 - A scan that only counts can stay in tower coordinates throughout:
   `ExtScan.tower`, built on first use, composes the relative Frobenius
-  powers and the trace with the maps of the scan's own tower, and `Tower`
+  and the trace with the maps of the scan's own tower, and `Tower`
   takes products and a cube's w-half from the logs of the halves, with no
   map in or out.
 - On the aligned ranges of `run_chunked` a linear map costs no gather at
-  all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), one xor
-  of a per-scan table on [0, CHUNK) with one scalar (`ChunkMap`).  Its
-  zero set in a range is a class of that table, read off a sorted index.
+  all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), and L on
+  [0, CHUNK) is a broadcast xor of its tables on the low WINDOW bits of i
+  and on the rest (`ChunkMap`).  A sweep of a subspace such as
+  L_0 = ker Tr indexes it by basis images this way, with its subfield
+  tests on the same index (`SubfieldTests`).
 
 Independence: every table comes from the field's modulus alone, through the
 shift-and-xor reference and set-up steps on plain ints, so the vector layer
@@ -163,85 +165,44 @@ class LinearMap:
         return out
 
 
-def _narrowed(lm: LinearMap) -> LinearMap:
-    """lm followed by the projection onto the leading bits of an echelon
-    basis of its image.  The projection is one-to-one on the image, so the
-    narrowed map tells the same values apart, in as many bits as the
-    image's dimension."""
-    lead = {}  # leading bit -> basis vector of the image
-    for img in lm.images:
-        while img:
-            top = img.bit_length() - 1
-            if top not in lead:
-                lead[top] = img
-                break
-            img ^= lead[top]
-    pivots = sorted(lead)
-    return LinearMap(sum((img >> bit & 1) << j for j, bit in enumerate(pivots))
-                     for img in lm.images)
-
-
 class ChunkMap:
     """An F_2-linear map L on the aligned ranges of run_chunked.
 
     A range starts at a multiple lo of CHUNK, so each of its values is
-    lo + i = lo xor i with i < CHUNK, and L(lo + i) = L(lo) xor L(i): the
-    range costs one xor of a per-scan table of L on [0, CHUNK) with the one
-    scalar L(lo), and no gather.  With `narrow` the map is first narrowed
-    to the dimension of its image (`_narrowed`), which keeps its zeros and
-    stores the table in the smallest unsigned dtype.
+    lo + i = lo xor i with i < CHUNK, and L(lo + i) = L(lo) xor L(i).  L on
+    [0, CHUNK) is kept as its tables on the low WINDOW bits of i and on the
+    bits above: a range of whole rows of the low table, or of part of one,
+    costs one broadcast xor (or comparison) of the two, with L(lo) folded
+    into the high one, and no gather.
     """
 
-    def __init__(self, lm: LinearMap, order: int, narrow: bool = False):
-        self.map = _narrowed(lm) if narrow else lm
-        top = max(self.map.images, default=0)
-        dtype = next(t for t in (np.uint8, np.uint16, np.uint32)
-                     if top <= np.iinfo(t).max)
+    def __init__(self, lm: LinearMap, order: int):
+        self.map = lm
+        self.size = min(order, CHUNK)
         # L on [0, 2^b) is the span of its first b images, in order
-        size = min(order, CHUNK)
-        self.table = _span(self.map.images[:(size - 1).bit_length()]
-                           )[:size].astype(dtype, copy=False)
-        self._width = top.bit_length()
+        bits = (self.size - 1).bit_length()
+        cut = min(bits, WINDOW)
+        self.low, self.high = (_span(lm.images[i:j])
+                               for i, j in ((0, cut), (cut, bits)))
 
-    def _offset(self, lo: int, hi: int):
-        """L(lo), in the table's dtype, for the aligned range [lo, hi)."""
-        require(lo % CHUNK == 0 and 0 < hi - lo <= self.table.size,
+    def _apply(self, op, lo: int, hi: int, out) -> np.ndarray:
+        n = hi - lo
+        cols = min(n, self.low.size)
+        require(lo % CHUNK == 0 and 0 < n <= self.size and n % cols == 0,
                 "range is not aligned to the chunk table")
-        return self.table.dtype.type(self.map.scalar(lo))
+        high = self.high[:n // cols, None] ^ np.uint32(self.map.scalar(lo))
+        return op(high, self.low[:cols], out=None if out is None else
+                  out.reshape(-1, cols)).reshape(n)
 
     def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
                  ) -> np.ndarray:
         """L(v) for v in [lo, hi)."""
-        return np.bitwise_xor(self.table[:hi - lo], self._offset(lo, hi),
-                              out=out)
+        return self._apply(np.bitwise_xor, lo, hi, out)
 
     def zeros(self, lo: int, hi: int, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """Whether L(v) = 0, for v in [lo, hi): the table equals L(lo)."""
-        return np.equal(self.table[:hi - lo], self._offset(lo, hi), out=out)
-
-    @functools.cached_property
-    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
-        # the table's positions grouped by value, each class ascending, and
-        # where each class starts; class by class, so that no index array
-        # of the whole table is ever wider than uint16
-        counts = np.bincount(self.table, minlength=1 << self._width)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        perm = np.empty(self.table.size, dtype=np.uint16)
-        for t in np.flatnonzero(counts).tolist():
-            perm[starts[t]:starts[t + 1]] = np.flatnonzero(self.table == t)
-        return perm, starts
-
-    def zero_offsets(self, lo: int, hi: int) -> np.ndarray:
-        """The i with L(lo + i) = 0 and lo + i < hi, ascending: the class
-        of L(lo) in the table, with no pass over the range.  Meant for a
-        narrow map: the class index has 2^(image bits) entries."""
-        t = int(self._offset(lo, hi))
-        perm, starts = self._classes
-        cls = perm[starts[t]:starts[t + 1]]
-        if hi - lo < self.table.size:
-            cls = cls[:np.searchsorted(cls, hi - lo)]
-        return cls
+        """Whether L(v) = 0, for v in [lo, hi): the two tables agree."""
+        return self._apply(np.equal, lo, hi, out)
 
 
 # -- set-up arithmetic on plain ints: shift-and-xor with reduction by the
@@ -581,7 +542,7 @@ class Gf2Scan:
 
 
 class ExtScan:
-    """Gf2Scan plus relative Frobenius / trace tables for one extension."""
+    """Gf2Scan plus relative Frobenius / trace maps for one extension."""
 
     def __init__(self, ext: ExtDesc):
         self.ext = ext
@@ -594,10 +555,9 @@ class ExtScan:
         cur = images[0]
         for _ in range(ext.base_deg):
             cur = self.ops._loop_mul(cur, cur)
-        frob = LinearMap(cur.tolist())
+        self._frob = LinearMap(cur.tolist())
         for _ in range(1, ext.n):
-            images.append(frob(images[-1]))
-        self._frob = [None] + [LinearMap(img.tolist()) for img in images[1:]]
+            images.append(self._frob(images[-1]))
         self._trace = LinearMap(np.bitwise_xor.reduce(images).tolist())
 
     @functools.cached_property
@@ -605,20 +565,10 @@ class ExtScan:
         """The big field in tower coordinates, built on first use."""
         return TowerView(self)
 
-    @functools.cached_property
-    def trace_chunks(self) -> ChunkMap:
-        """The relative trace on aligned ranges, narrowed to F_q's bits."""
-        return ChunkMap(self._trace, self.ext.big.order, narrow=True)
-
-    def frob(self, v: np.ndarray, i: int = 1,
-             out: np.ndarray | None = None) -> np.ndarray:
-        i %= self.ext.n
-        if i == 0:
-            if out is None:
-                return v
-            np.copyto(out, v)
-            return out
-        return self._frob[i](v, out=out)
+    def frob(self, v: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        """The relative Frobenius x -> x^q, element-wise."""
+        return self._frob(v, out=out)
 
     def trace(self, v: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
@@ -667,7 +617,7 @@ class TowerView:
         ops = scan.ops
         self.tower = tower = ops._tower
         h = tower.h
-        self.frob = _in_tower(tower, scan._frob[1])
+        self.frob = _in_tower(tower, scan._frob)
         trace = _in_tower(tower, scan._trace, tower_out=False)
         if any(trace.images[:h]):
             raise TableError("trace of the tower's subfield is not zero")
@@ -694,6 +644,35 @@ class TowerView:
         if not ok:
             raise TableError(f"tower view of GF(2^{scan.ops.m}) disagrees "
                              "with the canonical maps")
+
+
+class SubfieldTests:
+    """ChunkMaps of (F^3 + 1) y and (F^2 + 1) y, zero on F_{q^3} and F_{q^2},
+    for a sweep whose index bit j stands for y = images[j] in a tower
+    view's coordinates, composed from basis images of the view's F."""
+
+    def __init__(self, view: TowerView, images, order: int):
+        f = view.frob.scalar
+        f2 = [f(f(v)) for v in images]
+        self.cubic, self.quadratic = (
+            ChunkMap(LinearMap(u ^ v for u, v in zip(fi, images)), order)
+            for fi in ([f(u) for u in f2], f2))
+
+    def split(self, t, lo: int, hi: int, ws: Workspace
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Whether t = Tr(y^3) is 0 and whether y is in F_{q^3}, on [lo, hi),
+        in arrays of ws.  All of F_{q^3} must pass, and none of F_{q^2}
+        outside it: with Tr(y) = 0, as in every sweep, that is F_q."""
+        n = hi - lo
+        solvable = np.equal(t, 0, out=ws.get("solvable", n, bool))
+        in_cubic = self.cubic.zeros(lo, hi, out=ws.get("cubic", n, bool))
+        in_quadratic = self.quadratic.zeros(
+            lo, hi, out=ws.get("quadratic", n, bool))
+        require(not np.any(in_cubic & ~solvable),
+                "an element of F_{q^3} has Tr(y^3) != 0")
+        require(not np.any(solvable & in_quadratic & ~in_cubic),
+                "a y with Tr(y^3) = 0 lies in F_{q^2} outside F_{q^3}")
+        return solvable, in_cubic
 
 
 def run_chunked(total: int, fn, chunk: int = CHUNK, threads: int = 1) -> list:

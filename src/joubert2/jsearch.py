@@ -18,8 +18,10 @@ import numpy as np
 from .errors import DomainError, require
 from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
                      make_field, prime_divisors)
-from .fastscan import MAX_DEGREE, ExtScan, Workspace, run_chunked
+from .fastscan import (CHUNK, MAX_DEGREE, ChunkMap, ExtScan, LinearMap,
+                       SubfieldTests, Workspace, run_chunked)
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
+from .gflinalg import kernel, rref_vals
 from .sigma import is_joubert
 
 
@@ -73,9 +75,7 @@ def _ext_scan(p: int, base_deg: int, n: int,
     return _scan_of(make_ext(p, base_deg, n, limit))
 
 
-@functools.lru_cache(maxsize=None)
-def _scan_of(ext: ExtDesc) -> ExtScan:
-    return ExtScan(ext)
+_scan_of = functools.lru_cache(maxsize=None)(ExtScan)
 
 
 def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
@@ -90,19 +90,6 @@ def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     require(is_irreducible(compress_poly(mp, ext)),
             f"minimal polynomial of {y!r} is reducible over GF({ext.q})")
     return mp
-
-
-def _trace_pairs(scan: ExtScan, ws: Workspace, lo: int,
-                 hi: int) -> np.ndarray:
-    """The y in [lo, hi) with Tr(y) = Tr(y^3) = 0, in value order.  The
-    trace-zero y are lo + i for the ascending offsets i whose trace class is
-    Tr(lo), read off the per-scan class index; the cube is taken only on
-    them."""
-    offsets = scan.trace_chunks.zero_offsets(lo, hi)
-    cand = np.add(offsets, np.uint32(lo), out=ws.get("cand", offsets.size))
-    t = ws.get("t", cand.size)
-    scan.trace(scan.ops.cube(cand, out=t), out=t)
-    return cand[t == 0]
 
 
 def _first_generator(q: int, n: int, budget: int | None) -> SearchReport:
@@ -136,40 +123,89 @@ def find_joubert_generator(q: int, budget: int | None = None) -> SearchReport:
     return _first_generator(q, 6, budget)
 
 
+class _Bits:
+    """GF(2) on the ints 0 and 1 for `gflinalg`, so that the kernel of the
+    trace, like every vector table, needs no scalar `ffield` backend."""
+
+    inv_val = neg_val = staticmethod(int)
+    mul_val, sub_val = staticmethod(int.__and__), staticmethod(int.__xor__)
+
+
+class _L0Tables:
+    """L_0 = ker Tr on an F_2-basis from the trace's kernel over GF(2), not
+    the K-basis of `cubic`: index bit j stands for basis[j], packed by
+    `canonical` and in tower coordinates by `sweep`, with subfield `tests`."""
+
+    def __init__(self, scan: ExtScan):
+        trace, m, gf2 = scan._trace, scan.ops.m, _Bits
+        basis = [sum(bit << j for j, bit in enumerate(vec)) for vec in kernel(
+            [[img >> i & 1 for img in trace.images] for i in range(m)], gf2)]
+        require(len(basis) == 5 * scan.ext.base_deg,
+                f"ker Tr has {len(basis)} basis elements, not 5k")
+        require(all(trace.scalar(b) == 0 for b in basis),
+                "a basis element of ker Tr has nonzero trace")
+        require(len(rref_vals([[b >> i & 1 for i in range(m)] for b in basis],
+                              gf2)) == len(basis),
+                "the basis of ker Tr is dependent over F_2")
+        self.canonical = LinearMap(basis)
+        self.order = order = 1 << len(basis)
+        self.view = view = scan.tower
+        images = [view.tower.to_tower.scalar(b) for b in basis]
+        self.sweep = ChunkMap(LinearMap(images), order)
+        self.tests = SubfieldTests(view, images, order)
+
+
+_l0_tables = functools.lru_cache(maxsize=None)(_L0Tables)
+
+
+def _spread(mask: np.ndarray, lo: int, n: int, kept: bool) -> dict:
+    """Up to n of the lo + i with mask[i], evenly spread, each to `kept`."""
+    idx = np.flatnonzero(mask)
+    pick = np.linspace(0, idx.size - 1, min(n, idx.size)).astype(np.intp)
+    return dict.fromkeys((idx[pick] + lo).tolist(), kept)
+
+
 def count_joubert_generators(q: int, budget: int | None = None,
                              threads: int = 1) -> SearchReport:
-    """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2)."""
+    """Exact number of Joubert generators of F_{q^6}/F_q (characteristic 2).
+
+    Every one has s_1 = Tr(y) = 0, so the count sweeps the q^5 elements of
+    L_0 = ker Tr, which `scanned` reports, and keeps the y with
+    Tr(y^3) = s_3 = 0 outside F_{q^3}, of which there must be q^3.  Up to
+    32 kept and 32 rejected y per chunk (2 above q = 16) are re-verified by
+    the scalar `is_joubert`.
+    """
     k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
-    ext = scan.ext
-
+    tables = _l0_tables(scan)
+    tower, trace_hi = tables.view.tower, tables.view.trace_hi
+    # 32 kept and 32 rejected y per chunk for the scalar audit, 1,024 in
+    # all at q = 16, and 2 of each above, so that both rejected kinds show
+    quota = 32 if tables.order <= 16 * CHUNK else 2
     ws = Workspace()
 
-    def tally(lo: int, hi: int) -> tuple[int, list[int], list[int]]:
-        pair = _trace_pairs(scan, ws, lo, hi)
-        t = ws.get("t", pair.size)
-        fixed3 = scan.frob(pair, 3, out=t) == pair
-        fixed2 = scan.frob(pair, 2, out=t) == pair
-        # a trace-qualifying element of the quadratic subextension already
-        # lies in F_q, so escaping the cubic subextension means generating
-        require(not np.any(fixed2 & ~fixed3), "a trace-qualifying element "
-                "lies in the quadratic but not the cubic subextension")
-        kept, rejected = pair[~fixed3], pair[fixed3]
-        return (int(kept.size), kept[:: max(1, kept.size // 4)].tolist(),
-                rejected[:: max(1, rejected.size // 4)].tolist())
+    def tally(lo: int, hi: int) -> tuple[int, int, dict[int, bool]]:
+        y = tables.sweep(lo, hi, out=ws.get("y", hi - lo))
+        solvable, in_cubic = tables.tests.split(
+            trace_hi(tower.cube_hi(tower.logs(y), out=y), out=y), lo, hi, ws)
+        kept = np.greater(solvable, in_cubic, out=solvable)
+        # the rejected: up to half from F_{q^3}, the rest with Tr(y^3) != 0
+        cubic = _spread(in_cubic, lo, quota // 2, False)
+        return (int(np.count_nonzero(kept)), int(np.count_nonzero(in_cubic)),
+                {**_spread(kept, lo, quota, True), **cubic, **_spread(
+                    ~(kept | in_cubic), lo, quota - len(cubic), False)})
 
-    parts = run_chunked(ext.big.order, tally, threads=threads)
-    # scalar re-verification of each chunk's samples, in chunk order and
-    # outside the worker threads
-    for _, kept, rejected in parts:
-        for v in kept:
-            require(is_joubert(ext.big.element(v), ext),
-                    f"kept element {v} is not a Joubert generator")
-        for v in rejected:
-            require(not is_joubert(ext.big.element(v), ext),
-                    f"rejected element {v} is a Joubert generator")
+    parts = run_chunked(tables.order, tally, threads=threads)
+    require(sum(part[1] for part in parts) == q**3,
+            "F_{q^3} does not have q^3 elements in L_0")
+    # the scalar audit, in chunk order and outside the worker threads
+    for _, _, sample in parts:
+        for i, kept in sample.items():
+            y = scan.ext.big.element(tables.canonical.scalar(i))
+            require(is_joubert(y, scan.ext) == kept, "is_joubert disagrees on "
+                    f"{'kept' if kept else 'rejected'} element {y.val}")
     return SearchReport(q=q, n=6, count=sum(part[0] for part in parts),
-                        scanned=ext.big.order)
+                        scanned=tables.order)
 
 
 def _sieve(field: FieldDesc, top: int, exps: tuple[int, ...],

@@ -134,7 +134,7 @@ class TestTowerCensus:
         scan = fastscan.ExtScan(make_ext(2, 3, 6))
         with pytest.raises(fastscan.TableError, match="tower view"):
             scan.tower
-        assert hit == [scan._frob[1]]
+        assert hit == [scan._frob]
         monkeypatch.undo()
         tables = ascurve._census_tables(ascurve._ext_scan(2, 3, 6))
         images = list(tables.view.frob.images)

@@ -6,7 +6,7 @@ extension."""
 import numpy as np
 import pytest
 
-from joubert2 import checks, fastscan, ffield
+from joubert2 import checks, fastscan, ffield, jsearch
 from joubert2.ascurve import curve_census
 from joubert2.errors import CheckFailed, DomainError
 from joubert2.fastscan import CHUNK, ChunkMap, ExtScan, Gf2Scan, LinearMap
@@ -95,7 +95,7 @@ def test_window_map_with_partial_last_window():
     scan = ExtScan(ext)
     vals = v.tolist()
     assert scan.trace(v).tolist() == [ext.trace_val(x) for x in vals]
-    assert scan.frob(v, 1).tolist() == [ext.frob_val(x) for x in vals]
+    assert scan.frob(v).tolist() == [ext.frob_val(x) for x in vals]
     assert scan.ops.square(v).tolist() == [ext.big.mul_val(x, x)
                                            for x in vals]
 
@@ -206,9 +206,10 @@ def test_ext_tables_match_scalar(k):
     v = rng.integers(0, ext.big.order, size=300, dtype=np.uint64)
     vals = v.tolist()
     assert scan.trace(v).tolist() == [ext.trace_val(x) for x in vals]
+    cur = v
     for i in range(1, ext.n):
-        assert scan.frob(v, i).tolist() == [ext.frob_iter_val(x, i)
-                                            for x in vals]
+        cur = scan.frob(cur)
+        assert cur.tolist() == [ext.frob_iter_val(x, i) for x in vals]
     assert scan.ops.square(v).tolist() == [ext.big.mul_val(x, x)
                                            for x in vals]
 
@@ -234,53 +235,61 @@ def test_vector_tables_need_no_scalar_arithmetic(monkeypatch):
     with pytest.raises(AssertionError):
         exts[0].big.mul_val(2, 2)
     for ext in exts:
-        scan = ExtScan(ext)
-        scan.tower, scan.trace_chunks._classes
+        jsearch._l0_tables(ExtScan(ext))
     for field in fields:
         Gf2Scan(field)
 
 
-@pytest.mark.parametrize("bits,total,narrow", [
+@pytest.mark.parametrize("bits,total,whole_rows", [
     (18, 3 * CHUNK + 1000, False),  # a partial last chunk
     (20, 4 * CHUNK, True),
     (10, 1000, False),  # order below CHUNK: one short chunk
     (12, 4096, True)])
-def test_chunk_map_matches_the_window_gather(bits, total, narrow):
+def test_chunk_map_matches_the_window_gather(bits, total, whole_rows):
     rng = np.random.default_rng(bits)
-    # a 24-bit map of rank at most 6, so that narrowing has bits to drop
-    # and each chunk holds many zeros
+    # a 24-bit map of rank at most 6, so that each chunk holds many zeros
     basis = rng.integers(0, 2**24, size=6).tolist()
     masks = rng.integers(0, 64, size=bits).tolist()
     lm = LinearMap(LinearMap(basis).scalar(mk) for mk in masks)
-    cm = ChunkMap(lm, total, narrow=narrow)
+    cm = ChunkMap(lm, total)
     starts = sorted({0, (total // CHUNK // 2) * CHUNK,
                      (total - 1) // CHUNK * CHUNK})
+    # the last range is whole rows of the low table, or part of one
+    assert ((total - starts[-1]) % cm.low.size == 0) == whole_rows
     for lo in starts:
         hi = min(lo + CHUNK, total)
         vals = np.arange(lo, hi, dtype=np.uint32)
         want = lm(vals)
-        zero = np.flatnonzero(want == 0)
         assert np.array_equal(cm.zeros(lo, hi), want == 0)
-        assert np.array_equal(cm.zero_offsets(lo, hi), zero)
-        if narrow:
-            assert cm.table.dtype == np.uint8
-            assert np.array_equal(cm(lo, hi) == 0, want == 0)
-        else:
-            assert np.array_equal(cm(lo, hi), want)
+        assert np.array_equal(cm(lo, hi), want)
     with pytest.raises(CheckFailed, match="not aligned"):
         cm(starts[-1] + 1, total)
     with pytest.raises(CheckFailed, match="not aligned"):
         cm.zeros(0, CHUNK + 1)
+    if total > 4097:  # more than one row, not whole rows
+        with pytest.raises(CheckFailed, match="not aligned"):
+            cm(0, 4097)
 
 
-def test_trace_chunks_class_the_trace():
-    scan = ExtScan(make_ext(2, 3, 6))
-    for lo in (0, 3 * CHUNK):
-        vals = np.arange(lo, lo + CHUNK, dtype=np.uint32)
-        zero = np.flatnonzero(scan.trace(vals) == 0)
-        got = scan.trace_chunks.zero_offsets(lo, lo + CHUNK)
-        assert got.dtype == np.uint16
-        assert np.array_equal(got, zero)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_l0_tables_match_the_canonical_maps(k):
+    # every index of the sweep is a distinct trace-zero element, the tower
+    # sweep is its tower map, and the subfield tests find F_{q^3}, F_{q^2}
+    scan = ExtScan(make_ext(2, k, 6))
+    tables = jsearch._l0_tables(scan)
+    assert tables.order == 2 ** (5 * k)
+    vals = tables.canonical(np.arange(tables.order, dtype=np.uint32))
+    assert np.unique(vals).size == tables.order
+    assert not np.any(scan.trace(vals))
+    to_tower = scan.ops._tower.to_tower
+    for lo in range(0, tables.order, 5 * CHUNK):  # chunks 0, 5 and 10
+        hi = min(lo + CHUNK, tables.order)
+        v = vals[lo:hi]
+        assert np.array_equal(tables.sweep(lo, hi), to_tower(v))
+        v2 = scan.frob(scan.frob(v))
+        tests = tables.tests
+        assert np.array_equal(tests.cubic.zeros(lo, hi), scan.frob(v2) == v)
+        assert np.array_equal(tests.quadratic.zeros(lo, hi), v2 == v)
 
 
 def test_tower_of_gf2_30_is_built_on_first_use():

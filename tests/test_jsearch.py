@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
-                      make_ext, make_field)
+                      make_ext, make_field, sigma)
 from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
@@ -356,8 +356,71 @@ def test_count_matches_root_multiplicity():
 
 
 def test_count_thread_independent():
-    assert (count_joubert_generators(4, threads=1).count
-            == count_joubert_generators(4, threads=4).count)
+    # L_0 is a single chunk up to q = 8; at q = 16 it splits into 16
+    for q, threads in ((4, 4), (8, 2), (16, 2)):
+        assert (count_joubert_generators(q, threads=1)
+                == count_joubert_generators(q, threads=threads))
+
+
+def test_count_sweeps_the_trace_kernel():
+    # q^5 elements swept, and the count is a scalar is_joubert walk over
+    # the whole of GF(4^6)
+    ext = make_ext(2, 2, 6)
+    walk = sum(is_joubert(ext.big.element(v), ext)
+               for v in range(ext.big.order))
+    report = count_joubert_generators(4)
+    assert (report.count, report.scanned) == (walk, 4**5) == (144, 1024)
+    assert count_joubert_generators(2).scanned == 32
+
+
+@pytest.mark.parametrize("plant", ["short", "dependent", "nonzero-trace"])
+def test_planted_trace_kernel_basis_fails(monkeypatch, plant):
+    real = jsearch.kernel
+    scan = jsearch.ExtScan(make_ext(2, 2, 6))
+    odd = next(j for j, img in enumerate(scan._trace.images) if img)
+
+    def planted(matrix, field):
+        basis = real(matrix, field)
+        if plant == "short":
+            return basis[1:]
+        if plant == "dependent":
+            basis[-1] = [a ^ b for a, b in zip(basis[0], basis[1])]
+        else:
+            basis[-1] = [int(j == odd) for j in range(len(basis[-1]))]
+        return basis
+
+    monkeypatch.setattr(jsearch, "kernel", planted)
+    with pytest.raises(CheckFailed):
+        jsearch._L0Tables(scan)
+
+
+@pytest.mark.parametrize("plant", ["never", "on-the-cubic-subfield",
+                                   "every-generator"])
+def test_count_fails_on_a_planted_is_joubert(monkeypatch, plant):
+    # the scalar audit samples the kept y, the F_{q^3} ones and those with
+    # Tr(y^3) != 0: a wrong is_joubert on any of the three fails the count
+    real, gen = jsearch.is_joubert, sigma.is_generator
+    wrong = {"never": lambda y, ext: False,
+             "on-the-cubic-subfield": lambda y, ext: (
+                 real(y, ext) or ext.frob_iter_val(y.val, 3) == y.val),
+             "every-generator": lambda y, ext: gen(y, ext)}[plant]
+    monkeypatch.setattr(jsearch, "is_joubert", wrong)
+    with pytest.raises(CheckFailed, match="element"):
+        count_joubert_generators(8)
+
+
+def test_count_reverifies_at_least_1024_at_q16(monkeypatch):
+    real = jsearch.is_joubert
+    seen = []
+
+    def counting(y, ext):
+        seen.append(real(y, ext))
+        return seen[-1]
+
+    monkeypatch.setattr(jsearch, "is_joubert", counting)
+    assert count_joubert_generators(16).count == 57600
+    assert len(seen) >= 1024
+    assert True in seen and False in seen
 
 
 def test_witness_min_poly_is_enumerated():
