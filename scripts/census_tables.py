@@ -34,7 +34,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-k", type=int, default=3,
                     help="largest exponent k for q = 2^k (default 3)")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_positive, default=1)
     ap.add_argument("--budget", type=_positive, default=None,
                     help="largest element count any single scan may touch "
                          f"(default: ${BUDGET_ENV} or 2^28)")

@@ -9,6 +9,16 @@ are counted as bad, and the rest give degree-6 generators whose first and
 third elementary symmetric functions are zero.  Comparing the affine count
 against the Weil interval and the worst-case bad count shows good fibers
 must exist once q is large enough.
+
+The vector census takes Tr(y^3) through the big field's quadratic tower and
+cross-checks it, at every x, against the right side's trace by a route that
+shares no table with the tower.  Since Tr(x^(q+2)) = Tr(x^(2q^5+1)), its
+image under x -> x^(q^5), that trace is Q(x) = Tr(x R(x)) with R(x) =
+(x^q + x^(q^5))^2 F_2-linear: an F_2-quadratic form, the structure of the
+curves y^q - y = x R(x) of van der Geer and van der Vlugt (Compositio
+Math. 84, 1992).  Its Gram matrix comes from basis images by shift-and-xor
+products, and each chunk evaluates Q from it with two broadcast xors of
+small tables (QuadraticForm).
 """
 
 from __future__ import annotations
@@ -19,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require
-from .fastscan import (ChunkMap, ExtScan, SubfieldTests, Workspace,
+from .errors import DomainError, TableError, require
+from .fastscan import (CHUNK, WINDOW, ChunkMap, ExtScan, LinearMap,
+                       SubfieldTests, Workspace, _mulmod, _sample, _span,
                        run_chunked)
-from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
+from .ffield import ExtDesc, FElt, _pack, make_ext, rel_frobenius, rel_trace
 from .jsearch import _ext_scan, _require_pow2, _require_vector_q
 
 
@@ -84,9 +95,82 @@ def rhs_value(x: FElt, ext: ExtDesc) -> FElt:
     return x * xq * (xq + x)
 
 
+class QuadraticForm:
+    """An F_2-quadratic form Q on the aligned ranges of run_chunked, from
+    its Gram matrix on the index bits: gram[i, i] = Q(e_i) and
+    gram[i, j] = B(e_i, e_j) for i != j, where the polar form
+    B(a, b) = Q(a + b) + Q(a) + Q(b) is bilinear and symmetric.
+
+    Q(a + b) = Q(a) + Q(b) + B(a, b) splits a range with no product.  Its
+    values are h + i, with h = lo and the offset i = r + s + t cut into t
+    (index bits below 6), s (bits 6 to 11) and r (the bits above), so
+        Q(h + i) = [Q(h) + B(h, r + s) + Q(r + s)] + [Q(s + t) + Q(s)]
+                   + [B(h, t) + B(r, t)].
+    The three brackets are r x s, s x t and r x t tables.  Q(r + s),
+    Q(s + t) + Q(s) and B(r, t) are cached; B(h, .) is the xor of h's Gram
+    rows.  A range costs one broadcast xor of the r x s and s x t tables and
+    one of the r x t table.
+    """
+
+    def __init__(self, gram: np.ndarray, order: int):
+        self.gram = gram
+        self._rows = gram.tolist()
+        self.size = min(order, CHUNK)
+        c = (self.size - 1).bit_length()
+        a, b = min(c, WINDOW // 2), min(c, WINDOW)
+        self._cuts = a, b, c
+        st = self._qspan(range(b)).reshape(-1, 1 << a)
+        self._st = st ^ st[:, :1]
+        self._rs = self._qspan(range(a, c)).reshape(-1, 1 << (b - a))
+        rt = self._qspan([*range(a), *range(b, c)]).reshape(-1, 1 << a)
+        self._rt = rt ^ rt[:, :1] ^ rt[:1]
+
+    def _qspan(self, bits) -> np.ndarray:
+        """Q on the span of the index bits `bits`, indexed like _span:
+        Q(v + e_j) = Q(v) + Q(e_j) + B(v, e_j)."""
+        t = np.zeros(1, dtype=np.uint32)
+        for n, j in enumerate(bits):
+            t = np.concatenate([t, t ^ self.gram[j, j]
+                                ^ _span(self.gram[j, bits[:n]])])
+        return t
+
+    def scalar(self, v: int) -> int:
+        """Q(v) on one plain int: the xor of the Gram entries (i, j), i <= j,
+        over v's set bits."""
+        bits = [i for i in range(v.bit_length()) if v >> i & 1]
+        acc = 0
+        for n, i in enumerate(bits):
+            row = self._rows[i]
+            for j in bits[n:]:
+                acc ^= row[j]
+        return acc
+
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Q(v) for v in [lo, hi), a whole aligned range."""
+        n = hi - lo
+        require(lo % CHUNK == 0 and n == self.size,
+                "range is not aligned to the form's tables")
+        a, b, c = self._cuts
+        # B(h, e_j) for the offset bits j; h = lo has no bit below c
+        bh = np.bitwise_xor.reduce(
+            self.gram[[i for i in range(c, lo.bit_length()) if lo >> i & 1],
+                      :c], axis=0)
+        rs = self._rs ^ _span(bh[a:b])
+        rs ^= (np.uint32(self.scalar(lo)) ^ _span(bh[b:c]))[:, None]
+        rt = self._rt ^ _span(bh[:a])
+        if out is None:
+            out = np.empty(n, dtype=np.uint32)
+        grid = out.reshape(*rs.shape, -1)
+        np.bitwise_xor(rs[:, :, None], self._st, out=grid)
+        grid ^= rt[:, None, :]
+        return out
+
+
 class _CensusTables:
-    """The census's linear parts in tower coordinates, on aligned chunks:
-    x -> x^q = F(x), and the subfield tests of y = x^q + x."""
+    """The census's parts in tower coordinates, on aligned chunks: the
+    linear x -> x^q = F(x), the subfield tests of y = x^q + x, and the
+    quadratic form of the cross-check."""
 
     def __init__(self, scan: ExtScan):
         self.view = view = scan.tower
@@ -94,9 +178,62 @@ class _CensusTables:
         y = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
         self.frob = ChunkMap(view.frob, order)
         self.tests = SubfieldTests(view, y, order)
+        self.form = _trace_form(scan, view.tower.from_tower)
 
 
 _census_tables = functools.lru_cache(maxsize=None)(_CensusTables)
+
+
+def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
+    """Q(x) = Tr(x R(x)) with R(x) = (x^q + x^(q^5))^2, on the index whose
+    bit j stands for basis.images[j].  Tr(x^(q+2)) = Tr(x^(2q^5+1)), its
+    image under x -> x^(q^5), so Q(x) = Tr(x^(2q+1) + x^(q+2)); R is
+    F_2-linear, so Q is an F_2-quadratic form.
+
+    The Gram matrix comes from the basis images through the canonical
+    Frobenius, square and trace maps and shift-and-xor products, never from
+    the Tower's log/exp tables.  Q is checked against Tr(x R(x)), taken
+    directly, on the seeded sample; a mismatch raises TableError.
+    """
+    big = scan.ext.big
+    f, m = _pack(big.modulus, 2), big.m
+
+    def r_map(x):
+        fx = f5 = scan.frob(x)
+        for _ in range(4):
+            f5 = scan.frob(f5)
+        return scan.ops.square(fx ^ f5)
+
+    def mul(a, b):
+        return _mulmod(a, b, f, m)
+
+    e = basis.images
+    re = r_map(np.array(e, dtype=np.uint32)).tolist()
+    prod = np.array([[mul(a, b) for b in re] for a in e],
+                    dtype=np.uint32)  # e_i R(e_j)
+    # B(e_i, e_j) = Tr(e_i R(e_j) + e_j R(e_i)), and Q(e_i) on the diagonal
+    gram = scan.trace((prod ^ prod.T).ravel()).reshape(m, m)
+    np.fill_diagonal(gram, scan.trace(prod.diagonal().copy()))
+    form = QuadraticForm(gram, big.order)
+    idx, _ = _sample(m)
+    x = basis(idx)
+    direct = scan.trace(np.array(list(map(mul, x.tolist(),
+                                          r_map(x).tolist())),
+                                 dtype=np.uint32))
+    if [form.scalar(v) for v in idx.tolist()] != direct.tolist():
+        raise TableError(f"quadratic form of GF(2^{m}) disagrees with "
+                         "Tr(x R(x))")
+    return form
+
+
+def _require_swept_frobenius(tables: _CensusTables, ext: ExtDesc) -> None:
+    """The swept x -> x^q against the scalar Frobenius on every index basis
+    vector, so on the whole F_2-linear map.  The cross-check cannot see an
+    error d in F_q here: with Tr(y) = 0, Tr((y + d)^3) = Tr(y^3)."""
+    to_big = tables.view.tower.from_tower.scalar
+    require(all(to_big(tables.frob.at(1 << j)) == ext.frob_val(to_big(1 << j))
+                for j in range(ext.big.m)),
+            "swept x -> x^q differs from the scalar Frobenius")
 
 
 def curve_census(q: int, budget: int | None = None,
@@ -109,7 +246,9 @@ def curve_census(q: int, budget: int | None = None,
     scan checks rather than assumes.
     """
     k = _require_vector_q(q)
-    tables = _census_tables(_ext_scan(2, k, 6, budget))
+    scan = _ext_scan(2, k, 6, budget)
+    tables = _census_tables(scan)
+    _require_swept_frobenius(tables, scan.ext)
     tower, trace_hi = tables.view.tower, tables.view.trace_hi
     ws = Workspace()
 
@@ -119,15 +258,12 @@ def curve_census(q: int, budget: int | None = None,
         n = hi - lo
         x = ws.arange("x", lo, hi)
         xq = tables.frob(lo, hi, out=ws.get("xq", n))
-        # c = x * x^q by its halves, then y = x^q + x and y's three logs
-        c0, c1 = tower.product(tower.add_logs(xq, tower.logs(x)))
+        # the logs of y = x^q + x, then Tr(y^3) from the w-half of y^3
         ly = tower.logs(np.bitwise_xor(x, xq, out=xq))
-        # Tr(y^3) and Tr(c y), each from the w-half of the product; y
-        # itself is spent
         t = trace_hi(tower.cube_hi(ly, out=x), out=xq)
-        # equal as values, since Tr(x^(3q)) = Tr(x^3): a cross-check
-        require(np.array_equal(t, trace_hi(tower.mul_hi(c0, c1, ly, out=x),
-                                           out=x)),
+        # equal as values, since Tr(x^(3q)) = Tr(x^3): a cross-check by the
+        # form Q, which shares no table with the tower
+        require(np.array_equal(t, tables.form(lo, hi, out=x)),
                 "solvability differs from the trace identity")
         solvable, in_cubic = tables.tests.split(t, lo, hi, ws)
         good = solvable & ~in_cubic

@@ -7,6 +7,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from joubert2 import ascurve, checks, fastscan
@@ -15,7 +16,8 @@ from joubert2.ascurve import (bound_inequality, curve_census, fiber_size,
                               trace_identity_check, weil_window)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, CheckFailed, DomainError
-from joubert2.ffield import FElt, make_ext, make_field, rel_frobenius
+from joubert2.ffield import (FElt, make_ext, make_field, rel_frobenius,
+                             rel_trace)
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
 
 TESTS = Path(__file__).resolve().parent
@@ -84,7 +86,7 @@ class TestCensus:
 class TestTowerCensus:
     def test_tower_path_runs_at_small_q(self, monkeypatch):
         calls = []
-        real = fastscan.Tower.mul_hi
+        real = fastscan.Tower.cube_hi
 
         def spy(self, *args, **kwargs):
             calls.append(self.h)
@@ -93,7 +95,7 @@ class TestTowerCensus:
         for q, k in ((2, 1), (4, 2)):
             scan = ascurve._ext_scan(2, k, 6)
             scan.tower  # built and sample-checked
-            monkeypatch.setattr(fastscan.Tower, "mul_hi", spy)
+            monkeypatch.setattr(fastscan.Tower, "cube_hi", spy)
             calls.clear()
             c = curve_census(q)
             assert (c.n_affine, c.bad_points) == (PINNED[q]["n_affine"],
@@ -157,6 +159,101 @@ class TestTowerCensus:
             assert result.outcome == "fail"
             assert result.witness == {
                 "error": "scalar fiber count differs from the census"}
+
+
+class TestTraceForm:
+    @pytest.mark.parametrize("bits,total", [(6, 64), (14, 4096),
+                                                (20, 4 * fastscan.CHUNK)])
+    def test_form_matches_its_gram(self, bits, total):
+        # a random symmetric Gram matrix: the chunk evaluation against the
+        # scalar one, and the scalar one against the form's definition
+        rng = np.random.default_rng(bits)
+        gram = rng.integers(0, 2**24, size=(bits, bits), dtype=np.uint32)
+        gram = np.triu(gram) ^ np.triu(gram, 1).T
+        form = ascurve.QuadraticForm(gram, total)
+        assert form.size == min(total, fastscan.CHUNK)
+        for i in range(bits):
+            assert form.scalar(1 << i) == gram[i, i]
+            for j in range(i):
+                assert form.scalar(1 << i | 1 << j) == (gram[i, i] ^ gram[j, j]
+                                                        ^ gram[i, j])
+        for lo in range(0, total, 3 * fastscan.CHUNK):
+            got = form(lo, lo + form.size)
+            offsets = rng.integers(0, form.size, size=300).tolist()
+            assert [int(got[i]) for i in offsets] == [form.scalar(lo + i)
+                                                      for i in offsets]
+        with pytest.raises(CheckFailed, match="not aligned"):
+            form(0, form.size // 2)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16])
+    def test_form_is_the_right_side_trace(self, q):
+        # Q(x) = Tr(x^(2q+1) + x^(q+2)) by scalar ffield arithmetic: every x
+        # of GF(2^6) and GF(2^12), 256 spread indices of chunk 3 above
+        scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
+        tables = ascurve._census_tables(scan)
+        lo = 0 if q <= 4 else 3 * fastscan.CHUNK
+        size = tables.form.size
+        got = tables.form(lo, lo + size)
+        offsets = range(size) if q <= 4 else range(7, size, size // 256)
+        to_big = tables.view.tower.from_tower.scalar
+        for i in offsets:
+            x = FElt(scan.ext.big, to_big(lo + i))
+            want = rel_trace(x ** (2 * q + 1) + x ** (q + 2), scan.ext)
+            assert int(got[i]) == want.val, (q, i)
+
+    def test_planted_gram_fails_its_build_check(self, monkeypatch):
+        class Planted(ascurve.QuadraticForm):
+            def __init__(self, gram, order):
+                gram[2, 3] ^= 1
+                gram[3, 2] ^= 1
+                super().__init__(gram, order)
+
+        monkeypatch.setattr(ascurve, "QuadraticForm", Planted)
+        scan = ascurve._ext_scan(2, 2, 6)
+        with pytest.raises(fastscan.TableError, match="quadratic form"):
+            ascurve._trace_form(scan, scan.tower.tower.from_tower)
+
+    def test_census_memory_stays_small(self, monkeypatch):
+        # the arrays the census caches at q = 16 beyond the scan's own (the
+        # tower view and maps, shared with the other sweeps), and its
+        # Workspace names: no more than before the form replaced products
+        scan = ascurve._ext_scan(2, 4, 6)
+        assert _array_bytes(ascurve._census_tables(scan),
+                            skip=scan) <= 128 * 1024
+        names = set()
+        get, arange = fastscan.Workspace.get, fastscan.Workspace.arange
+        monkeypatch.setattr(fastscan.Workspace, "get", lambda ws, name, *a:
+                            names.add(name) or get(ws, name, *a))
+        monkeypatch.setattr(fastscan.Workspace, "arange", lambda ws, name, *a:
+                            names.add(name) or arange(ws, name, *a))
+        curve_census(8)
+        assert names <= {"x", "xq", "solvable", "cubic", "quadratic",
+                         "p_idx", "p_u", "p_sum0", "p_sum1", "p_sum2", "p_lb",
+                         "p_ta", "p_tb", "win0"}, names
+
+
+def _array_bytes(root, skip) -> int:
+    """Bytes of the numpy arrays reachable from root through instance
+    attributes, lists, tuples and dicts, leaving out those reachable from
+    skip."""
+    seen = set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if isinstance(obj, dict):
+            obj = obj.values()
+        elif hasattr(obj, "__dict__"):
+            obj = vars(obj).values()
+        elif not isinstance(obj, (list, tuple)):
+            return 0
+        return sum(walk(o) for o in list(obj))
+
+    walk(skip)
+    return walk(root)
 
 
 class TestFibers:
@@ -257,19 +354,48 @@ class TestCrossModule:
 # Plants for the curve census: each takes a setattr (monkeypatch.setattr)
 # and breaks one part of it for q = 2, 4 and 8.
 
+def _first_read_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
+    # the exp entry at the log sum log y0 + log y1 + log(y0 + y1) of the
+    # first index whose y = x^q + x has three nonzero halves (x = q^4;
+    # entries 10, 38 and 670 at q = 2, 4 and 8): the census's cube_hi reads
+    # it, and it holds a unit, not the zero tail
+    tables = ascurve._census_tables(ascurve._ext_scan(2, q.bit_length() - 1,
+                                                      6))
+    tower = tables.view.tower
+    n = tables.frob.size
+    y = np.arange(n, dtype=np.uint32) ^ tables.frob(0, n)
+    sums = sum(tower.logs(y))
+    zero = int(tower.log[0])  # the log of 0, above every sum of unit logs
+    return tower, int(sums[np.argmax(sums < zero)])
+
+
 def _flipped_exp_entry(patch):
-    # exp[7] = 1 in the subfield exp table that Gf2Scan's products and the
-    # tower view share, read as 0
-    for k in (1, 2, 3):
-        tower = ascurve._ext_scan(2, k, 6).tower.tower
+    # bit 0 of a subfield exp entry that the census reads, in the table
+    # that Gf2Scan's products and the tower view share, after the view's
+    # sample check: Tr(y^3) changes by Tr(1) = 1 there, Q(x) does not
+    for q in (2, 4, 8):
+        tower, entry = _first_read_exp_entry(q)
         exp = tower.exp.copy()
-        exp[7] ^= 1
+        exp[entry] ^= 1
         patch(tower, "exp", exp)
+
+
+def _flipped_gram_entry(patch):
+    # G[0, 1] = G[1, 0] = B(e_0, e_1) off by 1, after the build check:
+    # Q(x) changes by 1 wherever index bits 0 and 1 are both set
+    for k in (1, 2, 3):
+        tables = ascurve._census_tables(ascurve._ext_scan(2, k, 6))
+        gram = tables.form.gram.copy()
+        gram[0, 1] ^= 1
+        gram[1, 0] ^= 1
+        patch(tables, "form", ascurve.QuadraticForm(gram, 2 ** (6 * k)))
 
 
 CURVE_PLANTS = {
     "tower-exp-entry": (_flipped_exp_entry,
                         "solvability differs from the trace identity"),
+    "qform-gram-entry": (_flipped_gram_entry,
+                         "solvability differs from the trace identity"),
 }
 
 

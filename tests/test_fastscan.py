@@ -262,6 +262,9 @@ def test_chunk_map_matches_the_window_gather(bits, total, whole_rows):
         want = lm(vals)
         assert np.array_equal(cm.zeros(lo, hi), want == 0)
         assert np.array_equal(cm(lo, hi), want)
+        offsets = (0, 1, (hi - lo) // 2, hi - lo - 1)
+        assert [cm.at(lo + i) for i in offsets] == [int(want[i])
+                                                    for i in offsets]
     with pytest.raises(CheckFailed, match="not aligned"):
         cm(starts[-1] + 1, total)
     with pytest.raises(CheckFailed, match="not aligned"):

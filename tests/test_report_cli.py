@@ -4,9 +4,11 @@ import csv
 import errno
 import io
 import json
+import runpy
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,16 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    def test_census_script_threads_are_positive(self, capsys, monkeypatch):
+        # scripts/census_tables.py parses --threads as the CLI does
+        script = str(Path(__file__).resolve().parents[1] / "scripts"
+                     / "census_tables.py")
+        monkeypatch.setattr(sys, "argv", [script, "--threads", "-3"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(script, run_name="__main__")
+        assert exc.value.code == 2
+        assert "--threads: -3 must be positive" in capsys.readouterr().err
 
     def test_budget_exit_3(self, capsys):
         assert main(["joubert-enum", "--q", "2", "--budget", "5"]) == 3
