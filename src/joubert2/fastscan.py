@@ -573,26 +573,6 @@ class ExtScan:
               ) -> np.ndarray:
         return self._trace(v, out=out)
 
-    def power(self, v: np.ndarray, e: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """Element-wise v**e by square and multiply."""
-        if e < 0:
-            raise DomainError("negative exponent in vector power")
-        return _sliced(lambda x, o: self._power(x, e, o), out, v)
-
-    def _power(self, v, e, out):
-        base = _SCRATCH.get("pw_base", v.size)
-        np.copyto(base, v)  # before out is written: out may be v
-        acc = np.empty(v.size, dtype=np.uint32) if out is None else out
-        acc.fill(1)
-        while e:
-            if e & 1:
-                self.ops.mul(acc, base, out=acc)
-            e >>= 1
-            if e:
-                self.ops.square(base, out=base)
-        return acc
-
 
 def _in_tower(tower: Tower, lm: LinearMap, tower_out: bool = True
               ) -> LinearMap:

@@ -7,7 +7,7 @@ has one arithmetic backend, fixed by its order:
 
 - prime fields GF(p): residues mod p;
 - GF(p^m) with m > 1 and at most _TABLE_MAX elements, any p: log/antilog
-  tables for products, quotients and powers, and Zech logarithms for sums
+  tables for products, inverses and powers, and Zech logarithms for sums
   in odd characteristic (Lidl & Niederreiter, *Finite Fields*, ch. 9),
   built with the field; `TableOps` runs the same tables on whole numpy
   arrays;
@@ -266,8 +266,8 @@ class FieldDesc:
         return hash((self.p, self.m, self.modulus))
 
     # -- value-level arithmetic (packed ints) --
-    # Each backend defines add_val, sub_val, neg_val and mul_val; powers,
-    # inverses and quotients default to square-and-multiply over mul_val.
+    # Each backend defines add_val, sub_val, neg_val and mul_val; powers and
+    # inverses default to square-and-multiply over mul_val.
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:
@@ -287,11 +287,6 @@ class FieldDesc:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         return self.pow_val(a, self.order - 2)
-
-    def div_val(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in {self!r}")
-        return self.mul_val(a, self.inv_val(b))
 
     def combine(self, coeffs, vals) -> int:
         """The linear combination sum(c * v) of packed values."""
@@ -682,12 +677,6 @@ class FElt:
             return NotImplemented
         return FElt(self.field, self.field.sub_val(self.val, other.val))
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FElt(self.field, self.field.sub_val(other.val, self.val))
-
     def __neg__(self):
         return FElt(self.field, self.field.neg_val(self.val))
 
@@ -699,23 +688,8 @@ class FElt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FElt(self.field, self.field.div_val(self.val, other.val))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FElt(self.field, self.field.div_val(other.val, self.val))
-
     def __pow__(self, e: int):
         return FElt(self.field, self.field.pow_val(self.val, e))
-
-    def inv(self) -> "FElt":
-        return FElt(self.field, self.field.inv_val(self.val))
 
 
 @functools.lru_cache(maxsize=None)

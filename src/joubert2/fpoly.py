@@ -117,9 +117,6 @@ class UPoly:
                     rem[k + i] = f.sub_val(rem[k + i], f.mul_val(c, oc))
         return UPoly(f, quo), UPoly(f, rem)
 
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
 

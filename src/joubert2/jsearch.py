@@ -80,7 +80,6 @@ _scan_of = functools.lru_cache(maxsize=None)(ExtScan)
 
 def _verify_joubert_witness(y: FElt, ext: ExtDesc) -> UPoly:
     # re-derive everything the report claims about the witness
-    require(is_joubert(y, ext), f"witness {y!r} is not a Joubert generator")
     mp = min_poly(y, ext)
     require(mp.degree == ext.n, f"minimal polynomial of {y!r} has degree "
             f"{mp.degree}, not {ext.n}")

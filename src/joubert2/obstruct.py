@@ -45,10 +45,6 @@ class GroupG:
     gens: tuple[tuple[int, ...], ...]  # 2m permutations, block-major
 
     @property
-    def order(self) -> int:
-        return self.p ** (2 * self.m)
-
-    @property
     def block_size(self) -> int:
         return self.p**self.m
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, require
 from .ffield import ExtDesc, FElt, TableOps
-from .fpoly import char_poly, conjugates
+from .fpoly import char_poly, conjugates, min_poly
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class SigmaProfile:
         if not 1 <= i <= len(self.sigmas):
             raise DomainError(f"sigma index {i} out of range 1..{len(self.sigmas)}")
         return self.sigmas[i - 1]
-
-    @property
-    def n(self) -> int:
-        return len(self.sigmas)
 
 
 def sigma_profile(y: FElt, ext: ExtDesc) -> SigmaProfile:
@@ -99,15 +95,16 @@ def is_generator(y: FElt, ext: ExtDesc) -> bool:
 def is_joubert(y: FElt, ext: ExtDesc) -> bool:
     """Generator of the extension whose profile has s_1 = s_3 = 0.
 
-    Equivalently, the minimal polynomial t^n + a_{n-1} t^(n-1) + ... + a_0
-    has a_{n-1} = a_{n-3} = 0.
+    A generator's minimal polynomial t^n + a_{n-1} t^(n-1) + ... + a_0 is
+    its characteristic polynomial, with s_i = (-1)^i a_{n-i}, so the test
+    reads a_{n-1} = a_{n-3} = 0 off that one polynomial.
     """
     if ext.n < 3:
         raise DomainError(f"need extension degree >= 3, got {ext.n}")
     if not is_generator(y, ext):
         return False
-    prof = sigma_profile(y, ext)
-    return prof.sigma(1) == 0 and prof.sigma(3) == 0
+    mp = min_poly(y, ext)
+    return mp.coeff(ext.n - 1) == 0 and mp.coeff(ext.n - 3) == 0
 
 
 def power_traces(y: FElt, ext: ExtDesc, kmax: int) -> list[int]:

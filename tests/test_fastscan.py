@@ -64,9 +64,7 @@ def test_long_inputs_in_place():
     a2 = ref(a, a)
     for kernel, want in ((lambda x, out: ops.mul(x, b, out=out), ref(a, b)),
                          (ops.square, a2),
-                         (ops.cube, ref(a, a2)),
-                         (lambda x, out: scan.power(x, 5, out=out),
-                          ref(a, ref(a2, a2)))):
+                         (ops.cube, ref(a, a2))):
         buf = a.copy()
         assert kernel(buf, out=buf) is buf
         assert np.array_equal(buf, want)

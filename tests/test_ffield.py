@@ -109,7 +109,7 @@ def test_gf9_ring_axioms(a, b, c):
 @given(a=_elt(F49))
 def test_gf49_inverse_and_order(a):
     if a.val:
-        assert a * a.inv() == F49.one
+        assert a * a**-1 == F49.one
         assert a**48 == F49.one
     assert a**49 == a
 
@@ -136,7 +136,6 @@ def test_int_mixing():
     g = F64.gen
     assert g + 1 == 1 + g
     assert g * 0 == F64.zero
-    assert 1 - F9.gen == -(F9.gen - 1)
     assert F9.from_int(5) == F9.from_int(2)
 
 
@@ -145,8 +144,6 @@ def test_mixed_field_arithmetic_rejected():
         F64.gen + F9.gen
     with pytest.raises(DomainError):
         F64.element(64)
-    with pytest.raises(ZeroDivisionError):
-        F9.one / F9.zero
 
 
 def test_construction_guards():
@@ -247,7 +244,6 @@ def test_zero_and_negation_edge_cases(p, m):
         assert field.mul_val(a, 0) == field.mul_val(0, a) == 0
         assert field.pow_val(a, 0) == 1
         if a:
-            assert field.div_val(0, a) == 0
             assert field.pow_val(a, -1) == field.inv_val(a)
             assert field.mul_val(field.pow_val(a, -3),
                                  field.pow_val(a, 3)) == 1
@@ -259,8 +255,6 @@ def test_zero_and_negation_edge_cases(p, m):
         field.inv_val(0)
     with pytest.raises(ZeroDivisionError):
         field.pow_val(0, -1)
-    with pytest.raises(ZeroDivisionError):
-        field.div_val(1, 0)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -300,8 +294,7 @@ def test_first_use_from_threads(workers):
 
 
 _OPS = {"add_val": (3, 5), "sub_val": (3, 5), "neg_val": (3,),
-        "mul_val": (3, 5), "inv_val": (3,), "pow_val": (3, 7),
-        "div_val": (3, 5)}
+        "mul_val": (3, 5), "inv_val": (3,), "pow_val": (3, 7)}
 _BACKENDS = (ffield._PrimeField, ffield._Char2TableField, ffield._TableField,
              ffield._ClmulField, ffield._DigitField)
 
