@@ -422,3 +422,10 @@ def test_curve_checks_fail_on_a_plant(monkeypatch, name):
         result = checks.check_curve(q)
         assert result.outcome == "fail", q
         assert result.witness == {"error": error}
+
+
+def test_curve_plants_fail_under_optimize():
+    # every plant in the one `python -O` run of test_planted at q = 2, 4, 8,
+    # after an unplanted pass, with the same errors
+    from test_planted import assert_plants_fail_under_optimize
+    assert_plants_fail_under_optimize("check_curve")

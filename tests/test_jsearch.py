@@ -255,6 +255,13 @@ def test_enum_check_fails_on_a_plant(monkeypatch, name, q):
     assert result.witness == {"error": ENUM_PLANT_ERRORS[name, q]}
 
 
+def test_enum_plants_fail_under_optimize():
+    # every plant in the one `python -O` run of test_planted at each q,
+    # after an unplanted pass, with the same errors
+    from test_planted import assert_plants_fail_under_optimize
+    assert_plants_fail_under_optimize("check_generator_enum")
+
+
 @pytest.mark.parametrize("q,count", [(3, 12), (5, 100)])
 def test_enum_check_runs_berlekamp_for_odd_q(q, count):
     result = checks.check_generator_enum(q)

@@ -361,3 +361,10 @@ def test_brute_check_fails_on_a_plant(monkeypatch, name):
     result = checks.check_obstruction_brute(3, 1)
     assert result.outcome == "fail"
     assert result.witness == {"error": error}
+
+
+def test_brute_plants_fail_under_optimize():
+    # every plant in the one `python -O` run of test_planted at
+    # (p, m) = (3, 1), after an unplanted pass, with the same errors
+    from test_planted import assert_plants_fail_under_optimize
+    assert_plants_fail_under_optimize("check_obstruction_brute")

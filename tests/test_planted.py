@@ -5,9 +5,12 @@ Each table lives next to its in-process tests: `CURVE_PLANTS`
 (test_obstruct) and `NEWTON_PLANTS` (test_sigma).  Under `-O` every check
 must still pass unplanted, and every plant must still turn its check's
 outcome into `fail` with the same error: `errors.require` is not an
-assert, so the interpreter flag strips none of the verification.
+assert, so the interpreter flag strips none of the verification.  The
+process runs once per session; each table's own `*_under_optimize` test
+asserts its check's lines of that run.
 """
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -61,13 +64,26 @@ def main() -> None:
     print(sys.flags.optimize)
 
 
-def test_plants_fail_under_optimize():
-    rows = _rows()
+@functools.cache
+def _optimized_run() -> tuple:
+    """(stdout lines, stderr) of main() in one `python -O` process."""
     code = (f"import sys\nsys.path.insert(0, {str(TESTS)!r})\n"
             "import test_planted\ntest_planted.main()\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=600)
-    assert proc.stdout.splitlines() == (
+    return proc.stdout.splitlines(), proc.stderr
+
+
+def assert_plants_fail_under_optimize(*only: str) -> None:
+    """Assert the lines of the checks named in only (all when empty) in
+    the `python -O` run, and that the run had sys.flags.optimize = 1."""
+    rows = [r for r in _rows() if not only or r[0] in only]
+    lines, stderr = _optimized_run()
+    assert lines[-1:] == ["1"], stderr
+    assert [ln for ln in lines[:-1] if not only or ln.split()[0] in only] == (
         [f"{_label(c, a)} pass" for c, a in _unplanted(rows)]
-        + [f"{_label(c, a)} fail {error}" for c, a, _, error in rows]
-        + ["1"]), proc.stderr
+        + [f"{_label(c, a)} fail {error}" for c, a, _, error in rows]), stderr
+
+
+def test_plants_fail_under_optimize():
+    assert_plants_fail_under_optimize()

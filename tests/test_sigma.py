@@ -126,6 +126,13 @@ def test_newton_identities_fail_on_a_plant(monkeypatch, name):
     assert result.witness == {"error": "sigma left the base field"}
 
 
+def test_newton_plants_fail_under_optimize():
+    # every plant in the one `python -O` run of test_planted,
+    # after an unplanted pass, with the same errors
+    from test_planted import assert_plants_fail_under_optimize
+    assert_plants_fail_under_optimize("check_newton_identities")
+
+
 # -- Newton identities relating power traces to the profile -----------------
 
 
