@@ -10,11 +10,18 @@ import argparse
 import time
 
 from joubert2.ascurve import bound_inequality, curve_census
-from joubert2.cli import BUDGET_ENV, _positive, _resolve_budget
+from joubert2.cli import (BUDGET_ENV, _int, _positive, _require_positive,
+                          _resolve_budget)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, require
-from joubert2.jsearch import (count_joubert_generators,
+from joubert2.jsearch import (_require_vector_q, count_joubert_generators,
                               enumerate_joubert_polys)
+
+
+def _require_max_k(k: int) -> None:
+    """k >= 1, and q = 2^k a q that the vector kernels take."""
+    _require_positive(k)
+    _require_vector_q(2**k)
 
 
 def table(title: str, header: str, qs: list[int], row) -> None:
@@ -32,8 +39,9 @@ def table(title: str, header: str, qs: list[int], row) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-k", type=int, default=3,
-                    help="largest exponent k for q = 2^k (default 3)")
+    ap.add_argument("--max-k", type=_int(_require_max_k), default=3,
+                    help="largest exponent k for q = 2^k that the vector "
+                         "kernels take (default 3)")
     ap.add_argument("--threads", type=_positive, default=1)
     ap.add_argument("--budget", type=_positive, default=None,
                     help="largest element count any single scan may touch "

@@ -7,24 +7,21 @@ are classes [y] with Tr(y) = Tr(y^3) = 0, the non-generator points form the
 line of F_{q^3}-classes, and the rest are witnesses for trace-constrained
 generators.
 
-Counting runs over two independent routes: a scalar projective scan with
-per-point classification, and a vectorized affine count of
-S = {y in L_0 : Tr(y^3) = 0}, related by |surface| = (|S| - q)/(q^2 - q)
-since each projective class has exactly q(q-1) affine representatives
-outside the constants.
+Counting runs over two independent routes: the scalar projective route
+with per-point classification, and `jsearch`'s L_0 sweep, the vector count
+of generators y in L_0 with Tr(y^3) = 0, which is q(q-1) per generator
+point since each class has exactly that many affine representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import jsearch
 from .errors import DomainError, require
 from .ffield import ExtDesc, _unpack, make_ext
-from .fastscan import ChunkMap, LinearMap, Workspace, run_chunked
 from .gflinalg import rref_vals
-from .jsearch import _ext_scan, _require_pow2, _require_vector_q
+from .jsearch import _require_pow2, _require_vector_q
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,8 @@ class SurfaceCensus:
     on_line: int
     generator_points: int
     manin_floor: int
-    affine_zero_count: int  # |{y in L_0 : Tr(y^3) = 0}|, the second route
+    affine_zero_count: int  # |{y in L_0 : Tr(y^3) = 0}|: generators + q^3
+    generator_count: int  # generators y in L_0, by the L_0 sweep
 
 
 def build_frame(q: int, budget: int | None = None) -> QuotientFrame:
@@ -96,10 +94,11 @@ def surface_census(q: int, budget: int | None = None,
     """Count the surface's K-points by both routes and classify them.
 
     Checks the structural claims as it goes: every point is either on the
-    F_{q^3}-line or a generator class, the line has exactly q+1 points, and
-    the two counting routes agree.
+    F_{q^3}-line or a generator class, the line has exactly q+1 points, the
+    count meets the Manin floor, and the L_0 sweep's generator count is
+    q^2 - q per generator point.
     """
-    k = _require_vector_q(q)
+    _require_vector_q(q)
     frame = build_frame(q, budget)
     ext = frame.ext
     big = ext.big
@@ -124,35 +123,17 @@ def surface_census(q: int, budget: int | None = None,
             require(ext.frob_iter_val(y, 2) != y, "generator class in F_{q^2}")
             generator_points += 1
     total = on_line + generator_points
-
-    # independent affine route, vectorized: |S| over the 2^(5k) elements
-    scan = _ext_scan(2, k, 6, budget)
-    images = _l0_basis_vals(frame)  # digit index -> element of L_0
-    total_l0 = 1 << len(images)
-    require(total_l0 == q**5, "L_0 does not have q^5 elements")
-    l0 = ChunkMap(LinearMap(images), total_l0)
-    ws = Workspace()
-
-    def tally(lo: int, hi: int) -> int:
-        v = l0(lo, hi, out=ws.get("v", hi - lo))
-        t = scan.trace(scan.ops.cube(v, out=v), out=v)
-        return int(np.count_nonzero(t == 0))
-
-    s_count = sum(run_chunked(total_l0, tally, threads=threads))
-    require((s_count - q) % (q * q - q) == 0, "|S| is not q mod q^2 - q")
-    require(total == (s_count - q) // (q * q - q),
-            "projective and affine routes disagree")
-
     require(on_line == q + 1, "line does not have q + 1 points")
     manin_floor = q * q - 7 * q + 1
     require(total >= manin_floor, "surface count is below the Manin floor")
+
+    # the L_0 sweep, which also requires the q^3 elements of F_{q^3} in S
+    count = jsearch.count_joubert_generators(q, budget=budget,
+                                             threads=threads).count
+    require(generator_points * (q * q - q) == count,
+            "class count and element count disagree")
     return SurfaceCensus(q=q, total=total, on_line=on_line,
                          generator_points=generator_points,
-                         manin_floor=manin_floor, affine_zero_count=s_count)
-
-
-def _l0_basis_vals(frame: QuotientFrame) -> list[int]:
-    # F_2-basis of L_0 as kappa-multiples of the K-basis
-    ext = frame.ext
-    return [ext.big.mul_val(kp, b)
-            for b in frame.basis for kp in ext.kappa_powers]
+                         manin_floor=manin_floor,
+                         affine_zero_count=count + q**3,
+                         generator_count=count)

@@ -1,13 +1,13 @@
 """Every plant of the check tables in one `python -O` process.
 
 Each table lives next to its in-process tests: `CURVE_PLANTS`
-(test_ascurve), the enum plants (test_jsearch), `BRUTE_PLANTS`
-(test_obstruct) and `NEWTON_PLANTS` (test_sigma).  Under `-O` every check
-must still pass unplanted, and every plant must still turn its check's
-outcome into `fail` with the same error: `errors.require` is not an
-assert, so the interpreter flag strips none of the verification.  The
-process runs once per session; each table's own `*_under_optimize` test
-asserts its check's lines of that run.
+(test_ascurve), `SURFACE_PLANTS` (test_cubic), the enum plants
+(test_jsearch), `BRUTE_PLANTS` (test_obstruct) and `NEWTON_PLANTS`
+(test_sigma).  Under `-O` every check must still pass unplanted, and every
+plant must still turn its check's outcome into `fail` with the same error:
+`errors.require` is not an assert, so the interpreter flag strips none of
+the verification.  The process runs once per session; each table's own
+`*_under_optimize` test asserts its check's lines of that run.
 """
 
 import functools
@@ -19,6 +19,7 @@ import pytest
 
 from joubert2 import checks
 from test_ascurve import CURVE_PLANTS
+from test_cubic import SURFACE_PLANTS
 from test_jsearch import ENUM_PLANT_ERRORS, _plant
 from test_obstruct import BRUTE_PLANTS
 from test_sigma import NEWTON_PLANTS
@@ -31,6 +32,9 @@ def _rows() -> list:
     plant(setattr) applies it, and the check must report error."""
     rows = [("check_curve", (q,), plant, error)
             for plant, error in CURVE_PLANTS.values() for q in (2, 4, 8)]
+    rows += [("check_surface", (q,), plant, error)
+             for plant, errors in SURFACE_PLANTS.values()
+             for q, error in errors.items()]
     rows += [("check_generator_enum", (q,),
               lambda patch, name=name: _plant(patch, name), error)
              for (name, q), error in ENUM_PLANT_ERRORS.items()]

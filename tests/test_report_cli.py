@@ -20,6 +20,9 @@ from joubert2.errors import DomainError
 from joubert2.report import (CheckResult, Manifest, emit_csv, emit_json,
                              emit_text, parse_json, strip_timing)
 
+CENSUS_SCRIPT = str(Path(__file__).resolve().parents[1] / "scripts"
+                    / "census_tables.py")
+
 json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
                 | st.text(max_size=20))
 json_values = st.recursive(
@@ -192,13 +195,39 @@ class TestCli:
 
     def test_census_script_threads_are_positive(self, capsys, monkeypatch):
         # scripts/census_tables.py parses --threads as the CLI does
-        script = str(Path(__file__).resolve().parents[1] / "scripts"
-                     / "census_tables.py")
-        monkeypatch.setattr(sys, "argv", [script, "--threads", "-3"])
+        monkeypatch.setattr(sys, "argv", [CENSUS_SCRIPT, "--threads", "-3"])
         with pytest.raises(SystemExit) as exc:
-            runpy.run_path(script, run_name="__main__")
+            runpy.run_path(CENSUS_SCRIPT, run_name="__main__")
         assert exc.value.code == 2
         assert "--threads: -3 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_k, error", [
+        # q = 64 needs GF(2^36), past the vector kernels' degree 32
+        ("6", "q = 64 needs GF(2^36)"),
+        ("0", "0 must be positive"),
+        ("-1", "-1 must be positive")])
+    def test_census_script_max_k_in_range(self, capsys, monkeypatch, max_k,
+                                          error):
+        # a usage error before any table, as the CLI's surface --q 64
+        monkeypatch.setattr(sys, "argv", [CENSUS_SCRIPT, "--max-k", max_k])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(CENSUS_SCRIPT, run_name="__main__")
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--max-k: {error}" in err
+
+    def test_census_script_tables(self, capsys, monkeypatch):
+        # each table by its title, each row's cells without the timing
+        monkeypatch.setattr(sys, "argv", [CENSUS_SCRIPT, "--max-k", "2"])
+        runpy.run_path(CENSUS_SCRIPT, run_name="__main__")
+        tables = {lines[0]: [row.split()[:-1] for row in lines[2:]]
+                  for lines in (t.splitlines() for t in
+                                capsys.readouterr().out.strip().split("\n\n"))}
+        assert tables["qualifying sextics and generators"] == [
+            ["2", "2", "12"], ["4", "24", "144"]]
+        assert tables["surface classes (trace-zero projective quotient)"] == [
+            ["2", "9", "3", "6", "-9"], ["4", "17", "5", "12", "-11"]]
 
     def test_budget_exit_3(self, capsys):
         assert main(["joubert-enum", "--q", "2", "--budget", "5"]) == 3
