@@ -7,6 +7,7 @@ Usage:
 """
 
 import argparse
+import functools
 import time
 
 from joubert2.ascurve import bound_inequality, curve_census
@@ -14,8 +15,7 @@ from joubert2.cli import (BUDGET_ENV, _int, _positive, _require_positive,
                           _resolve_budget)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, require
-from joubert2.jsearch import (_require_vector_q, count_joubert_generators,
-                              enumerate_joubert_polys)
+from joubert2.jsearch import _require_vector_q, enumerate_joubert_polys
 
 
 def _require_max_k(k: int) -> None:
@@ -50,15 +50,19 @@ def main() -> None:
     budget, threads = _resolve_budget(ap, args), args.threads
     qs = [2**k for k in range(1, args.max_k + 1)]
 
+    # one L_0 sweep per q: the surface census owns the generator count
+    @functools.lru_cache(maxsize=None)
+    def surface_of(q):
+        return surface_census(q, budget=budget, threads=threads)
+
     def generators(q):
         polys = enumerate_joubert_polys(q, budget=budget)
-        count = count_joubert_generators(q, budget=budget,
-                                         threads=threads).count
+        count = surface_of(q).generator_count
         require(count == 6 * len(polys), "generator count is not 6 per sextic")
         return f"{len(polys):>7} {count:>11}"
 
     def surface(q):
-        c = surface_census(q, budget=budget, threads=threads)
+        c = surface_of(q)
         return (f"{c.total:>7} {c.on_line:>8} {c.generator_points:>10} "
                 f"{c.manin_floor:>7}")
 

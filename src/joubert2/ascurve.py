@@ -10,15 +10,12 @@ third elementary symmetric functions are zero.  Comparing the affine count
 against the Weil interval and the worst-case bad count shows good fibers
 must exist once q is large enough.
 
-The vector census takes Tr(y^3) through the big field's quadratic tower and
-cross-checks it, at every x, against the right side's trace by a route that
-shares no table with the tower.  Since Tr(x^(q+2)) = Tr(x^(2q^5+1)), its
-image under x -> x^(q^5), that trace is Q(x) = Tr(x R(x)) with R(x) =
-(x^q + x^(q^5))^2 F_2-linear: an F_2-quadratic form, the structure of the
-curves y^q - y = x R(x) of van der Geer and van der Vlugt (Compositio
-Math. 84, 1992).  Its Gram matrix comes from basis images by shift-and-xor
-products, and each chunk evaluates Q from it with two broadcast xors of
-small tables (QuadraticForm).
+The vector census sweeps the q^5 x of a complement W of F_q = ker(x^q + x)
+and scales its counts by q: x -> x^q + x is q-to-1 onto L_0 = ker Tr
+(additive Hilbert 90; Lidl & Niederreiter, Finite Fields, Thm. 2.25).  It
+takes Tr(y^3) through the big field's quadratic tower and requires it, at
+every x of W, to equal the right side's trace, an F_2-quadratic form Q
+that shares no table with the tower (_trace_form, QuadraticForm).
 """
 
 from __future__ import annotations
@@ -34,7 +31,8 @@ from .fastscan import (CHUNK, WINDOW, ChunkMap, ExtScan, LinearMap,
                        SubfieldTests, Workspace, _mulmod, _sample, _span,
                        run_chunked)
 from .ffield import ExtDesc, FElt, _pack, make_ext, rel_frobenius, rel_trace
-from .jsearch import _ext_scan, _require_pow2, _require_vector_q
+from .gflinalg import kernel, rref
+from .jsearch import _Bits, _ext_scan, _require_pow2, _require_vector_q
 
 
 @dataclass(frozen=True)
@@ -168,17 +166,30 @@ class QuadraticForm:
 
 
 class _CensusTables:
-    """The census's parts in tower coordinates, on aligned chunks: the
-    linear x -> x^q = F(x), the subfield tests of y = x^q + x, and the
-    quadratic form of the cross-check."""
+    """The census's parts in tower coordinates, on aligned chunks: index bit
+    j stands for x = basis.images[j], the j-th basis vector of a complement
+    W of F_q = ker(x^q + x); y = x^q + x on W, its subfield tests and the
+    form of the cross-check."""
 
     def __init__(self, scan: ExtScan):
         self.view = view = scan.tower
-        order = scan.ext.big.order
-        y = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
-        self.frob = ChunkMap(view.frob, order)
+        m, k, gf2 = scan.ops.m, scan.ext.base_deg, _Bits
+        fx = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
+        ker = kernel([[v >> i & 1 for v in fx] for i in range(m)], gf2)
+        require(len(ker) == k, "ker(x^q + x) is not F_q")
+        # W: the index bits that are not pivots of the kernel's RREF
+        pivots = rref(ker, gf2)[1]
+        w = [j for j in range(m) if j not in pivots]
+        y = [fx[j] for j in w]
+        rank = len(rref([[v >> i & 1 for i in range(m)] for v in y], gf2)[1])
+        require(len(y) == rank == 5 * k and not any(
+            view.trace_hi.scalar(v >> view.tower.h) for v in y),
+            "x^q + x does not map W one to one into L_0")
+        self.order = order = 1 << len(w)
+        self.basis = LinearMap(view.tower.from_tower.images[j] for j in w)
+        self.y = ChunkMap(LinearMap(y), order)
         self.tests = SubfieldTests(view, y, order)
-        self.form = _trace_form(scan, view.tower.from_tower)
+        self.form = _trace_form(scan, self.basis)
 
 
 _census_tables = functools.lru_cache(maxsize=None)(_CensusTables)
@@ -188,7 +199,9 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
     """Q(x) = Tr(x R(x)) with R(x) = (x^q + x^(q^5))^2, on the index whose
     bit j stands for basis.images[j].  Tr(x^(q+2)) = Tr(x^(2q^5+1)), its
     image under x -> x^(q^5), so Q(x) = Tr(x^(2q+1) + x^(q+2)); R is
-    F_2-linear, so Q is an F_2-quadratic form.
+    F_2-linear, so Q is an F_2-quadratic form, as for the curves
+    y^q - y = x R(x) of van der Geer and van der Vlugt (Compositio Math.
+    84, 1992).
 
     The Gram matrix comes from the basis images through the canonical
     Frobenius, square and trace maps and shift-and-xor products, never from
@@ -196,7 +209,7 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
     directly, on the seeded sample; a mismatch raises TableError.
     """
     big = scan.ext.big
-    f, m = _pack(big.modulus, 2), big.m
+    f, m, n = _pack(big.modulus, 2), big.m, len(basis.images)
 
     def r_map(x):
         fx = f5 = scan.frob(x)
@@ -212,10 +225,10 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
     prod = np.array([[mul(a, b) for b in re] for a in e],
                     dtype=np.uint32)  # e_i R(e_j)
     # B(e_i, e_j) = Tr(e_i R(e_j) + e_j R(e_i)), and Q(e_i) on the diagonal
-    gram = scan.trace((prod ^ prod.T).ravel()).reshape(m, m)
+    gram = scan.trace((prod ^ prod.T).ravel()).reshape(n, n)
     np.fill_diagonal(gram, scan.trace(prod.diagonal().copy()))
-    form = QuadraticForm(gram, big.order)
-    idx, _ = _sample(m)
+    form = QuadraticForm(gram, 1 << n)
+    idx, _ = _sample(n)
     x = basis(idx)
     direct = scan.trace(np.array(list(map(mul, x.tolist(),
                                           r_map(x).tolist())),
@@ -227,12 +240,12 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
 
 
 def _require_swept_frobenius(tables: _CensusTables, ext: ExtDesc) -> None:
-    """The swept x -> x^q against the scalar Frobenius on every index basis
-    vector, so on the whole F_2-linear map.  The cross-check cannot see an
-    error d in F_q here: with Tr(y) = 0, Tr((y + d)^3) = Tr(y^3)."""
+    """The swept y = x^q + x against the scalar Frobenius on every basis
+    vector of W, so on the whole F_2-linear map.  The cross-check cannot see
+    an error d in F_q here: with Tr(y) = 0, Tr((y + d)^3) = Tr(y^3)."""
     to_big = tables.view.tower.from_tower.scalar
-    require(all(to_big(tables.frob.at(1 << j)) == ext.frob_val(to_big(1 << j))
-                for j in range(ext.big.m)),
+    require(all(to_big(tables.y.at(1 << j)) == ext.frob_val(x) ^ x
+                for j, x in enumerate(tables.basis.images)),
             "swept x -> x^q differs from the scalar Frobenius")
 
 
@@ -243,7 +256,8 @@ def curve_census(q: int, budget: int | None = None,
     Every solvable fiber is classified: y = x^q + x either generates the
     degree-6 extension (good) or lies in the cubic subextension (bad); the
     quadratic subextension is impossible for trace-qualifying y, which the
-    scan checks rather than assumes.
+    scan checks rather than assumes.  The sweep of W meets each y of L_0
+    once, so every count is scaled by q.
     """
     k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
@@ -253,28 +267,25 @@ def curve_census(q: int, budget: int | None = None,
     ws = Workspace()
 
     def tally(lo: int, hi: int) -> tuple[int, int, int]:
-        # x runs through tower coordinates; the tower map is a bijection,
-        # and only counts leave the chunk
         n = hi - lo
-        x = ws.arange("x", lo, hi)
-        xq = tables.frob(lo, hi, out=ws.get("xq", n))
-        # the logs of y = x^q + x, then Tr(y^3) from the w-half of y^3
-        ly = tower.logs(np.bitwise_xor(x, xq, out=xq))
-        t = trace_hi(tower.cube_hi(ly, out=x), out=xq)
+        y = tables.y(lo, hi, out=ws.get("y", n))
+        # Tr(y^3) from the w-half of y^3, by the logs of y
+        t = trace_hi(tower.cube_hi(tower.logs(y), out=y), out=y)
         # equal as values, since Tr(x^(3q)) = Tr(x^3): a cross-check by the
         # form Q, which shares no table with the tower
-        require(np.array_equal(t, tables.form(lo, hi, out=x)),
+        require(np.array_equal(t, tables.form(lo, hi, out=ws.get("form", n))),
                 "solvability differs from the trace identity")
         solvable, in_cubic = tables.tests.split(t, lo, hi, ws)
-        good = solvable & ~in_cubic
         return (int(np.count_nonzero(solvable)),
-                int(np.count_nonzero(solvable & in_cubic)),
-                int(np.count_nonzero(good)))
+                int(np.count_nonzero(in_cubic)),
+                int(np.count_nonzero(solvable & ~in_cubic)))
 
-    parts = run_chunked(q**6, tally, threads=threads)
-    solvable_x = sum(p[0] for p in parts)
-    bad_x = sum(p[1] for p in parts)
-    good_x = sum(p[2] for p in parts)
+    parts = run_chunked(tables.order, tally, threads=threads)
+    # split requires every y of F_{q^3} solvable: these are the bad y
+    require(sum(p[1] for p in parts) == q**3,
+            "F_{q^3} does not have q^3 elements in L_0")
+    solvable_x, bad_x, good_x = (q * sum(p[i] for p in parts)
+                                 for i in range(3))
     require(good_x + bad_x == solvable_x,
             "good and bad fibers do not cover the solvable ones")
 

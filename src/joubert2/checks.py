@@ -321,7 +321,7 @@ def check_curve(q: int, budget: int | None = None,
         require(census.n_affine % q == 0, "affine count is not divisible by q")
         require(census.weil_low <= census.n_smooth <= census.weil_high,
                 "smooth count escapes the Weil interval")
-        require(census.bad_points <= q**5, "more than q^5 bad points")
+        require(census.bad_points == q**5, "more than q^5 bad points")
         if q > 2:
             require(census.good_points >= 1, "no good fiber point")
         if q <= 4:

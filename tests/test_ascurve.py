@@ -64,10 +64,26 @@ class TestCensus:
         assert count == 80 == curve_census(2).n_affine
 
     def test_thread_count_never_changes_results(self):
-        a = curve_census(8, threads=1)
-        b = curve_census(8, threads=3)
+        # q = 16: the sweep of W has 16 chunks (one at q = 8)
+        a = curve_census(16, threads=1)
+        b = curve_census(16, threads=3)
         for key in ("n_affine", "n_smooth", "good_points", "bad_points"):
             assert getattr(a, key) == getattr(b, key)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16])
+    def test_census_sweeps_a_complement_of_the_base_field(self, monkeypatch,
+                                                          q):
+        # one run_chunked call over the q^5 x of W, not the q^6 of L
+        totals = []
+        real = ascurve.run_chunked
+
+        def spy(total, fn, **kwargs):
+            totals.append(total)
+            return real(total, fn, **kwargs)
+
+        monkeypatch.setattr(ascurve, "run_chunked", spy)
+        assert curve_census(q).bad_points == q**5
+        assert totals == [q**5]
 
     def test_budget_and_domain_guards(self):
         with pytest.raises(BudgetError) as exc:
@@ -134,12 +150,33 @@ class TestTowerCensus:
         assert hit == [scan._frob]
         monkeypatch.undo()
         tables = ascurve._census_tables(ascurve._ext_scan(2, 3, 6))
-        images = list(tables.view.frob.images)
+        images = list(tables.y.map.images)
         images[5] ^= 1 << bit
-        monkeypatch.setattr(tables, "frob", fastscan.ChunkMap(
-            fastscan.LinearMap(images), 8**6))
+        monkeypatch.setattr(tables, "y", fastscan.ChunkMap(
+            fastscan.LinearMap(images), 8**5))
         with pytest.raises(CheckFailed):
             curve_census(8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_planted_frobenius_kernel_fails(self, monkeypatch, k):
+        # a kernel of x^q + x one vector short of F_q
+        real = ascurve.kernel
+        monkeypatch.setattr(ascurve, "kernel",
+                            lambda matrix, field: real(matrix, field)[1:])
+        with pytest.raises(CheckFailed, match=r"ker\(x\^q \+ x\) is not F_q"):
+            ascurve._CensusTables(ascurve._ext_scan(2, k, 6))
+
+    def test_swept_map_is_one_to_one_onto_trace_zero(self):
+        # y = x^q + x on W against the canonical maps: 2^15 distinct y of
+        # trace 0 at q = 8, that is all of L_0
+        scan = ascurve._ext_scan(2, 3, 6)
+        tables = ascurve._census_tables(scan)
+        x = tables.basis(np.arange(tables.order, dtype=np.uint32))
+        y = scan.frob(x) ^ x
+        assert np.array_equal(scan.ops._tower.to_tower(y),
+                              tables.y(0, tables.order))
+        assert np.unique(y).size == tables.order == 8**5
+        assert not np.any(scan.trace(y))
 
     def test_scalar_route_matches_the_census(self):
         for q in (2, 4):
@@ -183,16 +220,16 @@ class TestTraceForm:
     @pytest.mark.parametrize("q", [2, 4, 8, 16])
     def test_form_is_the_right_side_trace(self, q):
         # Q(x) = Tr(x^(2q+1) + x^(q+2)) by scalar ffield arithmetic: every x
-        # of GF(2^6) and GF(2^12), 256 spread indices of chunk 3 above
+        # of W at q = 2 and 4, 256 spread indices of its only chunk at q = 8
+        # and of chunk 3 at q = 16
         scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
         tables = ascurve._census_tables(scan)
-        lo = 0 if q <= 4 else 3 * fastscan.CHUNK
+        lo = 3 * fastscan.CHUNK if q == 16 else 0
         size = tables.form.size
         got = tables.form(lo, lo + size)
         offsets = range(size) if q <= 4 else range(7, size, size // 256)
-        to_big = tables.view.tower.from_tower.scalar
         for i in offsets:
-            x = FElt(scan.ext.big, to_big(lo + i))
+            x = FElt(scan.ext.big, tables.basis.scalar(lo + i))
             want = rel_trace(x ** (2 * q + 1) + x ** (q + 2), scan.ext)
             assert int(got[i]) == want.val, (q, i)
 
@@ -222,7 +259,7 @@ class TestTraceForm:
         monkeypatch.setattr(fastscan.Workspace, "arange", lambda ws, name, *a:
                             names.add(name) or arange(ws, name, *a))
         curve_census(8)
-        assert names <= {"x", "xq", "solvable", "cubic", "quadratic",
+        assert names <= {"y", "form", "solvable", "cubic", "quadratic",
                          "p_idx", "p_u", "p_sum0", "p_sum1", "p_sum2", "p_lb",
                          "p_ta", "p_tb", "win0"}, names
 
@@ -371,14 +408,13 @@ class TestCrossModule:
 
 def _first_read_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
     # the exp entry at the log sum log y0 + log y1 + log(y0 + y1) of the
-    # first index whose y = x^q + x has three nonzero halves (x = q^4;
-    # entries 10, 38 and 670 at q = 2, 4 and 8): the census's cube_hi reads
-    # it, and it holds a unit, not the zero tail
+    # first index whose swept y = x^q + x has three nonzero halves (indices
+    # 8, 32 and 128, entries 10, 38 and 670 at q = 2, 4 and 8): the census's
+    # cube_hi reads it, and it holds a unit, not the zero tail
     tables = ascurve._census_tables(ascurve._ext_scan(2, q.bit_length() - 1,
                                                       6))
     tower = tables.view.tower
-    n = tables.frob.size
-    y = np.arange(n, dtype=np.uint32) ^ tables.frob(0, n)
+    y = tables.y(0, tables.y.size)
     sums = sum(tower.logs(y))
     zero = int(tower.log[0])  # the log of 0, above every sum of unit logs
     return tower, int(sums[np.argmax(sums < zero)])
@@ -403,7 +439,19 @@ def _flipped_gram_entry(patch):
         gram = tables.form.gram.copy()
         gram[0, 1] ^= 1
         gram[1, 0] ^= 1
-        patch(tables, "form", ascurve.QuadraticForm(gram, 2 ** (6 * k)))
+        patch(tables, "form", ascurve.QuadraticForm(gram, 2 ** (5 * k)))
+
+
+def _flipped_w_map_image(patch):
+    # bit 0 of the swept y's image of W's first basis vector, after build:
+    # y moves by 1, in F_q, which the cross-check cannot see, since
+    # Tr((y + 1)^3) = Tr(y^3) when Tr(y) = 0
+    for k in (1, 2, 3):
+        tables = ascurve._census_tables(ascurve._ext_scan(2, k, 6))
+        images = list(tables.y.map.images)
+        images[0] ^= 1
+        patch(tables, "y", fastscan.ChunkMap(fastscan.LinearMap(images),
+                                             tables.order))
 
 
 CURVE_PLANTS = {
@@ -411,6 +459,8 @@ CURVE_PLANTS = {
                         "solvability differs from the trace identity"),
     "qform-gram-entry": (_flipped_gram_entry,
                          "solvability differs from the trace identity"),
+    "w-map-image": (_flipped_w_map_image,
+                    "swept x -> x^q differs from the scalar Frobenius"),
 }
 
 

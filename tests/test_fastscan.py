@@ -129,7 +129,8 @@ def test_scans_independent_of_thread_count():
     count = [count_joubert_generators(8, threads=t) for t in (1, 2)]
     assert count[0] == count[1]
     assert count[0].count == 4032
-    assert curve_census(8, threads=1) == curve_census(8, threads=2)
+    # q = 16: 16 chunks of the curve's sweep, one at q = 8
+    assert curve_census(16, threads=1) == curve_census(16, threads=2)
 
 
 def test_run_chunked_caps_its_workers(monkeypatch):

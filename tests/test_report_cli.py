@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joubert2 import checks, cli
+from joubert2 import checks, cli, jsearch
 from joubert2.cli import COMMANDS, main
 from joubert2.errors import DomainError
 from joubert2.report import (CheckResult, Manifest, emit_csv, emit_json,
@@ -228,6 +228,16 @@ class TestCli:
             ["2", "2", "12"], ["4", "24", "144"]]
         assert tables["surface classes (trace-zero projective quotient)"] == [
             ["2", "9", "3", "6", "-9"], ["4", "17", "5", "12", "-11"]]
+
+    def test_census_script_sweeps_l0_once_per_q(self, capsys, monkeypatch):
+        # the generator table reads the surface census's count
+        calls = []
+        real = jsearch.count_joubert_generators
+        monkeypatch.setattr(jsearch, "count_joubert_generators",
+                            lambda q, **kw: calls.append(q) or real(q, **kw))
+        monkeypatch.setattr(sys, "argv", [CENSUS_SCRIPT, "--max-k", "2"])
+        runpy.run_path(CENSUS_SCRIPT, run_name="__main__")
+        assert calls == [2, 4]
 
     def test_budget_exit_3(self, capsys):
         assert main(["joubert-enum", "--q", "2", "--budget", "5"]) == 3
