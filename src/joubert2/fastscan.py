@@ -38,6 +38,9 @@ shift-and-xor on a fixed seeded sample; the tower view's maps agree with
 the canonical ones, and its cube kernel with shift-and-xor, on that
 sample.
 
+`ClmulOps` is the one kernel without tables: shift-and-xor products on
+uint64 arrays of any GF(2^m) with m + 1 <= 64, for audits of the sweeps.
+
 Kernels write into `out=` when it is given and keep their scratch arrays in
 per-thread buffers, so a chunked scan allocates its arrays once per worker
 thread instead of once per chunk.
@@ -233,6 +236,39 @@ def _mulmod(a: int, b: int, f: int, m: int) -> int:
         if a & top:
             a ^= f
     return r
+
+
+class ClmulOps:
+    """Whole-array GF(2^m) arithmetic on uint64 arrays of packed values,
+    shaped like `ffield.TableOps`: shift-and-xor products with the
+    reduction by the packed modulus f interleaved, from the top bit of b
+    down (r <- r t mod f, then r ^= a), so that no value exceeds m + 1 bits.
+    No table, `Tower` or `LinearMap`: it audits the sweeps built on those."""
+
+    def __init__(self, field: FieldDesc):
+        if field.p != 2 or field.m + 1 > 64:
+            raise DomainError(f"carry-less products need p = 2 and m + 1 <= "
+                              f"64, got GF({field.p}^{field.m})")
+        self.m, self.f = field.m, np.uint64(_pack(field.modulus, 2))
+
+    def mul(self, a, b):
+        a, b = np.asarray(a, np.uint64), np.asarray(b, np.uint64)
+        shape = np.broadcast(a, b).shape
+        # one scratch array t, so that a product allocates two arrays
+        r, t = np.zeros(shape, np.uint64), np.empty(shape, np.uint64)
+        m, one = np.uint64(self.m), np.uint64(1)
+        for j in range(self.m - 1, -1, -1):
+            r <<= one
+            r ^= np.multiply(np.right_shift(r, m, out=t), self.f, out=t)
+            np.right_shift(b, np.uint64(j), out=t)
+            r ^= np.multiply(np.bitwise_and(t, one, out=t), a, out=t)
+        return r
+
+    def sub(self, a, b):
+        return a ^ b
+
+    def neg(self, a):
+        return a
 
 
 def _powmod(a: int, e: int, f: int, m: int) -> int:

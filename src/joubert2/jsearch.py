@@ -22,7 +22,7 @@ from .fastscan import (CHUNK, MAX_DEGREE, ChunkMap, ExtScan, LinearMap,
                        SubfieldTests, Workspace, run_chunked)
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .gflinalg import kernel, rref_vals
-from .sigma import is_joubert
+from .sigma import is_joubert, joubert_mask
 
 
 @dataclass
@@ -157,11 +157,11 @@ class _L0Tables:
 _l0_tables = functools.lru_cache(maxsize=None)(_L0Tables)
 
 
-def _spread(mask: np.ndarray, lo: int, n: int, kept: bool) -> dict:
-    """Up to n of the lo + i with mask[i], evenly spread, each to `kept`."""
+def _spread(mask: np.ndarray, lo: int, n: int, kind: str) -> dict:
+    """Up to n of the lo + i with mask[i], evenly spread, each to `kind`."""
     idx = np.flatnonzero(mask)
     pick = np.linspace(0, idx.size - 1, min(n, idx.size)).astype(np.intp)
-    return dict.fromkeys((idx[pick] + lo).tolist(), kept)
+    return dict.fromkeys((idx[pick] + lo).tolist(), kind)
 
 
 def count_joubert_generators(q: int, budget: int | None = None,
@@ -171,38 +171,54 @@ def count_joubert_generators(q: int, budget: int | None = None,
     Every one has s_1 = Tr(y) = 0, so the count sweeps the q^5 elements of
     L_0 = ker Tr, which `scanned` reports, and keeps the y with
     Tr(y^3) = s_3 = 0 outside F_{q^3}, of which there must be q^3.  Up to
-    32 kept and 32 rejected y per chunk (2 above q = 16) are re-verified by
-    the scalar `is_joubert`.
+    32 kept and 32 rejected y per chunk (2 above q = 16), 1,024 in all at
+    q = 16, are re-verified by the batched `sigma.joubert_mask`, whose
+    verdict the scalar `is_joubert` must share on the first sampled y of
+    each kind (kept, in F_{q^3}, Tr(y^3) != 0) in every chunk.
     """
     k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
     tables = _l0_tables(scan)
     tower, trace_hi = tables.view.tower, tables.view.trace_hi
-    # 32 kept and 32 rejected y per chunk for the scalar audit, 1,024 in
-    # all at q = 16, and 2 of each above, so that both rejected kinds show
+    # 32 kept and 32 rejected y per chunk for the audit, 1,024 in all at
+    # q = 16, and 2 of each above, so that both rejected kinds show
     quota = 32 if tables.order <= 16 * CHUNK else 2
     ws = Workspace()
 
-    def tally(lo: int, hi: int) -> tuple[int, int, dict[int, bool]]:
+    def tally(lo: int, hi: int) -> tuple[int, int, dict[int, str]]:
         y = tables.sweep(lo, hi, out=ws.get("y", hi - lo))
         solvable, in_cubic = tables.tests.split(
             trace_hi(tower.cube_hi(tower.logs(y), out=y), out=y), lo, hi, ws)
         kept = np.greater(solvable, in_cubic, out=solvable)
         # the rejected: up to half from F_{q^3}, the rest with Tr(y^3) != 0
-        cubic = _spread(in_cubic, lo, quota // 2, False)
+        cubic = _spread(in_cubic, lo, quota // 2, "cubic")
         return (int(np.count_nonzero(kept)), int(np.count_nonzero(in_cubic)),
-                {**_spread(kept, lo, quota, True), **cubic, **_spread(
-                    ~(kept | in_cubic), lo, quota - len(cubic), False)})
+                {**_spread(kept, lo, quota, "kept"), **cubic, **_spread(
+                    ~(kept | in_cubic), lo, quota - len(cubic), "trace")})
 
     parts = run_chunked(tables.order, tally, threads=threads)
     require(sum(part[1] for part in parts) == q**3,
             "F_{q^3} does not have q^3 elements in L_0")
-    # the scalar audit, in chunk order and outside the worker threads
-    for _, _, sample in parts:
-        for i, kept in sample.items():
-            y = scan.ext.big.element(tables.canonical.scalar(i))
-            require(is_joubert(y, scan.ext) == kept, "is_joubert disagrees on "
-                    f"{'kept' if kept else 'rejected'} element {y.val}")
+    # the audit, in chunk order and outside the worker threads: the kernel
+    # on every sampled y, the scalar is_joubert on one y of each kind
+    ext, samples = scan.ext, [part[2] for part in parts]
+    index = [i for sample in samples for i in sample]
+    vals = tables.canonical(np.array(index, dtype=np.uint32)).tolist()
+    val = dict(zip(index, vals))
+    verdict = dict(zip(index, joubert_mask(vals, ext).tolist()))
+    for sample in samples:
+        first = {}
+        for i, kind in sample.items():
+            first.setdefault(kind, i)
+        for i in first.values():
+            require(is_joubert(ext.big.element(val[i]), ext) == verdict[i],
+                    f"audit kernel disagrees with is_joubert on element "
+                    f"{val[i]}")
+    for sample in samples:
+        for i, kind in sample.items():
+            require(verdict[i] == (kind == "kept"), "is_joubert disagrees on "
+                    f"{'kept' if kind == 'kept' else 'rejected'} element "
+                    f"{val[i]}")
     return SearchReport(q=q, n=6, count=sum(part[0] for part in parts),
                         scanned=tables.order)
 

@@ -9,17 +9,20 @@ polynomial then has zero coefficients in the two relevant positions.
 
 `sigma_profiles` takes the profiles of many elements of a field of at most
 2^14 elements at once, on one numpy array per coefficient; `sigma_profile`
-is the scalar route for one element of any field.
+is the scalar route for one element of any field.  `joubert_mask` is the
+batched twin of `is_joubert` for characteristic-2 fields up to GF(2^63).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, require
-from .ffield import ExtDesc, FElt, TableOps
+from .fastscan import ClmulOps
+from .ffield import ExtDesc, FElt, TableOps, prime_divisors
 from .fpoly import char_poly, conjugates, min_poly
 
 
@@ -55,7 +58,7 @@ def sigma_profile(y: FElt, ext: ExtDesc) -> SigmaProfile:
     return SigmaProfile(ext, tuple(sig))
 
 
-def _poly_from_roots(ops: TableOps, roots) -> list:
+def _poly_from_roots(ops: TableOps | ClmulOps, roots) -> list:
     """fpoly.poly_from_roots on one array per coefficient: the coefficient
     arrays, low first, of the product of t - r over the root arrays."""
     c = [np.ones_like(roots[0])]
@@ -105,6 +108,35 @@ def is_joubert(y: FElt, ext: ExtDesc) -> bool:
         return False
     mp = min_poly(y, ext)
     return mp.coeff(ext.n - 1) == 0 and mp.coeff(ext.n - 3) == 0
+
+
+#: The carry-less ops of each characteristic-2 big field, built once
+_clmul_ops = functools.lru_cache(maxsize=None)(ClmulOps)
+
+
+def joubert_mask(vals, ext: ExtDesc) -> np.ndarray:
+    """`is_joubert` of many packed values of a characteristic-2 big field
+    with m + 1 <= 64, as one bool array, on `fastscan.ClmulOps` products:
+    the n conjugates y^(q^i) by k squarings each (y^(q^n) = y required),
+    the generator test y^(q^(n/r)) != y for each prime r dividing n, and
+    a_{n-1} = a_{n-3} = 0 in the product of the t - y^(q^i)."""
+    n = ext.n
+    if n < 3:
+        raise DomainError(f"need extension degree >= 3, got {n}")
+    ops = _clmul_ops(ext.big)
+    roots = [np.asarray(vals, dtype=np.uint64)]
+    for _ in range(n):
+        x = roots[-1]
+        for _ in range(ext.base_deg):
+            x = ops.mul(x, x)
+        roots.append(x)
+    require(np.array_equal(roots.pop(), roots[0]),
+            "an audited y is not fixed by x -> x^(q^n)")
+    c = _poly_from_roots(ops, roots)
+    mask = (c[n - 1] == 0) & (c[n - 3] == 0)
+    for r in prime_divisors(n):
+        mask &= roots[n // r] != roots[0]
+    return mask
 
 
 def power_traces(y: FElt, ext: ExtDesc, kmax: int) -> list[int]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from joubert2 import (BudgetError, DomainError, checks, cubic, fastscan,
-                      iter_elements, jsearch, make_field)
+                      iter_elements, jsearch, make_field, sigma)
 from joubert2.cubic import build_frame, surface_census
 from joubert2.errors import CheckFailed
 from joubert2.ffield import DEFAULT_LIMIT
@@ -231,6 +231,16 @@ def _flipped_exp_entry(patch):
         patch(tower, "exp", exp)
 
 
+def _flipped_audit_modulus_bit(patch):
+    # bit 1 of the modulus that the count's audit kernel reduces by: its
+    # squarings leave the big field, and an audited y does not come back to
+    # itself after the six conjugates (the sweep and the projective route
+    # still agree)
+    for q in (2, 4, 8):
+        ops = sigma._clmul_ops(_ext_scan(2, q.bit_length() - 1, 6).ext.big)
+        patch(ops, "f", ops.f ^ np.uint64(2))
+
+
 SURFACE_PLANTS = {
     "projective-repeated-rep": (
         _repeated_generator_rep,
@@ -240,6 +250,9 @@ SURFACE_PLANTS = {
         {2: "is_joubert disagrees on kept element 20",
          4: "is_joubert disagrees on kept element 2",
          8: "class count and element count disagree"}),
+    "audit-kernel-modulus-bit": (
+        _flipped_audit_modulus_bit,
+        dict.fromkeys((2, 4, 8), "an audited y is not fixed by x -> x^(q^n)")),
 }
 
 

@@ -3,13 +3,16 @@ the tower product at every even degree, the window maps, the build-time
 table checks, and the Frobenius and trace tables of every registry
 extension."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from joubert2 import checks, fastscan, ffield, jsearch
 from joubert2.ascurve import curve_census
 from joubert2.errors import CheckFailed, DomainError
-from joubert2.fastscan import CHUNK, ChunkMap, ExtScan, Gf2Scan, LinearMap
+from joubert2.fastscan import (CHUNK, ChunkMap, ClmulOps, ExtScan, Gf2Scan,
+                               LinearMap)
 from joubert2.ffield import make_ext, make_field
 from joubert2.jsearch import count_joubert_generators
 
@@ -169,6 +172,20 @@ def test_run_chunked_caps_its_workers(monkeypatch):
 def test_degree_beyond_headroom_rejected():
     with pytest.raises(DomainError):
         Gf2Scan(make_field(2, 33, limit=2**33))
+
+
+def test_clmul_ops_headroom():
+    # m + 1 <= 64 bits: m = 63 agrees with the shift-and-xor reference on
+    # plain ints, m = 64 and odd p are refused; stub fields, none built
+    f63 = (1 << 63) | 0b11  # t^63 + t + 1
+    ops = ClmulOps(SimpleNamespace(p=2, m=63, modulus=[1, 1] + [0] * 61 + [1]))
+    a = [0, 1, (1 << 63) - 1, 0x5DEECE66D12345 << 7, 3 << 61]
+    b = [(1 << 63) - 1, 7, (1 << 63) - 1, 0x2545F4914F6CDD1D >> 1, 1 << 62]
+    assert ops.mul(a, b).tolist() == [fastscan._mulmod(x, y, f63, 63)
+                                      for x, y in zip(a, b)]
+    for p, m in ((2, 64), (3, 4)):
+        with pytest.raises(DomainError):
+            ClmulOps(SimpleNamespace(p=p, m=m, modulus=[1] * (m + 1)))
 
 
 def test_odd_degrees_rejected():

@@ -2,6 +2,7 @@ import json
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
@@ -9,6 +10,7 @@ from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
 from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
+from joubert2.fastscan import CHUNK
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -388,18 +390,55 @@ def test_count_fails_on_a_planted_is_joubert(monkeypatch, plant):
         count_joubert_generators(8)
 
 
+@pytest.mark.parametrize("modulus", [0b1001001, 0b1011011])
+def test_count_fails_on_an_audit_kernel_in_another_field(monkeypatch,
+                                                         modulus):
+    # another irreducible sextic: the kernel's conjugates still close up,
+    # and only the scalar is_joubert can tell that it judges other elements
+    ops = sigma._clmul_ops(make_ext(2, 1, 6).big)
+    monkeypatch.setattr(ops, "f", np.uint64(modulus))
+    with pytest.raises(CheckFailed, match="audit kernel disagrees with "
+                       "is_joubert on element 2"):
+        count_joubert_generators(2)
+
+
 def test_count_reverifies_at_least_1024_at_q16(monkeypatch):
-    real = jsearch.is_joubert
-    seen = []
+    # the kernel re-verifies at least 1,024 sampled y in one call, with both
+    # outcomes; the scalar is_joubert meets every kind in every chunk
+    real_mask, real = jsearch.joubert_mask, jsearch.is_joubert
+    masks, scalar = [], []
+
+    def mask(vals, ext):
+        masks.append(real_mask(vals, ext))
+        return masks[-1]
 
     def counting(y, ext):
-        seen.append(real(y, ext))
-        return seen[-1]
+        scalar.append(y.val)
+        return real(y, ext)
 
+    monkeypatch.setattr(jsearch, "joubert_mask", mask)
     monkeypatch.setattr(jsearch, "is_joubert", counting)
     assert count_joubert_generators(16).count == 57600
-    assert len(seen) >= 1024
-    assert True in seen and False in seen
+    assert len(masks) == 1 and masks[0].size >= 1024
+    assert masks[0].any() and not masks[0].all()
+    # each scalar y's chunk, from its index in the sweep of L_0
+    scan = jsearch._ext_scan(2, 4, 6)
+    tables, ext, big = jsearch._l0_tables(scan), scan.ext, scan.ext.big
+    swept = tables.canonical(np.arange(tables.order, dtype=np.uint32))
+    order = np.argsort(swept)
+    chunks = order[np.searchsorted(swept, scalar, sorter=order)] // CHUNK
+
+    def kind(v):
+        if real(big.element(v), ext):
+            return "kept"
+        if ext.frob_iter_val(v, 3) == v:
+            return "cubic"
+        assert ext.trace_val(big.mul_val(v, big.mul_val(v, v))) != 0
+        return "trace"
+
+    assert {(int(c), kind(v)) for c, v in zip(chunks, scalar)} == {
+        (c, k) for c in range(16**5 // CHUNK)
+        for k in ("kept", "cubic", "trace")}
 
 
 def test_witness_min_poly_is_enumerated():

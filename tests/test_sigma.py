@@ -4,16 +4,18 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joubert2 import (DomainError, ExtDesc, checks, iter_elements, make_ext,
-                      make_field, rel_trace, sigma)
+from joubert2 import (DomainError, ExtDesc, checks, iter_elements, jsearch,
+                      make_ext, make_field, rel_trace, sigma)
 from joubert2.errors import CheckFailed
 from joubert2.fpoly import conjugates, format_poly, min_poly
 from joubert2.sigma import (
     is_generator,
     is_joubert,
+    joubert_mask,
     power_traces,
     sigma_profile,
     sigma_profiles,
@@ -251,6 +253,39 @@ def test_joubert_needs_degree_3():
     ext = make_ext(2, 1, 2)
     with pytest.raises(DomainError):
         is_joubert(ext.big.gen, ext)
+    with pytest.raises(DomainError):
+        joubert_mask([ext.big.gen.val], ext)
+
+
+@pytest.mark.parametrize("k, count", [(1, 2**6), (2, 4**6), (3, 5000),
+                                      (6, 1000)])
+def test_joubert_mask_agrees_with_is_joubert(k, count):
+    # all of GF(2^6) and GF(4^6), the first 5,000 values of GF(8^6), and
+    # the first 1,000 of GF(64^6), m = 36, which hold its witness 326
+    ext = make_ext(2, k, 6, limit=2**36)
+    got = joubert_mask(np.arange(count), ext).tolist()
+    assert got == [is_joubert(ext.big.element(v), ext) for v in range(count)]
+    assert got.index(True) == {1: 2, 2: 6, 3: 258, 6: 326}[k]
+
+
+def test_joubert_mask_agrees_on_the_q16_audit_sample(monkeypatch):
+    real, calls = jsearch.joubert_mask, []
+
+    def spy(vals, ext):
+        calls.append((vals, ext))
+        return real(vals, ext)
+
+    monkeypatch.setattr(jsearch, "joubert_mask", spy)
+    jsearch.count_joubert_generators(16)
+    [(vals, ext)] = calls
+    assert len(vals) >= 1024
+    assert joubert_mask(vals, ext).tolist() == [
+        is_joubert(ext.big.element(v), ext) for v in vals]
+
+
+def test_joubert_mask_is_characteristic_2_only():
+    with pytest.raises(DomainError):
+        joubert_mask([1, 2], make_ext(3, 1, 6))
 
 
 @given(v=st.integers(0, 63), k=st.integers(1, 8))
