@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TableError, require
-from .fastscan import (CHUNK, WINDOW, ChunkMap, ExtScan, LinearMap,
-                       SubfieldTests, Workspace, _mulmod, _sample, _span,
+from .fastscan import (CHUNK, WINDOW, ChunkMap, ClmulOps, ExtScan,
+                       LinearMap, SubfieldTests, Workspace, _sample, _span,
                        run_chunked)
-from .ffield import ExtDesc, FElt, _pack, make_ext, rel_frobenius, rel_trace
+from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
 from .gflinalg import kernel, rref
 from .jsearch import _Bits, _ext_scan, _require_pow2, _require_vector_q
 
@@ -204,12 +204,12 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
     84, 1992).
 
     The Gram matrix comes from the basis images through the canonical
-    Frobenius, square and trace maps and shift-and-xor products, never from
+    Frobenius, square and trace maps and `ClmulOps` products, never from
     the Tower's log/exp tables.  Q is checked against Tr(x R(x)), taken
     directly, on the seeded sample; a mismatch raises TableError.
     """
     big = scan.ext.big
-    f, m, n = _pack(big.modulus, 2), big.m, len(basis.images)
+    mul, n = ClmulOps(big).mul, len(basis.images)
 
     def r_map(x):
         fx = f5 = scan.frob(x)
@@ -217,24 +217,17 @@ def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
             f5 = scan.frob(f5)
         return scan.ops.square(fx ^ f5)
 
-    def mul(a, b):
-        return _mulmod(a, b, f, m)
-
-    e = basis.images
-    re = r_map(np.array(e, dtype=np.uint32)).tolist()
-    prod = np.array([[mul(a, b) for b in re] for a in e],
-                    dtype=np.uint32)  # e_i R(e_j)
+    e = np.array(basis.images, dtype=np.uint32)
+    prod = mul(e[:, None], r_map(e))  # e_i R(e_j)
     # B(e_i, e_j) = Tr(e_i R(e_j) + e_j R(e_i)), and Q(e_i) on the diagonal
     gram = scan.trace((prod ^ prod.T).ravel()).reshape(n, n)
     np.fill_diagonal(gram, scan.trace(prod.diagonal().copy()))
     form = QuadraticForm(gram, 1 << n)
     idx, _ = _sample(n)
     x = basis(idx)
-    direct = scan.trace(np.array(list(map(mul, x.tolist(),
-                                          r_map(x).tolist())),
-                                 dtype=np.uint32))
+    direct = scan.trace(mul(x, r_map(x)))
     if [form.scalar(v) for v in idx.tolist()] != direct.tolist():
-        raise TableError(f"quadratic form of GF(2^{m}) disagrees with "
+        raise TableError(f"quadratic form of GF(2^{big.m}) disagrees with "
                          "Tr(x R(x))")
     return form
 

@@ -5,17 +5,16 @@ arrays and come out as uint32 arrays.  Every kernel is a short sequence of
 table gathers:
 
 - F_2-linear maps (squaring, the relative Frobenius, the relative
-  trace, the reduction of a wide product) take one 4096-entry
-  uint32 table per 12-bit window of the input: one gather for m <= 12, two
-  for m = 18 and 24.
+  trace) take one 4096-entry uint32 table per 12-bit window of the input:
+  one gather for m <= 12, two for m = 18 and 24.
 - Products have one kernel, for every even m <= 32: a quadratic tower
   over GF(2^(m/2)), the composite-field method (C. Paar, PhD thesis,
   1994; Lidl & Niederreiter ch. 9), in `Tower`.  One window map puts each
   operand into tower coordinates a0 + a1 w with w^2 = w + c; a Karatsuba
   step takes 3 subfield log/exp products, the multiply by the constant c
   riding in the log sum; one window map brings the result back.  Odd m
-  has no such tower and is rejected.  The shift-and-xor loop is kept as
-  the reference every table is derived from and checked against.
+  has no such tower and is rejected.  `ClmulOps` is the reference every
+  table is derived from and checked against.
 - A scan that only counts can stay in tower coordinates throughout:
   `ExtScan.tower`, built on first use, composes the relative Frobenius
   and the trace with the maps of the scan's own tower, and `Tower` takes a
@@ -27,19 +26,22 @@ table gathers:
   L_0 = ker Tr indexes it by basis images this way, with its subfield
   tests on the same index (`SubfieldTests`).
 
-Independence: every table comes from the field's modulus alone, through the
-shift-and-xor reference and set-up steps on plain ints, so the vector layer
-builds nothing in the scalar `ffield` backends and the test suite can
-cross-validate the two layers element by element.  Each product table is
-verified when it is built, and a failure raises TableError: exp over one
-period is a permutation of the units and g^N = 1; the tower map composed
-with its inverse is the identity; the table product agrees with
-shift-and-xor on a fixed seeded sample; the tower view's maps agree with
-the canonical ones, and its cube kernel with shift-and-xor, on that
-sample.
+Independence: every table comes from the field's modulus alone, through
+`ClmulOps` and set-up steps on plain ints, so the vector layer builds
+nothing in the scalar `ffield` backends and the test suite can
+cross-validate the two layers element by element.  `Tower` is set up by
+the scalar shift-and-xor `_mulmod`, and its product is checked against
+`ClmulOps`, so two independent shift-and-xor codes check each other.  Each
+product table is verified when it is built, and a failure raises
+TableError: exp over one period is a permutation of the units and g^N = 1;
+the tower map composed with its inverse is the identity; the table product
+agrees with `ClmulOps` on a fixed seeded sample; the tower view's maps
+agree with the canonical ones, and its cube kernel with `ClmulOps`, on
+that sample.
 
 `ClmulOps` is the one kernel without tables: shift-and-xor products on
-uint64 arrays of any GF(2^m) with m + 1 <= 64, for audits of the sweeps.
+uint64 arrays of any GF(2^m) with m + 1 <= 64.  Each `Gf2Scan` keeps its
+own instance as the reference; the audits of the sweeps build theirs.
 
 Kernels write into `out=` when it is given and keep their scratch arrays in
 per-thread buffers, so a chunked scan allocates its arrays once per worker
@@ -243,7 +245,8 @@ class ClmulOps:
     shaped like `ffield.TableOps`: shift-and-xor products with the
     reduction by the packed modulus f interleaved, from the top bit of b
     down (r <- r t mod f, then r ^= a), so that no value exceeds m + 1 bits.
-    No table, `Tower` or `LinearMap`: it audits the sweeps built on those."""
+    No table, `Tower` or `LinearMap`: it is the reference those are built
+    from and checked against, and it audits the sweeps built on them."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2 or field.m + 1 > 64:
@@ -485,7 +488,9 @@ class Tower:
 
 class Gf2Scan:
     """Element-wise field arithmetic on arrays over one GF(2^m), m even and
-    at most MAX_DEGREE, every product taken through the field's `Tower`."""
+    at most MAX_DEGREE, every product taken through the field's `Tower`.
+    Its tables are built from and checked against its own `ClmulOps`, an
+    instance no audit shares."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2:
@@ -493,37 +498,25 @@ class Gf2Scan:
         if field.m > MAX_DEGREE:
             raise DomainError(f"packed degree {field.m} exceeds uint32 "
                               "headroom")
-        self.field = field
         self.m = m = field.m
-        f = _pack(field.modulus, 2)
-        # t^(m+j) mod f for the high bits of a carry-less product
-        hi = []
-        cur = f ^ (1 << m)
-        for _ in range(m - 1):
-            hi.append(cur)
-            cur <<= 1
-            if cur >> m & 1:
-                cur ^= f
-        self._red = LinearMap(hi)
-        self._low_mask = np.uint64((1 << m) - 1)
-        # (t^j)^2 = t^(2j), reduced
-        wide = np.array([1 << 2 * j for j in range(m)], dtype=np.uint64)
-        self._sqr = LinearMap(self.reduce_wide(wide).tolist())
-        self._tower = Tower(f, m)
+        self._ref = ref = ClmulOps(field)
+        # (t^j)^2, reduced by the reference
+        basis = np.array([1 << j for j in range(m)], dtype=np.uint64)
+        self._sqr = LinearMap(ref.mul(basis, basis).tolist())
+        self._tower = Tower(_pack(field.modulus, 2), m)
         to_tower = self._tower.to_tower.scalar
         self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
         self._verify_product()
 
     def _verify_product(self) -> None:
         a, b = _sample(self.m)
-        ref = self._loop_mul(a, b)
-        cube = self._loop_mul(a, self._loop_mul(a, a))
-        if not (np.array_equal(self._tower_mul(a, b, None), ref)
-                and np.array_equal(self._cube(a, None), cube)):
+        mul = self._ref.mul
+        if not (np.array_equal(self._tower_mul(a, b, None), mul(a, b))
+                and np.array_equal(self._cube(a, None), mul(a, mul(a, a)))):
             raise TableError(f"table product of GF(2^{self.m}) disagrees "
                              "with shift-and-xor")
 
-    # -- the product kernel and its shift-and-xor reference
+    # -- the product kernel
 
     def _tower_mul(self, a, b, out, b_map=None):
         """a * b through tower coordinates; b enters through b_map (default
@@ -539,26 +532,7 @@ class Gf2Scan:
         r1 |= r0
         return tower.from_tower(r1, out=out)
 
-    def _loop_mul(self, a, b, out=None):
-        a = np.asarray(a, dtype=np.uint64)
-        b = np.asarray(b, dtype=np.uint64)
-        acc = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
-        one = np.uint64(1)
-        for k in range(self.m):
-            ks = np.uint64(k)
-            mask = np.uint64(0) - ((b >> ks) & one)
-            acc ^= (a << ks) & mask
-        return self.reduce_wide(acc, out)
-
     # -- public kernels
-
-    def reduce_wide(self, wide: np.ndarray, out: np.ndarray | None = None
-                    ) -> np.ndarray:
-        """Reduce a (2m-1)-bit carry-less product (uint64) to the canonical
-        value."""
-        high = self._red(wide >> np.uint64(self.m))
-        low = (wide & self._low_mask).astype(np.uint32)
-        return np.bitwise_xor(low, high, out=out)
 
     def mul(self, a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
@@ -583,13 +557,13 @@ class ExtScan:
         self.ext = ext
         self.ops = Gf2Scan(ext.big)
         # images of the basis t^j under x -> x^(q^i): x^q by squarings in
-        # the shift-and-xor reference, so that they stay independent of the
-        # square and product tables, then x^(q^i) by its map
+        # the reference, so that they stay independent of the square and
+        # product tables, then x^(q^i) by its map
         images = [np.array([1 << j for j in range(ext.big.m)],
                            dtype=np.uint64)]
         cur = images[0]
         for _ in range(ext.base_deg):
-            cur = self.ops._loop_mul(cur, cur)
+            cur = self.ops._ref.mul(cur, cur)
         self._frob = LinearMap(cur.tolist())
         for _ in range(1, ext.n):
             images.append(self._frob(images[-1]))
@@ -625,7 +599,7 @@ class TowerView:
     K = GF(q^3), since w + w^(q^3) = 1 and Tr_{L/K}(r0) = 2 r0 = 0:
     `trace_hi` maps r1 alone.  Both maps and Tower's cube kernel are
     checked on the seeded sample against the canonical maps and the
-    shift-and-xor product; a mismatch raises TableError.
+    scan's `ClmulOps` reference; a mismatch raises TableError.
     """
 
     def __init__(self, scan: "ExtScan"):
@@ -640,7 +614,7 @@ class TowerView:
         self._verify(scan)
 
     def _verify(self, scan: "ExtScan") -> None:
-        tower, loop = self.tower, scan.ops._loop_mul
+        tower, mul = self.tower, scan.ops._ref.mul
         to, h, n = tower.to_tower, tower.h, 256
         a, b = _sample(scan.ops.m)
         ta, tb = to(a), to(b)
@@ -648,7 +622,7 @@ class TowerView:
         ok &= np.array_equal(self.trace_hi(ta >> h), scan.trace(a))
         ok &= np.array_equal(
             tower.cube_hi(tower.logs(tb), np.empty(n, dtype=np.uint32)),
-            to(loop(b, loop(b, b))) >> h)
+            to(mul(b, mul(b, b))) >> h)
         if not ok:
             raise TableError(f"tower view of GF(2^{scan.ops.m}) disagrees "
                              "with the canonical maps")

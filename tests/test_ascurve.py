@@ -233,6 +233,26 @@ class TestTraceForm:
             want = rel_trace(x ** (2 * q + 1) + x ** (q + 2), scan.ext)
             assert int(got[i]) == want.val, (q, i)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gram_matches_scalar_products(self, k):
+        # every entry, not only those the sample sees through Q: e_i R(e_j)
+        # by the scalar shift-and-xor on plain ints, then traced
+        scan = ascurve._ext_scan(2, k, 6)
+        tables = ascurve._census_tables(scan)
+        big = scan.ext.big
+        f = sum(c << i for i, c in enumerate(big.modulus))
+        e = tables.basis.images
+        fx = f5 = scan.frob(np.array(e, dtype=np.uint32))
+        for _ in range(4):
+            f5 = scan.frob(f5)
+        re = scan.ops.square(fx ^ f5).tolist()
+        prod = np.array([[fastscan._mulmod(a, b, f, big.m) for b in re]
+                         for a in e], dtype=np.uint32)
+        n = len(e)
+        want = scan.trace((prod ^ prod.T).ravel()).reshape(n, n)
+        np.fill_diagonal(want, scan.trace(prod.diagonal().copy()))
+        assert tables.form.gram.tolist() == want.tolist()
+
     def test_planted_gram_fails_its_build_check(self, monkeypatch):
         class Planted(ascurve.QuadraticForm):
             def __init__(self, gram, order):

@@ -49,18 +49,19 @@ def test_mul_seeded_pairs_match_scalar_and_reference(m, size):
     b = rng.integers(0, 2**m, size=size, dtype=np.uint64)
     top = 2**m - 1
     a[:4], b[:4] = (0, top, 0, top), (top, 0, 0, top)
+    ref = ClmulOps(field).mul
     got = ops.mul(a, b)
     assert got.dtype == np.uint32
-    assert np.array_equal(got, ops._loop_mul(a, b))
+    assert np.array_equal(got, ref(a, b))
     assert got.tolist() == [field.mul_val(x, y) for x, y
                             in zip(a.tolist(), b.tolist())]
-    assert np.array_equal(ops.cube(a), ops._loop_mul(a, ops._loop_mul(a, a)))
+    assert np.array_equal(ops.cube(a), ref(a, ref(a, a)))
 
 
 def test_long_inputs_in_place():
     # longer than one chunk of scratch, and written over the input
     scan = ExtScan(make_ext(2, 4, 6))
-    ops, ref = scan.ops, scan.ops._loop_mul
+    ops, ref = scan.ops, ClmulOps(scan.ext.big).mul
     rng = np.random.default_rng(7)
     a = rng.integers(0, 2**24, size=fastscan.CHUNK + 1000, dtype=np.uint32)
     b = rng.integers(0, 2**24, size=a.size, dtype=np.uint32)
@@ -126,6 +127,21 @@ def test_corrupted_tower_map_raises(monkeypatch):
     monkeypatch.setattr(fastscan, "_invert", corrupted)
     with pytest.raises(fastscan.TableError):
         Gf2Scan(make_field(2, 24))
+
+
+def test_flipped_reference_modulus_bit_raises(monkeypatch):
+    # a reference reducing by the modulus with bit 1 flipped: the square
+    # table it builds and the tower product it checks (set up by the scalar
+    # _mulmod) disagree with it, so the build raises before any sweep
+    class Flipped(ClmulOps):
+        def __init__(self, field):
+            super().__init__(field)
+            self.f ^= np.uint64(2)
+
+    monkeypatch.setattr(fastscan, "ClmulOps", Flipped)
+    for m in (2, 12, 24):
+        with pytest.raises(fastscan.TableError):
+            Gf2Scan(make_field(2, m, limit=2**m))
 
 
 def test_scans_independent_of_thread_count():

@@ -133,6 +133,42 @@ def test_scan_catches_a_package_import_inside_a_function():
     assert _local_package_imports(ast.parse(src)) == [6, 8]
 
 
+def _mulmod_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of imports of `_mulmod` from fastscan and of reads of
+    `fastscan._mulmod`: the scalar set-up product stays inside fastscan, and
+    every other module takes its products from `ClmulOps`."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "fastscan"
+                and any(a.name == "_mulmod" for a in node.names)):
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "_mulmod"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "fastscan"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "fastscan"],
+                         ids=lambda p: p.name)
+def test_only_fastscan_uses_its_scalar_product(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _mulmod_imports(tree) == []
+
+
+def test_scan_catches_an_import_of_the_scalar_product():
+    # the import of an older ascurve (its line 31), and a read by attribute;
+    # ffield's own _mulmod is a different function
+    src = ("from .fastscan import (CHUNK, ExtScan,\n"
+           "                       _mulmod, _sample)\n"
+           "from .ffield import _mulmod as scalar_mulmod\n"
+           "from joubert2.fastscan import _mulmod\n"
+           "from . import fastscan\n"
+           "mul = fastscan._mulmod\n")
+    assert _mulmod_imports(ast.parse(src)) == [1, 4, 6]
+
+
 # functions of the package that no program module references, each with the
 # reason it stays
 _UNREFERENCED_OK = {
