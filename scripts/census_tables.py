@@ -1,6 +1,8 @@
 """Print the census tables behind the headline counts: qualifying sextics
 per base field, surface classes, and curve fiber splits, with timings.
-A q whose scan exceeds the budget gets a `skip` row.
+A q whose scan exceeds the budget gets a `skip` row.  Each curve row is
+required to match its surface census: n_affine = q^2 |S|, good_points =
+q^2 times the generator count, and bad_points = q^5.
 
 Usage:
     python scripts/census_tables.py --max-k 3 [--budget N]
@@ -67,7 +69,14 @@ def main() -> None:
                 f"{c.manin_floor:>7}")
 
     def curve(q):
+        # x -> x^q + x maps L onto L_0 q to one (additive Hilbert 90)
         c = curve_census(q, budget=budget, threads=threads)
+        s = surface_of(q)
+        require(c.n_affine == q * q * s.affine_zero_count,
+                "affine curve count is not q^2 |S|")
+        require(c.good_points == q * q * s.generator_count,
+                "good fiber points are not q^2 per generator")
+        require(c.bad_points == q**5, "bad fiber points are not q^5")
         window = f"[{c.weil_low}, {c.weil_high}]"
         return (f"{c.n_affine:>8} {c.good_points:>8} {c.bad_points:>8} "
                 f"{window:>17} {str(bound_inequality(q)):>6}")

@@ -7,21 +7,31 @@ are classes [y] with Tr(y) = Tr(y^3) = 0, the non-generator points form the
 line of F_{q^3}-classes, and the rest are witnesses for trace-constrained
 generators.
 
-Counting runs over two independent routes: the scalar projective route
-with per-point classification, and `jsearch`'s L_0 sweep, the vector count
-of generators y in L_0 with Tr(y^3) = 0, which is q(q-1) per generator
-point since each class has exactly that many affine representatives.
+Counting runs over two independent routes at every q: the explicit cubic
+form C(v) = sum c_ij v_i^2 v_j over K, evaluated on all of P^3(K) with a
+product table of K, and `jsearch`'s L_0 sweep, the vector count of
+generators y in L_0 with Tr(y^3) = 0, which is q(q-1) per generator point
+since each class has exactly that many affine representatives.  The form's
+line of F_{q^3}-classes comes from linear algebra over K.  Below q = 16 a
+third route, the scalar projective route with per-point classification,
+must agree with both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jsearch
 from .errors import DomainError, require
 from .ffield import ExtDesc, _unpack, make_ext
-from .gflinalg import rref_vals
+from .gflinalg import kernel, rref_vals
 from .jsearch import _require_pow2, _require_vector_q
+
+# the smallest q at which the scalar projective route no longer runs: from
+# here on the cubic form and the L_0 sweep are the census's two routes
+_PROJECTIVE_STOP = 16
 
 
 @dataclass(frozen=True)
@@ -89,20 +99,87 @@ def _projective_reps(q: int):
             yield tuple([0] * lead + [1] + _unpack(rest, q, free))
 
 
-def surface_census(q: int, budget: int | None = None,
-                   threads: int = 1) -> SurfaceCensus:
-    """Count the surface's K-points by both routes and classify them.
+def _form_coefficients(frame: QuotientFrame) -> list[list[int]]:
+    """K-indices of c_ij = Tr(b_i^2 b_j), i, j = 1..4: in characteristic 2,
+    y^3 = (sum v_i^2 b_i^2)(sum v_j b_j) for y = lift(v), and Tr is K-linear,
+    so C(v) = sum c_ij v_i^2 v_j = Tr(lift(v)^3)."""
+    ext = frame.ext
+    big = ext.big
+    b = frame.basis[1:]
+    return [[ext.k_index(ext.trace_val(big.mul_val(big.mul_val(bi, bi), bj)))
+             for bj in b] for bi in b]
 
-    Checks the structural claims as it goes: every point is either on the
-    F_{q^3}-line or a generator class, the line has exactly q+1 points, the
-    count meets the Manin floor, and the L_0 sweep's generator count is
-    q^2 - q per generator point.
-    """
-    _require_vector_q(q)
-    frame = build_frame(q, budget)
+
+def _k_products(ext: ExtDesc) -> np.ndarray:
+    """K's product table on digit indices, flat: entry (a << k) | b is the
+    index of a * b, from q^2 scalar products in the big field."""
+    big = ext.big
+    k_vals = ext.k_elements()
+    return np.array([ext.k_index(big.mul_val(a, b))
+                     for a in k_vals for b in k_vals], dtype=np.uint64)
+
+
+def _form_values(coeffs, mul: np.ndarray, k: int, v) -> np.ndarray:
+    """C at the points whose K-index coordinates are the four uint64
+    arrays v, as K-indices; K-addition is xor on digit indices."""
+    acc = np.zeros_like(v[0])
+    squares = [mul[(x << k) | x] for x in v]
+    for i in range(4):
+        for j in range(4):
+            acc ^= mul[(coeffs[i][j] << k) | mul[(squares[i] << k) | v[j]]]
+    return acc
+
+
+def _subfield_kernel(frame: QuotientFrame, d: int) -> list[list[int]]:
+    """K-basis of the v in K^4 whose lift lies in F_{q^d}: the kernel of
+    v -> sum v_i (b_i^(q^d) - b_i), a K-linear map into L."""
+    ext = frame.ext
+    big = ext.big
+    cols = [ext.rel_coordinates(big.sub_val(ext.frob_iter_val(b, d), b))
+            for b in frame.basis[1:]]
+    return kernel([list(row) for row in zip(*cols)], big)
+
+
+def _form_total(frame: QuotientFrame) -> int:
+    """Zeros of the cubic form C in P^3(K), evaluated with small-field
+    gathers, after checking by linear algebra over K that the F_{q^3}-line
+    has q + 1 points, all zeros of C, and that no nonzero class lies in
+    F_{q^2}.  Every other zero is then a generator point."""
+    ext = frame.ext
+    q = ext.q
+    k = ext.base_deg
+    coeffs = _form_coefficients(frame)
+    mul = _k_products(ext)
+    line = _subfield_kernel(frame, 3)
+    require(len(line) == 2, "F_{q^3}-classes do not form a line")
+    require(not _subfield_kernel(frame, 2), "a nonzero class lies in F_{q^2}")
+    u, w = ([ext.k_index(x) for x in vec] for vec in line)
+    points = [u] + [[w[i] ^ int(mul[(lam << k) | u[i]]) for i in range(4)]
+                    for lam in range(q)]
+    on_line = [np.array(col, dtype=np.uint64) for col in zip(*points)]
+    require(not _form_values(coeffs, mul, k, on_line).any(),
+            "cubic form does not vanish on the F_{q^3}-line")
+
+    # normal form of _projective_reps: zeros, the leading 1, then the free
+    # coordinates as base-q digits of one index, least significant first
+    total = 0
+    for lead in range(4):
+        free = 3 - lead
+        idx = np.arange(q**free, dtype=np.uint64)
+        v = ([np.zeros_like(idx)] * lead + [np.ones_like(idx)]
+             + [(idx >> (k * j)) & (q - 1) for j in range(free)])
+        total += idx.size - int(np.count_nonzero(
+            _form_values(coeffs, mul, k, v)))
+    return total
+
+
+def _projective_total(frame: QuotientFrame) -> int:
+    """The scalar projective route: lift every point of P^3(K), test
+    Tr(y^3) = 0, and classify each zero on or off the F_{q^3}-line."""
     ext = frame.ext
     big = ext.big
     k_vals = ext.k_elements()
+    q = ext.q
 
     on_line = 0
     generator_points = 0
@@ -122,8 +199,28 @@ def surface_census(q: int, budget: int | None = None,
             # must be a full generator: n = 6 leaves only d in {2, 3}
             require(ext.frob_iter_val(y, 2) != y, "generator class in F_{q^2}")
             generator_points += 1
-    total = on_line + generator_points
     require(on_line == q + 1, "line does not have q + 1 points")
+    return on_line + generator_points
+
+
+def surface_census(q: int, budget: int | None = None,
+                   threads: int = 1) -> SurfaceCensus:
+    """Count the surface's K-points and classify them.
+
+    The cubic form gives the total and places the q + 1 points of the
+    F_{q^3}-line by linear algebra, so every other point is a generator
+    point.  Below q = 16 the scalar projective route counts and classifies
+    every point again, and the form must agree with it.  The count must
+    meet the Manin floor, and the L_0 sweep's generator count must be
+    q^2 - q per generator point.
+    """
+    _require_vector_q(q)
+    frame = build_frame(q, budget)
+    form_total = _form_total(frame)
+    total = (_projective_total(frame) if q < _PROJECTIVE_STOP
+             else form_total)
+    on_line = q + 1
+    generator_points = total - on_line
     manin_floor = q * q - 7 * q + 1
     require(total >= manin_floor, "surface count is below the Manin floor")
 
@@ -132,6 +229,7 @@ def surface_census(q: int, budget: int | None = None,
                                              threads=threads).count
     require(generator_points * (q * q - q) == count,
             "class count and element count disagree")
+    require(form_total == total, "cubic form and projective route disagree")
     return SurfaceCensus(q=q, total=total, on_line=on_line,
                          generator_points=generator_points,
                          manin_floor=manin_floor,

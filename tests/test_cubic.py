@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,74 @@ def test_surface_check_sweeps_once(monkeypatch):
     assert cubes == []
 
 
+def _form_at(frame, coords) -> list[int]:
+    # C at each point of coords (tuples of four K-indices), as K-indices
+    ext = frame.ext
+    v = [np.array(col, dtype=np.uint64) for col in zip(*coords)]
+    return cubic._form_values(cubic._form_coefficients(frame),
+                              cubic._k_products(ext), ext.base_deg,
+                              v).tolist()
+
+
+def _trace_of_cube(frame, coords) -> int:
+    # the scalar oracle k_index(Tr(lift(v)^3)) on GF(q^6)
+    ext = frame.ext
+    big = ext.big
+    k_vals = ext.k_elements()
+    y = frame.lift([k_vals[i] for i in coords])
+    return ext.k_index(ext.trace_val(big.mul_val(big.mul_val(y, y), y)))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_form_is_the_trace_of_the_cube_exhaustive(q):
+    fr = build_frame(q)
+    coords = list(itertools.product(range(q), repeat=4))
+    assert _form_at(fr, coords) == [_trace_of_cube(fr, c) for c in coords]
+
+
+def test_form_is_the_trace_of_the_cube_sampled_q16():
+    fr = build_frame(16)
+    rng = random.Random(2014)
+    coords = [tuple(rng.randrange(16) for _ in range(4)) for _ in range(500)]
+    assert _form_at(fr, coords) == [_trace_of_cube(fr, c) for c in coords]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_subfield_kernels(q):
+    # the F_{q^3}-classes form a line of q + 1 points; no nonzero class
+    # lies in F_{q^2}
+    fr = build_frame(q)
+    assert len(cubic._subfield_kernel(fr, 3)) == 2
+    assert cubic._subfield_kernel(fr, 2) == []
+
+
+def test_projective_route_stops_at_16(monkeypatch):
+    # check_surface(8) iterates the scalar route's points once; at q = 16
+    # the cubic form and the L_0 sweep are the only routes
+    real = cubic._projective_reps
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        yield from real(q)
+
+    monkeypatch.setattr(cubic, "_projective_reps", spy)
+    assert checks.check_surface(16).outcome == "pass"
+    assert calls == []
+    assert checks.check_surface(8).outcome == "pass"
+    assert calls == [8]
+
+
+def test_form_total_is_checked_by_the_sweep_at_16(monkeypatch):
+    # with no projective route, a form total one point high is caught by
+    # the L_0 sweep's element count
+    real = cubic._form_total
+    monkeypatch.setattr(cubic, "_form_total", lambda frame: real(frame) + 1)
+    with pytest.raises(CheckFailed,
+                       match="^class count and element count disagree$"):
+        surface_census(16)
+
+
 def test_census_thread_independent():
     a = surface_census(4, threads=1)
     b = surface_census(4, threads=3)
@@ -241,6 +312,23 @@ def _flipped_audit_modulus_bit(patch):
         patch(ops, "f", ops.f ^ np.uint64(2))
 
 
+def _flipped_form_coefficient(patch):
+    # bit 0 of c_24: C gains v_2^2 v_4, which moves the form's total at every
+    # q from 2 to 32 (by 2, 12, -8, 16, -32); the form no longer vanishes on
+    # the F_{q^3}-line, except at q = 4, where only the projective route
+    # disagrees
+    real = cubic._form_coefficients
+
+    def flipped(frame):
+        coeffs = real(frame)
+        coeffs[1][3] ^= 1
+        return coeffs
+
+    patch(cubic, "_form_coefficients", flipped)
+
+
+_OFF_LINE = "cubic form does not vanish on the F_{q^3}-line"
+
 SURFACE_PLANTS = {
     "projective-repeated-rep": (
         _repeated_generator_rep,
@@ -253,6 +341,10 @@ SURFACE_PLANTS = {
     "audit-kernel-modulus-bit": (
         _flipped_audit_modulus_bit,
         dict.fromkeys((2, 4, 8), "an audited y is not fixed by x -> x^(q^n)")),
+    "cubic-form-coefficient": (
+        _flipped_form_coefficient,
+        {2: _OFF_LINE, 4: "cubic form and projective route disagree",
+         8: _OFF_LINE}),
 }
 
 
@@ -264,6 +356,15 @@ def test_surface_check_fails_on_a_plant(monkeypatch, name):
         result = checks.check_surface(q)
         assert result.outcome == "fail", q
         assert result.witness == {"error": error}
+
+
+def test_form_plant_fails_at_16(monkeypatch):
+    # at q = 16 the form is paired with the L_0 sweep alone
+    plant, _ = SURFACE_PLANTS["cubic-form-coefficient"]
+    plant(monkeypatch.setattr)
+    result = checks.check_surface(16)
+    assert result.outcome == "fail"
+    assert result.witness == {"error": _OFF_LINE}
 
 
 def test_surface_plants_fail_under_optimize():

@@ -169,6 +169,44 @@ def test_scan_catches_an_import_of_the_scalar_product():
     assert _mulmod_imports(ast.parse(src)) == [1, 4, 6]
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Names of the package modules a module imports, relatively or as
+    joubert2.<name>."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "joubert2":
+                    continue
+                parts = parts[1:]
+            # `from . import m` and `from joubert2 import m` name the module
+            out |= ({parts[0]} if parts and parts[0]
+                    else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("joubert2.")}
+    return out
+
+
+def test_cubic_form_is_independent_of_the_sweeps():
+    # the cubic form's gathers share no code with the vector kernels or
+    # the curve census
+    tree = ast.parse((ROOT / "src" / "joubert2" / "cubic.py").read_text())
+    assert not _package_imports(tree) & {"fastscan", "ascurve"}
+
+
+def test_scan_catches_a_sweep_import():
+    src = ("from . import jsearch, fastscan\n"
+           "from .ascurve import curve_census\n"
+           "import joubert2.ffield\n"
+           "from joubert2 import gflinalg\n"
+           "from joubert2.sigma import is_joubert\n"
+           "import numpy as np\n")
+    assert _package_imports(ast.parse(src)) == {
+        "jsearch", "fastscan", "ascurve", "ffield", "gflinalg", "sigma"}
+
+
 # functions of the package that no program module references, each with the
 # reason it stays
 _UNREFERENCED_OK = {

@@ -239,6 +239,24 @@ class TestCli:
         runpy.run_path(CENSUS_SCRIPT, run_name="__main__")
         assert calls == [2, 4]
 
+    def test_census_script_requires_the_census_identities(self):
+        # a curve census with good_points off by q^2 breaks
+        # good_points == q^2 * generator_count, and the script exits nonzero
+        code = ("import dataclasses, runpy, sys\n"
+                "from joubert2 import ascurve\n"
+                "real = ascurve.curve_census\n"
+                "def planted(q, **kw):\n"
+                "    c = real(q, **kw)\n"
+                "    return dataclasses.replace(c, good_points=c.good_points"
+                " + q * q)\n"
+                "ascurve.curve_census = planted\n"
+                f"sys.argv = [{CENSUS_SCRIPT!r}, '--max-k', '2']\n"
+                f"runpy.run_path({CENSUS_SCRIPT!r}, run_name='__main__')\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "good fiber points are not q^2 per generator" in proc.stderr
+
     def test_budget_exit_3(self, capsys):
         assert main(["joubert-enum", "--q", "2", "--budget", "5"]) == 3
         out = capsys.readouterr().out
