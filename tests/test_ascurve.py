@@ -352,25 +352,36 @@ class TestIdentityAndBounds:
         for q in (2, 4, 8):
             assert trace_identity_check(q) == q**6
 
-    def test_trace_identity_right_side_takes_two_products(self, monkeypatch):
-        # q = 4 is one chunk: the left side takes one Frobenius, the right
-        # side k + 2 = 4 squarings and two products, x^(2q) x and x^q x^2;
-        # the scan is built first, so that only the check's calls count
-        ascurve._ext_scan(2, 2, 6)
-        calls = {"mul": 0, "square": 0, "frob": 0}
-        for cls, name in ((fastscan.Gf2Scan, "mul"),
-                          (fastscan.Gf2Scan, "square"),
-                          (fastscan.ExtScan, "frob")):
-            real = getattr(cls, name)
+    def test_trace_identity_is_a_scalar_certificate(self, monkeypatch):
+        # the difference of the sides is evaluated once at each e_i and
+        # e_i + e_j, i < j, of the m = 6k index bits, and no vector kernel
+        # runs: the census's Q check is the identity's other route
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate called fastscan code")
 
-            def spy(self, *args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(self, *args, **kwargs)
+        for cls in (fastscan.ExtScan, fastscan.Gf2Scan):
+            for name, attr in list(vars(cls).items()):
+                if callable(attr):
+                    monkeypatch.setattr(cls, name, refuse)
+        for module in (fastscan, ascurve):
+            monkeypatch.setattr(module, "run_chunked", refuse)
+            monkeypatch.setattr(module, "ExtScan", refuse)
+        monkeypatch.setattr(ascurve, "_ext_scan", refuse)
+        seen = []
+        real = ascurve._right_side_val
 
-            monkeypatch.setattr(cls, name, spy)
-        assert trace_identity_check(4) == 4**6
-        assert calls == {"mul": 2, "square": 4, "frob": 1}
-        assert not hasattr(fastscan.ExtScan, "power")
+        def spy(ext, v):
+            seen.append(v)
+            return real(ext, v)
+
+        monkeypatch.setattr(ascurve, "_right_side_val", spy)
+        for k, points in ((1, 21), (2, 78), (3, 171), (4, 300)):
+            seen.clear()
+            q, m = 2**k, 6 * k
+            assert trace_identity_check(q) == q**6
+            assert len(seen) == points == m * (m + 1) // 2
+            assert set(seen) == {1 << i | 1 << j
+                                 for i in range(m) for j in range(i, m)}
 
     def test_genus(self):
         assert [genus_of(q) for q in (2, 4, 8, 16)] == [2, 12, 56, 240]
@@ -474,6 +485,19 @@ def _flipped_w_map_image(patch):
                                              tables.order))
 
 
+def _stray_cube_term(patch):
+    # x^3 added to the certificate's right side: the difference of the
+    # sides becomes Tr(x^3), still a quadratic form, nonzero at some e_i
+    # or e_i + e_j
+    real = ascurve._right_side_val
+
+    def planted(ext, v):
+        mul = ext.big.mul_val
+        return real(ext, v) ^ mul(v, mul(v, v))
+
+    patch(ascurve, "_right_side_val", planted)
+
+
 CURVE_PLANTS = {
     "tower-exp-entry": (_flipped_exp_entry,
                         "solvability differs from the trace identity"),
@@ -481,6 +505,8 @@ CURVE_PLANTS = {
                          "solvability differs from the trace identity"),
     "w-map-image": (_flipped_w_map_image,
                     "swept x -> x^q differs from the scalar Frobenius"),
+    "certificate-cube-term": (_stray_cube_term,
+                              "Tr identity fails at a polarization point"),
 }
 
 
@@ -492,6 +518,16 @@ def test_curve_checks_fail_on_a_plant(monkeypatch, name):
         result = checks.check_curve(q)
         assert result.outcome == "fail", q
         assert result.witness == {"error": error}
+
+
+def test_curve_check_pins_the_q16_witness():
+    result = checks.check_curve(16)
+    assert result.outcome == "pass"
+    assert result.witness == {
+        "n_affine": 15794176, "n_smooth": 15794177, "genus": 240,
+        "weil_window": [14811137, 18743297], "good_points": 14745600,
+        "bad_points": 1048576, "bound_inequality": True,
+        "trace_identity_points": 16777216}
 
 
 def test_curve_plants_fail_under_optimize():
