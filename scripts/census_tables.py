@@ -1,8 +1,8 @@
 """Print the census tables behind the headline counts: qualifying sextics
 per base field, surface classes, and curve fiber splits, with timings.
-A q whose scan exceeds the budget gets a `skip` row.  Each curve row is
-required to match its surface census: n_affine = q^2 |S|, good_points =
-q^2 times the generator count, and bad_points = q^5.
+A q whose scan exceeds the budget gets a `skip` row.  Each curve row's
+three counts are required to equal `counts_from_surface` of its surface
+census: q^2 |S|, q^2 times the generator count, and q^5.
 
 Usage:
     python scripts/census_tables.py --max-k 3 [--budget N]
@@ -12,7 +12,8 @@ import argparse
 import functools
 import time
 
-from joubert2.ascurve import bound_inequality, curve_census
+from joubert2.ascurve import (bound_inequality, counts_from_surface,
+                              curve_census)
 from joubert2.cli import (BUDGET_ENV, _int, _positive, _require_positive,
                           _resolve_budget)
 from joubert2.cubic import surface_census
@@ -69,14 +70,11 @@ def main() -> None:
                 f"{c.manin_floor:>7}")
 
     def curve(q):
-        # x -> x^q + x maps L onto L_0 q to one (additive Hilbert 90)
         c = curve_census(q, budget=budget, threads=threads)
         s = surface_of(q)
-        require(c.n_affine == q * q * s.affine_zero_count,
-                "affine curve count is not q^2 |S|")
-        require(c.good_points == q * q * s.generator_count,
-                "good fiber points are not q^2 per generator")
-        require(c.bad_points == q**5, "bad fiber points are not q^5")
+        require(counts_from_surface(q, s.affine_zero_count, s.generator_count)
+                == (c.n_affine, c.good_points, c.bad_points),
+                "curve counts differ from the surface census")
         window = f"[{c.weil_low}, {c.weil_high}]"
         return (f"{c.n_affine:>8} {c.good_points:>8} {c.bad_points:>8} "
                 f"{window:>17} {str(bound_inequality(q)):>6}")

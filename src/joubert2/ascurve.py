@@ -21,6 +21,10 @@ That check is the vector route of the trace identity
 Tr((x^q + x)^3) = Tr(x^(2q+1) + x^(q+2)) on all of F_{q^6}, as both sides
 are unchanged by x -> x + c for c in F_q.  Its second route, sharing no
 arithmetic with it, is trace_identity_check's scalar certificate.
+
+The counts' second route is the trace cubic surface: counts_from_surface
+turns |S| and the generator count into the curve's three counts, and the
+curve check takes them from `cubic`'s explicit cubic form at every q.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TableError, require
+from .errors import TableError, require
 from .fastscan import (CHUNK, WINDOW, ChunkMap, ClmulOps, ExtScan,
                        LinearMap, SubfieldTests, Workspace, _sample, _span,
                        run_chunked)
-from .ffield import ExtDesc, FElt, make_ext, rel_frobenius, rel_trace
+from .ffield import ExtDesc, make_ext
 from .gflinalg import kernel, rref
 from .jsearch import _Bits, _ext_scan, _require_pow2, _require_vector_q
 
@@ -84,18 +88,17 @@ def bound_inequality(q: int) -> bool:
     return lo > 1 + q**5
 
 
-def fiber_size(c: FElt, ext: ExtDesc) -> int:
-    """Number of u with u^q - u = c: q when the relative trace of c
-    vanishes, 0 otherwise."""
-    if c.field is not ext.big:
-        raise DomainError("fiber argument lives in the wrong field")
-    return ext.q if rel_trace(c, ext).val == 0 else 0
+def counts_from_surface(q: int, zeros: int,
+                        generators: int) -> tuple[int, int, int]:
+    """(n_affine, good_points, bad_points) from the trace cubic surface:
+    zeros = |S|, S = {y in L_0 : Tr(y^3) = 0}, of which generators y
+    generate the sextic extension and the other q^3 make up F_{q^3}.
 
-
-def rhs_value(x: FElt, ext: ExtDesc) -> FElt:
-    """The covering map's right side at x, in factored form."""
-    xq = rel_frobenius(x, ext)
-    return x * xq * (xq + x)
+    x -> y = x^q + x is q-to-1 onto L_0, and the fiber over x has q points
+    exactly when y lies in S, so every y of S gives q^2 affine points: good
+    for a generator, bad for an element of F_{q^3}.
+    """
+    return q * q * zeros, q * q * generators, q * q * q**3
 
 
 class QuadraticForm:
@@ -292,33 +295,14 @@ def curve_census(q: int, budget: int | None = None,
     n_smooth = n_affine + 1
     require(n_affine % q == 0, "affine count is not divisible by q")
     require(lo <= n_smooth <= hi, "smooth count escapes the Weil interval")
-    census = CurveCensus(q=q, n_affine=n_affine, n_smooth=n_smooth,
-                         genus=genus_of(q), weil_low=lo, weil_high=hi,
-                         good_points=q * good_x, bad_points=q * bad_x)
-    require(census.bad_points <= q**5, "more than q^5 bad points")
-    return census
-
-
-def scalar_counts(q: int, budget: int | None = None) -> tuple[int, int]:
-    """(n_affine, bad_points) by scalar arithmetic, point by point: the
-    fiber over x has fiber_size(rhs_value(x)) points, bad when
-    y = x^q + x is fixed by the third power of the relative Frobenius.  It
-    shares no table with the vector census."""
-    k = _require_pow2(q)
-    ext = make_ext(2, k, 6, limit=budget)
-    n_affine = bad = 0
-    for xv in range(ext.big.order):
-        size = fiber_size(rhs_value(FElt(ext.big, xv), ext), ext)
-        yv = ext.big.add_val(ext.frob_val(xv), xv)
-        n_affine += size
-        if size and ext.frob_iter_val(yv, 3) == yv:
-            bad += size
-    return n_affine, bad
+    return CurveCensus(q=q, n_affine=n_affine, n_smooth=n_smooth,
+                       genus=genus_of(q), weil_low=lo, weil_high=hi,
+                       good_points=q * good_x, bad_points=q * bad_x)
 
 
 def _right_side_val(ext: ExtDesc, v: int) -> int:
-    """x^(2q+1) + x^(q+2) at v as x^(2q) x + x^q x^2, by scalar products:
-    the monomial form, not the factored one of rhs_value."""
+    """x^(2q+1) + x^(q+2) at v as x^(2q) x + x^q x^2, by scalar products
+    on plain ints."""
     mul, vq = ext.big.mul_val, ext.frob_val(v)
     return mul(mul(vq, vq), v) ^ mul(vq, mul(v, v))
 

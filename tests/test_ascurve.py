@@ -7,15 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from joubert2 import ascurve, checks, fastscan
-from joubert2.ascurve import (bound_inequality, curve_census, fiber_size,
-                              genus_of, rhs_value, scalar_counts,
-                              trace_identity_check, weil_window)
+from joubert2 import ascurve, checks, cubic, fastscan
+from joubert2.ascurve import (bound_inequality, counts_from_surface,
+                              curve_census, genus_of, trace_identity_check,
+                              weil_window)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, CheckFailed, DomainError
-from joubert2.ffield import (FElt, make_ext, make_field, rel_frobenius,
-                             rel_trace)
+from joubert2.ffield import FElt, make_ext, rel_frobenius, rel_trace
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
+from test_cubic import _OFF_LINE, _flipped_form_coefficient
 
 PINNED = {
     2: dict(n_affine=80, n_smooth=81, genus=2, weil_low=33, weil_high=97,
@@ -178,19 +178,25 @@ class TestTowerCensus:
         assert np.unique(y).size == tables.order == 8**5
         assert not np.any(scan.trace(y))
 
-    def test_scalar_route_matches_the_census(self):
-        for q in (2, 4):
+    def test_form_counts_match_the_census(self):
+        # the cubic form's N projective zeros give |S| = q + (q^2 - q) N
+        # and (q^2 - q)(N - q - 1) generators, and so all three counts
+        for q in (2, 4, 8, 16):
             c = curve_census(q)
-            assert scalar_counts(q) == (c.n_affine, c.bad_points)
+            n = cubic._form_total(cubic.build_frame(q))
+            assert counts_from_surface(
+                q, q + (q * q - q) * n, (q * q - q) * (n - q - 1)) == (
+                c.n_affine, c.good_points, c.bad_points), q
 
-    def test_curve_check_fails_on_a_planted_fiber_size(self, monkeypatch):
-        # the scalar route of check_curve shares no table with the census
-        monkeypatch.setattr(ascurve, "fiber_size", lambda c, ext: ext.q)
-        for q in (2, 4):
-            result = checks.check_curve(q)
-            assert result.outcome == "fail"
-            assert result.witness == {
-                "error": "scalar fiber count differs from the census"}
+    def test_curve_check_counts_by_the_form_once(self, monkeypatch):
+        # one form route at every q: no size fork selects another route
+        calls = []
+        real = cubic._form_total
+        monkeypatch.setattr(cubic, "_form_total", lambda frame: (
+            calls.append(frame.ext.q) or real(frame)))
+        for q in (2, 4, 8, 16):
+            assert checks.check_curve(q).outcome == "pass", q
+        assert calls == [2, 4, 8, 16]
 
 
 class TestTraceForm:
@@ -309,37 +315,26 @@ def _array_bytes(root, skip) -> int:
 
 
 class TestFibers:
-    def test_fiber_size_by_root_enumeration_q2(self):
+    def test_fibers_follow_the_relative_trace_q2(self):
+        # u^2 + u = c has 2 roots when the relative trace of c vanishes and
+        # none otherwise (additive Hilbert 90), by root enumeration
         ext = make_ext(2, 1, 6)
         f = ext.big
         for cv in range(64):
             direct = sum(1 for uv in range(64)
                          if f.add_val(f.pow_val(uv, 2), uv) == cv)
-            assert direct == fiber_size(FElt(f, cv), ext)
-
-    def test_fiber_sizes_sum_to_field_size(self):
-        for q, k in ((2, 1), (4, 2)):
-            ext = make_ext(2, k, 6)
-            total = sum(fiber_size(FElt(ext.big, cv), ext)
-                        for cv in range(ext.big.order))
-            assert total == q**6
-
-    def test_fiber_size_values(self):
-        ext = make_ext(2, 2, 6)
-        sizes = {fiber_size(FElt(ext.big, cv), ext) for cv in range(200)}
-        assert sizes == {0, 4}
-
-    def test_wrong_field_rejected(self):
-        ext = make_ext(2, 1, 6)
-        with pytest.raises(DomainError):
-            fiber_size(FElt(make_field(2, 2), 1), ext)
+            assert direct == (2 if rel_trace(FElt(f, cv), ext).val == 0
+                              else 0)
 
     def test_rhs_factored_vs_monomial(self):
-        ext = make_ext(2, 1, 6)
-        for xv in range(64):
-            x = FElt(ext.big, xv)
-            monomial = x**5 + x**4  # 2q+1 = 5, q+2 = 4 at q = 2
-            assert rhs_value(x, ext) == monomial
+        # the certificate's monomial right side against x x^q (x^q + x)
+        for k in (1, 2):
+            ext = make_ext(2, k, 6)
+            for xv in range(ext.big.order):
+                x = FElt(ext.big, xv)
+                xq = rel_frobenius(x, ext)
+                assert ascurve._right_side_val(ext, xv) == (x * xq
+                                                            * (xq + x)).val
 
     def test_rel_frobenius(self):
         ext = make_ext(2, 2, 6)
@@ -434,8 +429,8 @@ class TestCrossModule:
             assert c.n_affine == q**2 * s.affine_zero_count
 
 
-# Plants for the curve census: each takes a setattr (monkeypatch.setattr)
-# and breaks one part of it for q = 2, 4 and 8.
+# Plants for the curve check: each takes a setattr (monkeypatch.setattr),
+# breaks one part of it, and maps each q to the error it must report.
 
 def _first_read_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
     # the exp entry at the log sum log y0 + log y1 + log(y0 + y1) of the
@@ -498,23 +493,35 @@ def _stray_cube_term(patch):
     patch(ascurve, "_right_side_val", planted)
 
 
+_QS = (2, 4, 8)
+
 CURVE_PLANTS = {
-    "tower-exp-entry": (_flipped_exp_entry,
-                        "solvability differs from the trace identity"),
-    "qform-gram-entry": (_flipped_gram_entry,
-                         "solvability differs from the trace identity"),
-    "w-map-image": (_flipped_w_map_image,
-                    "swept x -> x^q differs from the scalar Frobenius"),
-    "certificate-cube-term": (_stray_cube_term,
-                              "Tr identity fails at a polarization point"),
+    "tower-exp-entry": (
+        _flipped_exp_entry,
+        dict.fromkeys(_QS, "solvability differs from the trace identity")),
+    "qform-gram-entry": (
+        _flipped_gram_entry,
+        dict.fromkeys(_QS, "solvability differs from the trace identity")),
+    "w-map-image": (
+        _flipped_w_map_image,
+        dict.fromkeys(_QS, "swept x -> x^q differs from the scalar Frobenius")),
+    "certificate-cube-term": (
+        _stray_cube_term,
+        dict.fromkeys(_QS, "Tr identity fails at a polarization point")),
+    # the count route: at q = 4 the form still vanishes on the line, and
+    # only its total moves
+    "cubic-form-coefficient": (
+        _flipped_form_coefficient,
+        {2: _OFF_LINE, 4: "curve counts differ from the cubic form",
+         8: _OFF_LINE}),
 }
 
 
 @pytest.mark.parametrize("name", CURVE_PLANTS)
 def test_curve_checks_fail_on_a_plant(monkeypatch, name):
-    plant, error = CURVE_PLANTS[name]
+    plant, errors = CURVE_PLANTS[name]
     plant(monkeypatch.setattr)
-    for q in (2, 4, 8):
+    for q, error in errors.items():
         result = checks.check_curve(q)
         assert result.outcome == "fail", q
         assert result.witness == {"error": error}

@@ -30,11 +30,11 @@ TESTS = Path(__file__).resolve().parent
 def _rows() -> list:
     """(check name, args, plant, error) for every plant, in table order:
     plant(setattr) applies it, and the check must report error."""
-    rows = [("check_curve", (q,), plant, error)
-            for plant, error in CURVE_PLANTS.values() for q in (2, 4, 8)]
-    rows += [("check_surface", (q,), plant, error)
-             for plant, errors in SURFACE_PLANTS.values()
-             for q, error in errors.items()]
+    rows = [(check, (q,), plant, error)
+            for check, table in (("check_curve", CURVE_PLANTS),
+                                 ("check_surface", SURFACE_PLANTS))
+            for plant, errors in table.values()
+            for q, error in errors.items()]
     rows += [("check_generator_enum", (q,),
               lambda patch, name=name: _plant(patch, name), error)
              for (name, q), error in ENUM_PLANT_ERRORS.items()]

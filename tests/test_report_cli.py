@@ -255,7 +255,7 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode != 0
-        assert "good fiber points are not q^2 per generator" in proc.stderr
+        assert "curve counts differ from the surface census" in proc.stderr
 
     def test_budget_exit_3(self, capsys):
         assert main(["joubert-enum", "--q", "2", "--budget", "5"]) == 3
