@@ -12,9 +12,10 @@ form C(v) = sum c_ij v_i^2 v_j over K, evaluated on all of P^3(K) with a
 product table of K, and `jsearch`'s L_0 sweep, the vector count of
 generators y in L_0 with Tr(y^3) = 0, which is q(q-1) per generator point
 since each class has exactly that many affine representatives.  The form's
-line of F_{q^3}-classes comes from linear algebra over K.  Below q = 16 a
-third route, the scalar projective route with per-point classification,
-must agree with both.
+line of F_{q^3}-classes comes from linear algebra over K.  The form's
+arithmetic is `ffield`'s scalar products and traces and `gflinalg`; the
+sweep's is the `fastscan` tower and its carry-less audit, so the two routes
+share no arithmetic.
 """
 
 from __future__ import annotations
@@ -24,30 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsearch
-from .errors import DomainError, require
-from .ffield import ExtDesc, _unpack, make_ext
+from .errors import require
+from .ffield import ExtDesc, make_ext
 from .gflinalg import kernel, rref_vals
 from .jsearch import _require_pow2, _require_vector_q
-
-# the smallest q at which the scalar projective route no longer runs: from
-# here on the cubic form and the L_0 sweep are the census's two routes
-_PROJECTIVE_STOP = 16
 
 
 @dataclass(frozen=True)
 class QuotientFrame:
     """Coordinates for P(L_0 / K): basis[0] = 1 spans the collapsed constant
-    direction; basis[1..4] give the four projective coordinates."""
+    direction; basis[1..4] give the four projective coordinates, and v in
+    K^4 stands for the class of y = sum v_i b_i."""
 
     ext: ExtDesc
     basis: tuple[int, ...]
-
-    def lift(self, coords) -> int:
-        """Trace-zero element with the given coordinates against basis[1..4]
-        and zero constant component."""
-        if len(coords) != 4:
-            raise DomainError(f"need 4 coordinates, got {len(coords)}")
-        return self.ext.big.combine(coords, self.basis[1:])
 
 
 @dataclass(frozen=True)
@@ -88,21 +79,10 @@ def build_frame(q: int, budget: int | None = None) -> QuotientFrame:
     return frame
 
 
-def _projective_reps(q: int):
-    """Normalized representatives of P^3(F_q): first nonzero coordinate 1.
-
-    Yields 4-tuples of K-indices (0..q-1), to be mapped through k_elements.
-    """
-    for lead in range(4):
-        free = 3 - lead
-        for rest in range(q**free):
-            yield tuple([0] * lead + [1] + _unpack(rest, q, free))
-
-
 def _form_coefficients(frame: QuotientFrame) -> list[list[int]]:
     """K-indices of c_ij = Tr(b_i^2 b_j), i, j = 1..4: in characteristic 2,
-    y^3 = (sum v_i^2 b_i^2)(sum v_j b_j) for y = lift(v), and Tr is K-linear,
-    so C(v) = sum c_ij v_i^2 v_j = Tr(lift(v)^3)."""
+    y^3 = (sum v_i^2 b_i^2)(sum v_j b_j) for y = sum v_i b_i, and Tr is
+    K-linear, so C(v) = sum c_ij v_i^2 v_j = Tr(y^3)."""
     ext = frame.ext
     big = ext.big
     b = frame.basis[1:]
@@ -131,7 +111,8 @@ def _form_values(coeffs, mul: np.ndarray, k: int, v) -> np.ndarray:
 
 
 def _subfield_kernel(frame: QuotientFrame, d: int) -> list[list[int]]:
-    """K-basis of the v in K^4 whose lift lies in F_{q^d}: the kernel of
+    """K-basis of the v in K^4 whose y = sum v_i b_i lies in F_{q^d}: the
+    kernel of
     v -> sum v_i (b_i^(q^d) - b_i), a K-linear map into L."""
     ext = frame.ext
     big = ext.big
@@ -160,8 +141,9 @@ def _form_total(frame: QuotientFrame) -> int:
     require(not _form_values(coeffs, mul, k, on_line).any(),
             "cubic form does not vanish on the F_{q^3}-line")
 
-    # normal form of _projective_reps: zeros, the leading 1, then the free
-    # coordinates as base-q digits of one index, least significant first
+    # one representative per point of P^3(K), its first nonzero coordinate
+    # 1: zeros, the leading 1, then the free coordinates as base-q digits
+    # of one index, least significant first
     total = 0
     for lead in range(4):
         free = 3 - lead
@@ -173,52 +155,19 @@ def _form_total(frame: QuotientFrame) -> int:
     return total
 
 
-def _projective_total(frame: QuotientFrame) -> int:
-    """The scalar projective route: lift every point of P^3(K), test
-    Tr(y^3) = 0, and classify each zero on or off the F_{q^3}-line."""
-    ext = frame.ext
-    big = ext.big
-    k_vals = ext.k_elements()
-    q = ext.q
-
-    on_line = 0
-    generator_points = 0
-    for idx_coords in _projective_reps(q):
-        y = frame.lift([k_vals[i] for i in idx_coords])
-        require(ext.trace_val(y) == 0, "lifted point has nonzero trace")
-        y3 = big.mul_val(big.mul_val(y, y), y)
-        if ext.trace_val(y3) != 0:
-            continue
-        if ext.frob_iter_val(y, 3) == y:
-            # non-generator class; must be the F_{q^3} line, never F_{q^2}
-            require(ext.frob_iter_val(y, 2) != y or y == 0,
-                    "non-generator class lies in F_{q^2}")
-            require(y != 0, "zero lift of a projective point")
-            on_line += 1
-        else:
-            # must be a full generator: n = 6 leaves only d in {2, 3}
-            require(ext.frob_iter_val(y, 2) != y, "generator class in F_{q^2}")
-            generator_points += 1
-    require(on_line == q + 1, "line does not have q + 1 points")
-    return on_line + generator_points
-
-
 def surface_census(q: int, budget: int | None = None,
                    threads: int = 1) -> SurfaceCensus:
     """Count the surface's K-points and classify them.
 
     The cubic form gives the total and places the q + 1 points of the
     F_{q^3}-line by linear algebra, so every other point is a generator
-    point.  Below q = 16 the scalar projective route counts and classifies
-    every point again, and the form must agree with it.  The count must
-    meet the Manin floor, and the L_0 sweep's generator count must be
-    q^2 - q per generator point.
+    point.  The count must meet the Manin floor, and the L_0 sweep's
+    generator count, the second route, must be q^2 - q per generator point
+    at every q.
     """
     _require_vector_q(q)
     frame = build_frame(q, budget)
-    form_total = _form_total(frame)
-    total = (_projective_total(frame) if q < _PROJECTIVE_STOP
-             else form_total)
+    total = _form_total(frame)
     on_line = q + 1
     generator_points = total - on_line
     manin_floor = q * q - 7 * q + 1
@@ -229,7 +178,6 @@ def surface_census(q: int, budget: int | None = None,
                                              threads=threads).count
     require(generator_points * (q * q - q) == count,
             "class count and element count disagree")
-    require(form_total == total, "cubic form and projective route disagree")
     return SurfaceCensus(q=q, total=total, on_line=on_line,
                          generator_points=generator_points,
                          manin_floor=manin_floor,

@@ -70,14 +70,13 @@ def _poly_from_roots(ops: TableOps | ClmulOps, roots) -> list:
     return c
 
 
-def sigma_profiles(vals, ext: ExtDesc, ops: TableOps | None = None
-                   ) -> np.ndarray:
+def sigma_profiles(vals, ext: ExtDesc, ops: TableOps) -> np.ndarray:
     """Profiles of many elements of a big field of at most 2^14 elements:
     row i - 1 of the (n, len(vals)) result holds s_i of every value.  The
     n conjugates (with multiplicity) are gathers in the verified Frobenius
-    table, and the characteristic polynomial is their product."""
+    table, and the characteristic polynomial is their product in ops,
+    the big field's `TableOps`."""
     frob = np.asarray(ext.whole_table("frob"))
-    ops = TableOps(ext.big) if ops is None else ops
     roots = [np.asarray(vals, dtype=np.intp)]
     for _ in range(ext.n - 1):
         roots.append(frob[roots[-1]])

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from joubert2 import (BudgetError, DomainError, checks, cubic, fastscan,
-                      iter_elements, jsearch, make_field, sigma)
+from joubert2 import (BudgetError, checks, cubic, fastscan, iter_elements,
+                      jsearch, make_field, sigma)
 from joubert2.cubic import build_frame, surface_census
 from joubert2.errors import CheckFailed
 from joubert2.ffield import DEFAULT_LIMIT
@@ -41,7 +41,7 @@ def test_frame_invariants(q):
     assert len(fr.basis) == 5
     for b in fr.basis:
         assert fr.ext.trace_val(b) == 0
-    assert fr.lift((0, 0, 0, 0)) == 0
+    assert fr.ext.big.combine((0, 0, 0, 0), fr.basis[1:]) == 0
 
 
 def test_lift_lands_in_trace_zero_exhaustive_q4():
@@ -53,7 +53,8 @@ def test_lift_lands_in_trace_zero_exhaustive_q4():
         for _ in range(4):
             coords.append(kv[r % 4])
             r //= 4
-        assert fr.ext.trace_val(fr.lift(coords)) == 0
+        y = fr.ext.big.combine(coords, fr.basis[1:])
+        assert fr.ext.trace_val(y) == 0
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -174,15 +175,15 @@ def _form_at(frame, coords) -> list[int]:
 
 
 def _trace_of_cube(frame, coords) -> int:
-    # the scalar oracle k_index(Tr(lift(v)^3)) on GF(q^6)
+    # the scalar oracle k_index(Tr(y^3)) on GF(q^6), y = sum v_i b_i
     ext = frame.ext
     big = ext.big
     k_vals = ext.k_elements()
-    y = frame.lift([k_vals[i] for i in coords])
+    y = big.combine([k_vals[i] for i in coords], frame.basis[1:])
     return ext.k_index(ext.trace_val(big.mul_val(big.mul_val(y, y), y)))
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [2, 4, 8])
 def test_form_is_the_trace_of_the_cube_exhaustive(q):
     fr = build_frame(q)
     coords = list(itertools.product(range(q), repeat=4))
@@ -205,31 +206,35 @@ def test_subfield_kernels(q):
     assert cubic._subfield_kernel(fr, 2) == []
 
 
-def test_projective_route_stops_at_16(monkeypatch):
-    # check_surface(8) iterates the scalar route's points once; at q = 16
-    # the cubic form and the L_0 sweep are the only routes
-    real = cubic._projective_reps
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_surface_check_runs_two_routes_once(monkeypatch, q):
+    # at every q the check counts by the cubic form once and by the L_0
+    # sweep once
     calls = []
 
-    def spy(q):
-        calls.append(q)
-        yield from real(q)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(cubic, "_projective_reps", spy)
-    assert checks.check_surface(16).outcome == "pass"
-    assert calls == []
-    assert checks.check_surface(8).outcome == "pass"
-    assert calls == [8]
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(cubic, "_form_total")
+    spy(jsearch, "count_joubert_generators")
+    assert checks.check_surface(q).outcome == "pass"
+    assert sorted(calls) == ["_form_total", "count_joubert_generators"]
 
 
-def test_form_total_is_checked_by_the_sweep_at_16(monkeypatch):
-    # with no projective route, a form total one point high is caught by
-    # the L_0 sweep's element count
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_form_total_is_checked_by_the_sweep(monkeypatch, q):
+    # a form total one point high is caught by the L_0 sweep's element count
     real = cubic._form_total
     monkeypatch.setattr(cubic, "_form_total", lambda frame: real(frame) + 1)
     with pytest.raises(CheckFailed,
                        match="^class count and element count disagree$"):
-        surface_census(16)
+        surface_census(q)
 
 
 def test_census_thread_independent():
@@ -251,31 +256,9 @@ def test_manin_floor_binding_at_16():
     assert c.generator_points >= 1
 
 
-def test_frame_lift_validates_arity():
-    fr = build_frame(2)
-    with pytest.raises(DomainError):
-        fr.lift((1, 0, 0))
-
-
-# Plants for the surface check, one per route: each takes a setattr
-# (monkeypatch.setattr) and breaks that route for q = 2, 4 and 8, and maps
-# each q to the error the check must report.
-
-# the first representative of a generator point, whose lift y has
-# Tr(y^3) = 0 outside F_{q^3}
-_FIRST_GENERATOR_REP = {2: (1, 0, 0, 0), 4: (1, 1, 0, 0), 8: (1, 4, 0, 0)}
-
-
-def _repeated_generator_rep(patch):
-    # the projective route meets that representative twice, so it counts
-    # one generator point too many
-    reps = cubic._projective_reps
-
-    def twice(q):
-        for rep in reps(q):
-            yield from [rep] * (1 + (rep == _FIRST_GENERATOR_REP[q]))
-
-    patch(cubic, "_projective_reps", twice)
+# Plants for the surface check: each takes a setattr (monkeypatch.setattr)
+# and breaks one route, and maps each q it breaks to the error the check
+# must report.
 
 
 def _first_swept_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
@@ -294,7 +277,7 @@ def _flipped_exp_entry(patch):
     # bit 0 of that entry, after the tower view's sample check: Tr(y^3)
     # changes by Tr_K(1) = 1 for every swept y that reads it, which moves
     # the count; the scalar audit meets one of them at q = 2 and 4, and at
-    # q = 8 only the projective route's count disagrees
+    # q = 8 only the sweep's count moves away from the form's total
     for q in (2, 4, 8):
         tower, entry = _first_swept_exp_entry(q)
         exp = tower.exp.copy()
@@ -305,8 +288,7 @@ def _flipped_exp_entry(patch):
 def _flipped_audit_modulus_bit(patch):
     # bit 1 of the modulus that the count's audit kernel reduces by: its
     # squarings leave the big field, and an audited y does not come back to
-    # itself after the six conjugates (the sweep and the projective route
-    # still agree)
+    # itself after the six conjugates (the sweep and the form still agree)
     for q in (2, 4, 8):
         ops = sigma._clmul_ops(_ext_scan(2, q.bit_length() - 1, 6).ext.big)
         patch(ops, "f", ops.f ^ np.uint64(2))
@@ -315,8 +297,8 @@ def _flipped_audit_modulus_bit(patch):
 def _flipped_form_coefficient(patch):
     # bit 0 of c_24: C gains v_2^2 v_4, which moves the form's total at every
     # q from 2 to 32 (by 2, 12, -8, 16, -32); the form no longer vanishes on
-    # the F_{q^3}-line, except at q = 4, where only the projective route
-    # disagrees
+    # the F_{q^3}-line, except at q = 4, where its total no longer matches
+    # the sweep's count
     real = cubic._form_coefficients
 
     def flipped(frame):
@@ -327,12 +309,24 @@ def _flipped_form_coefficient(patch):
     patch(cubic, "_form_coefficients", flipped)
 
 
+def _flipped_k_product(patch):
+    # bit 0 of K's product 1 * 1 in the form's table, which then reads 0:
+    # every product of 1 with 1 the form takes goes wrong, the square of a
+    # coordinate 1 among them, so C no longer vanishes on the F_{q^3}-line,
+    # except at q = 2, where its total no longer matches the sweep's count
+    real = cubic._k_products
+
+    def flipped(ext):
+        mul = real(ext)
+        mul[(1 << ext.base_deg) | 1] ^= 1
+        return mul
+
+    patch(cubic, "_k_products", flipped)
+
+
 _OFF_LINE = "cubic form does not vanish on the F_{q^3}-line"
 
 SURFACE_PLANTS = {
-    "projective-repeated-rep": (
-        _repeated_generator_rep,
-        dict.fromkeys((2, 4, 8), "class count and element count disagree")),
     "sweep-tower-exp-entry": (
         _flipped_exp_entry,
         {2: "is_joubert disagrees on kept element 20",
@@ -343,8 +337,12 @@ SURFACE_PLANTS = {
         dict.fromkeys((2, 4, 8), "an audited y is not fixed by x -> x^(q^n)")),
     "cubic-form-coefficient": (
         _flipped_form_coefficient,
-        {2: _OFF_LINE, 4: "cubic form and projective route disagree",
-         8: _OFF_LINE}),
+        {2: _OFF_LINE, 4: "class count and element count disagree",
+         8: _OFF_LINE, 16: _OFF_LINE}),
+    "cubic-form-k-product": (
+        _flipped_k_product,
+        {2: "class count and element count disagree", 4: _OFF_LINE,
+         8: _OFF_LINE, 16: _OFF_LINE}),
 }
 
 
@@ -368,7 +366,7 @@ def test_form_plant_fails_at_16(monkeypatch):
 
 
 def test_surface_plants_fail_under_optimize():
-    # every plant in the one `python -O` run of test_planted at q = 2, 4, 8,
-    # after an unplanted pass, with the same errors
+    # every plant in the one `python -O` run of test_planted at each q it
+    # lists, after an unplanted pass, with the same errors
     from test_planted import assert_plants_fail_under_optimize
     assert_plants_fail_under_optimize("check_surface")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from joubert2 import (DomainError, ExtDesc, checks, iter_elements, jsearch,
                       make_ext, make_field, rel_trace, sigma)
 from joubert2.errors import CheckFailed
+from joubert2.ffield import TableOps
 from joubert2.fpoly import conjugates, format_poly, min_poly
 from joubert2.sigma import (
     is_generator,
@@ -93,7 +94,7 @@ def test_sigma_profiles_equal_the_scalar_profile(p, k, n):
     # every element, base degree 2 included; a subfield element's conjugates
     # repeat, so both routes must give min_poly^(n/d)
     ext = make_ext(p, k, n)
-    sig = sigma_profiles(range(ext.big.order), ext)
+    sig = sigma_profiles(range(ext.big.order), ext, TableOps(ext.big))
     assert sig.shape == (n, ext.big.order)
     for y in iter_elements(ext.big):
         assert tuple(sig[:, y.val].tolist()) == sigma_profile(y, ext).sigmas
