@@ -70,7 +70,7 @@ def main() -> None:
                 f"{c.manin_floor:>7}")
 
     def curve(q):
-        c = curve_census(q, budget=budget, threads=threads)
+        c = curve_census(q, budget=budget)
         s = surface_of(q)
         require(counts_from_surface(q, s.affine_zero_count, s.generator_count)
                 == (c.n_affine, c.good_points, c.bad_points),

@@ -10,36 +10,34 @@ third elementary symmetric functions are zero.  Comparing the affine count
 against the Weil interval and the worst-case bad count shows good fibers
 must exist once q is large enough.
 
-The vector census sweeps the q^5 x of a complement W of F_q = ker(x^q + x)
-and scales its counts by q: x -> x^q + x is q-to-1 onto L_0 = ker Tr
-(additive Hilbert 90; Lidl & Niederreiter, Finite Fields, Thm. 2.25).  It
-takes Tr(y^3) through the big field's quadratic tower and requires it, at
-every x of W, to equal the right side's trace, an F_2-quadratic form Q
-that shares no table with the tower (_trace_form, QuadraticForm).
-
-That check is the vector route of the trace identity
-Tr((x^q + x)^3) = Tr(x^(2q+1) + x^(q+2)) on all of F_{q^6}, as both sides
-are unchanged by x -> x + c for c in F_q.  Its second route, sharing no
-arithmetic with it, is trace_identity_check's scalar certificate.
+The census counts with no sweep.  Tr(x^(2q+1) + x^(q+2)) is the K-valued
+F_2-quadratic form Q(x) = Tr(x R(x)), R(x) = (x^q + x^(q^5))^2, on
+L = F_{q^6} over K = F_q, so #{Q = 0} = (1/q) sum over the q F_2-functionals
+s on K of sum_x (-1)^s(Q(x)), and each inner sum is 0 or +-2^((6k + w)/2)
+by the radical dimension w and the Arf invariant of the binary form s o Q
+(Lidl & Niederreiter, Finite Fields, 6.2; van der Geer & van der Vlugt,
+Compositio Math. 84, 1992).  Its Gram matrix comes from `ClmulOps` products
+and the scan's Frobenius and trace maps, and the rest is F_2 linear algebra
+on ints: no Tower, sweep or scalar `ffield` product.
 
 The counts' second route is the trace cubic surface: counts_from_surface
 turns |S| and the generator count into the curve's three counts, and the
-curve check takes them from `cubic`'s explicit cubic form at every q.
+curve check takes them from `cubic`'s explicit cubic form at every q.  The
+trace identity Tr((x^q + x)^3) = Tr(x^(2q+1) + x^(q+2)) that ties the two
+together is trace_identity_check's polarization certificate, run once in
+scalar `ffield` arithmetic and once in `ClmulOps`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TableError, require
-from .fastscan import (CHUNK, WINDOW, ChunkMap, ClmulOps, ExtScan,
-                       LinearMap, SubfieldTests, Workspace, _sample, _span,
-                       run_chunked)
-from .ffield import ExtDesc, make_ext
+from .fastscan import ClmulOps, ExtScan, _sample
+from .ffield import make_ext
 from .gflinalg import kernel, rref
 from .jsearch import _Bits, _ext_scan, _require_pow2, _require_vector_q
 
@@ -101,225 +99,174 @@ def counts_from_surface(q: int, zeros: int,
     return q * q * zeros, q * q * generators, q * q * q**3
 
 
-class QuadraticForm:
-    """An F_2-quadratic form Q on the aligned ranges of run_chunked, from
-    its Gram matrix on the index bits: gram[i, i] = Q(e_i) and
-    gram[i, j] = B(e_i, e_j) for i != j, where the polar form
-    B(a, b) = Q(a + b) + Q(a) + Q(b) is bilinear and symmetric.
-
-    Q(a + b) = Q(a) + Q(b) + B(a, b) splits a range with no product.  Its
-    values are h + i, with h = lo and the offset i = r + s + t cut into t
-    (index bits below 6), s (bits 6 to 11) and r (the bits above), so
-        Q(h + i) = [Q(h) + B(h, r + s) + Q(r + s)] + [Q(s + t) + Q(s)]
-                   + [B(h, t) + B(r, t)].
-    The three brackets are r x s, s x t and r x t tables.  Q(r + s),
-    Q(s + t) + Q(s) and B(r, t) are cached; B(h, .) is the xor of h's Gram
-    rows.  A range costs one broadcast xor of the r x s and s x t tables and
-    one of the r x t table.
-    """
-
-    def __init__(self, gram: np.ndarray, order: int):
-        self.gram = gram
-        self._rows = gram.tolist()
-        self.size = min(order, CHUNK)
-        c = (self.size - 1).bit_length()
-        a, b = min(c, WINDOW // 2), min(c, WINDOW)
-        self._cuts = a, b, c
-        st = self._qspan(range(b)).reshape(-1, 1 << a)
-        self._st = st ^ st[:, :1]
-        self._rs = self._qspan(range(a, c)).reshape(-1, 1 << (b - a))
-        rt = self._qspan([*range(a), *range(b, c)]).reshape(-1, 1 << a)
-        self._rt = rt ^ rt[:, :1] ^ rt[:1]
-
-    def _qspan(self, bits) -> np.ndarray:
-        """Q on the span of the index bits `bits`, indexed like _span:
-        Q(v + e_j) = Q(v) + Q(e_j) + B(v, e_j)."""
-        t = np.zeros(1, dtype=np.uint32)
-        for n, j in enumerate(bits):
-            t = np.concatenate([t, t ^ self.gram[j, j]
-                                ^ _span(self.gram[j, bits[:n]])])
-        return t
-
-    def scalar(self, v: int) -> int:
-        """Q(v) on one plain int: the xor of the Gram entries (i, j), i <= j,
-        over v's set bits."""
-        bits = [i for i in range(v.bit_length()) if v >> i & 1]
-        acc = 0
-        for n, i in enumerate(bits):
-            row = self._rows[i]
-            for j in bits[n:]:
-                acc ^= row[j]
-        return acc
-
-    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """Q(v) for v in [lo, hi), a whole aligned range."""
-        n = hi - lo
-        require(lo % CHUNK == 0 and n == self.size,
-                "range is not aligned to the form's tables")
-        a, b, c = self._cuts
-        # B(h, e_j) for the offset bits j; h = lo has no bit below c
-        bh = np.bitwise_xor.reduce(
-            self.gram[[i for i in range(c, lo.bit_length()) if lo >> i & 1],
-                      :c], axis=0)
-        rs = self._rs ^ _span(bh[a:b])
-        rs ^= (np.uint32(self.scalar(lo)) ^ _span(bh[b:c]))[:, None]
-        rt = self._rt ^ _span(bh[:a])
-        if out is None:
-            out = np.empty(n, dtype=np.uint32)
-        grid = out.reshape(*rs.shape, -1)
-        np.bitwise_xor(rs[:, :, None], self._st, out=grid)
-        grid ^= rt[:, None, :]
-        return out
+def _r_map(scan: ExtScan, x: np.ndarray) -> np.ndarray:
+    """R(x) = (x^q + x^(q^5))^2, element-wise, by the scan's maps."""
+    fx = f5 = scan.frob(x)
+    for _ in range(4):
+        f5 = scan.frob(f5)
+    return scan.ops.square(fx ^ f5)
 
 
-class _CensusTables:
-    """The census's parts in tower coordinates, on aligned chunks: index bit
-    j stands for x = basis.images[j], the j-th basis vector of a complement
-    W of F_q = ker(x^q + x); y = x^q + x on W, its subfield tests and the
-    form of the cross-check."""
-
-    def __init__(self, scan: ExtScan):
-        self.view = view = scan.tower
-        m, k, gf2 = scan.ops.m, scan.ext.base_deg, _Bits
-        fx = [(1 << j) ^ img for j, img in enumerate(view.frob.images)]
-        ker = kernel([[v >> i & 1 for v in fx] for i in range(m)], gf2)
-        require(len(ker) == k, "ker(x^q + x) is not F_q")
-        # W: the index bits that are not pivots of the kernel's RREF
-        pivots = rref(ker, gf2)[1]
-        w = [j for j in range(m) if j not in pivots]
-        y = [fx[j] for j in w]
-        rank = len(rref([[v >> i & 1 for i in range(m)] for v in y], gf2)[1])
-        require(len(y) == rank == 5 * k and not any(
-            view.trace_hi.scalar(v >> view.tower.h) for v in y),
-            "x^q + x does not map W one to one into L_0")
-        self.order = order = 1 << len(w)
-        self.basis = LinearMap(view.tower.from_tower.images[j] for j in w)
-        self.y = ChunkMap(LinearMap(y), order)
-        self.tests = SubfieldTests(view, y, order)
-        self.form = _trace_form(scan, self.basis)
+def _form_values(gram: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Q at the points whose index bits are the 0/1 rows of bits: the xor
+    of gram[i, j] over their set bits i <= j, one row i at a time."""
+    out, upper = 0, np.triu(gram)
+    for i, row in enumerate(upper):
+        out ^= bits[:, i] * np.bitwise_xor.reduce(bits * row, axis=1)
+    return out
 
 
-_census_tables = functools.lru_cache(maxsize=None)(_CensusTables)
-
-
-def _trace_form(scan: ExtScan, basis: LinearMap) -> QuadraticForm:
-    """Q(x) = Tr(x R(x)) with R(x) = (x^q + x^(q^5))^2, on the index whose
-    bit j stands for basis.images[j].  Tr(x^(q+2)) = Tr(x^(2q^5+1)), its
-    image under x -> x^(q^5), so Q(x) = Tr(x^(2q+1) + x^(q+2)); R is
-    F_2-linear, so Q is an F_2-quadratic form, as for the curves
-    y^q - y = x R(x) of van der Geer and van der Vlugt (Compositio Math.
-    84, 1992).
-
-    The Gram matrix comes from the basis images through the canonical
-    Frobenius, square and trace maps and `ClmulOps` products, never from
-    the Tower's log/exp tables.  Q is checked against Tr(x R(x)), taken
-    directly, on the seeded sample; a mismatch raises TableError.
-    """
+def _trace_gram(scan: ExtScan) -> np.ndarray:
+    """The Gram matrix of Q(x) = Tr(x R(x)), R(x) = (x^q + x^(q^5))^2, on
+    the m = 6k unit vectors e_i: B(e_i, e_j) = Tr(e_i R(e_j) + e_j R(e_i))
+    off the diagonal, Q(e_i) on it.  Q(x) = Tr(x^(2q+1) + x^(q+2)), since
+    Tr(x^(q+2)) = Tr(x^(2q^5+1)), and R is F_2-linear, as for the curves
+    y^q - y = x R(x) of van der Geer and van der Vlugt.  From `ClmulOps`
+    products and the scan's maps; Q is checked against Tr(x R(x)), taken
+    directly, on the seeded sample, and a mismatch raises TableError."""
     big = scan.ext.big
-    mul, n = ClmulOps(big).mul, len(basis.images)
-
-    def r_map(x):
-        fx = f5 = scan.frob(x)
-        for _ in range(4):
-            f5 = scan.frob(f5)
-        return scan.ops.square(fx ^ f5)
-
-    e = np.array(basis.images, dtype=np.uint32)
-    prod = mul(e[:, None], r_map(e))  # e_i R(e_j)
-    # B(e_i, e_j) = Tr(e_i R(e_j) + e_j R(e_i)), and Q(e_i) on the diagonal
-    gram = scan.trace((prod ^ prod.T).ravel()).reshape(n, n)
-    np.fill_diagonal(gram, scan.trace(prod.diagonal().copy()))
-    form = QuadraticForm(gram, 1 << n)
-    idx, _ = _sample(n)
-    x = basis(idx)
-    direct = scan.trace(mul(x, r_map(x)))
-    if [form.scalar(v) for v in idx.tolist()] != direct.tolist():
-        raise TableError(f"quadratic form of GF(2^{big.m}) disagrees with "
+    mul, m = ClmulOps(big).mul, big.m
+    e = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    prod = mul(e[:, None], _r_map(scan, e))  # e_i R(e_j)
+    gram = scan.trace((prod ^ prod.T ^ np.diag(prod.diagonal())).ravel()
+                      ).reshape(m, m)
+    x, _ = _sample(m)
+    bits = x[:, None] >> np.arange(m, dtype=np.uint64) & np.uint64(1)
+    if not np.array_equal(_form_values(gram, bits),
+                          scan.trace(mul(x, _r_map(scan, x)))):
+        raise TableError(f"quadratic form of GF(2^{m}) disagrees with "
                          "Tr(x R(x))")
-    return form
+    return gram
 
 
-def _require_swept_frobenius(tables: _CensusTables, ext: ExtDesc) -> None:
-    """The swept y = x^q + x against the scalar Frobenius on every basis
-    vector of W, so on the whole F_2-linear map.  The cross-check cannot see
-    an error d in F_q here: with Tr(y) = 0, Tr((y + d)^3) = Tr(y^3)."""
-    to_big = tables.view.tower.from_tower.scalar
-    require(all(to_big(tables.y.at(1 << j)) == ext.frob_val(x) ^ x
-                for j, x in enumerate(tables.basis.images)),
-            "swept x -> x^q differs from the scalar Frobenius")
+def _character_sum(rows: list[int], diag: list[int]) -> int:
+    """sum over x in F_2^n of (-1)^Q(x), for the binary quadratic form Q
+    with polar form B(e_i, e_j) = bit j of rows[i] and Q(e_i) = diag[i].
+
+    A symplectic reduction splits F_2^n into planes with B(u, v) = 1, each
+    summing to 2 (-1)^(Q(u) Q(v)), and the w lines of the radical of B,
+    each summing to 2 if Q is 0 there and to 0 if not.  So the sum is 0 or
+    (-1)^Arf 2^((n + w)/2), with Arf the sum of Q(u) Q(v) over the planes.
+    """
+    n = len(rows)
+    low, top = (1 << n) - 1, 2 * n
+    # a vector: its index bits, its B-image above bit n and its Q at bit
+    # 2n, so that u + v is u ^ v with B(u, v) xored into the Q bit
+    vecs = [1 << i | r << n | d << top
+            for i, (r, d) in enumerate(zip(rows, diag))]
+
+    def polar(u: int, v: int) -> int:
+        return (u >> n & v & low).bit_count() & 1
+
+    planes = lines = arf = 0
+    while vecs:
+        u = vecs.pop()
+        v = next((w for w in vecs if polar(u, w)), None)
+        if v is None:  # u is in the radical
+            if u >> top:
+                return 0
+            lines += 1
+            continue
+        vecs.remove(v)
+        planes += 1
+        arf ^= u >> top & v >> top
+        for i, w in enumerate(vecs):  # made orthogonal to u and v
+            if polar(w, v):
+                w ^= u ^ polar(w, u) << top
+            if polar(w, u):
+                w ^= v ^ polar(w, v) << top
+            vecs[i] = w
+    return (-1) ** arf << (planes + lines)
+
+
+def _subfield_preimage(scan: ExtScan, d: int) -> list[list[int]]:
+    """A GF(2)-basis of {x : x^q + x in F_{q^d}}, the kernel of
+    x -> y^(q^d) + y with y = x^q + x, as 0/1 rows over the index bits."""
+    e = np.uint64(1) << np.arange(scan.ops.m, dtype=np.uint64)
+    y = yd = scan.frob(e) ^ e
+    for _ in range(d):
+        yd = scan.frob(yd)
+    images = (yd ^ y).tolist()
+    return kernel([[v >> i & 1 for v in images] for i in range(e.size)],
+                  _Bits)
 
 
 def curve_census(q: int, budget: int | None = None,
                  threads: int = 1) -> CurveCensus:
-    """Full fiber census over the sextic extension of F_q.
+    """Full fiber census over the sextic extension of F_q, with no sweep:
+    x has q fiber points when Q(x) = 0, and q #{Q = 0} comes from the
+    character sums of the binary forms s o Q, whose total q must divide.
+    K-values are read through the k pivot bits of Tr's image over GF(2).
 
-    Every solvable fiber is classified: y = x^q + x either generates the
-    degree-6 extension (good) or lies in the cubic subextension (bad); the
-    quadratic subextension is impossible for trace-qualifying y, which the
-    scan checks rather than assumes.  The sweep of W meets each y of L_0
-    once, so every count is scaled by q.
-    """
+    The x with y = x^q + x in F_{q^3} must span dimension 4k with the Gram
+    matrix zero on it: all are solvable, the q^5 bad points.  The x with y
+    in F_{q^2} must span dimension 2k, the preimage of F_q, inside the
+    former: the quadratic subextension is checked, not assumed, and every
+    other solvable x is good.  `threads` is accepted and unused."""
     k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
-    tables = _census_tables(scan)
-    _require_swept_frobenius(tables, scan.ext)
-    tower, trace_hi = tables.view.tower, tables.view.trace_hi
-    ws = Workspace()
+    gram, m = _trace_gram(scan), 6 * k
+    pivots = rref([[v >> i & 1 for i in range(m)]
+                   for v in scan._trace.images], _Bits)[1]
+    require(len(pivots) == k, "the trace's image is not k-dimensional")
+    masks = np.array([sum(1 << p for t, p in enumerate(pivots) if s >> t & 1)
+                      for s in range(1, q)], dtype=np.uint64)
+    # bits[s, i, j]: s(B(e_i, e_j)) off the diagonal, s(Q(e_i)) on it
+    bits = np.bitwise_count(gram & masks[:, None, None]) & 1
+    diag = np.diagonal(bits, axis1=1, axis2=2)
+    weights = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    rows = (bits * weights).sum(axis=2) ^ diag * weights
+    total = q**6 + sum(_character_sum(r, d)
+                       for r, d in zip(rows.tolist(), diag.tolist()))
+    require(total % q == 0, "q does not divide the character sums of Q")
+    n_affine = q * (total // q)
 
-    def tally(lo: int, hi: int) -> tuple[int, int, int]:
-        n = hi - lo
-        y = tables.y(lo, hi, out=ws.get("y", n))
-        # Tr(y^3) from the w-half of y^3, by the logs of y
-        t = trace_hi(tower.cube_hi(tower.logs(y), out=y), out=y)
-        # equal as values, since Tr(x^(3q)) = Tr(x^3): a cross-check by the
-        # form Q, which shares no table with the tower
-        require(np.array_equal(t, tables.form(lo, hi, out=ws.get("form", n))),
-                "solvability differs from the trace identity")
-        solvable, in_cubic = tables.tests.split(t, lo, hi, ws)
-        return (int(np.count_nonzero(solvable)),
-                int(np.count_nonzero(in_cubic)),
-                int(np.count_nonzero(solvable & ~in_cubic)))
+    cubic = np.array(_subfield_preimage(scan, 3), dtype=np.uint64)
+    require(len(cubic) == 4 * k,
+            "{x : x^q + x in F_{q^3}} does not have dimension 4k")
+    i, j = np.triu_indices(len(cubic), 1)
+    require(not _form_values(gram, np.vstack([cubic, cubic[i] ^ cubic[j]]))
+            .any(), "Q does not vanish where x^q + x lies in F_{q^3}")
+    require(len(_subfield_preimage(scan, 2)) == 2 * k,
+            "{x : x^q + x in F_{q^2}} does not have dimension 2k")
+    bad = q * q**4
 
-    parts = run_chunked(tables.order, tally, threads=threads)
-    # split requires every y of F_{q^3} solvable: these are the bad y
-    require(sum(p[1] for p in parts) == q**3,
-            "F_{q^3} does not have q^3 elements in L_0")
-    solvable_x, bad_x, good_x = (q * sum(p[i] for p in parts)
-                                 for i in range(3))
-    require(good_x + bad_x == solvable_x,
-            "good and bad fibers do not cover the solvable ones")
-
-    n_affine = q * solvable_x
     lo, hi = weil_window(q)
-    n_smooth = n_affine + 1
-    require(n_affine % q == 0, "affine count is not divisible by q")
-    require(lo <= n_smooth <= hi, "smooth count escapes the Weil interval")
-    return CurveCensus(q=q, n_affine=n_affine, n_smooth=n_smooth,
+    require(lo <= n_affine + 1 <= hi, "smooth count escapes the Weil interval")
+    return CurveCensus(q=q, n_affine=n_affine, n_smooth=n_affine + 1,
                        genus=genus_of(q), weil_low=lo, weil_high=hi,
-                       good_points=q * good_x, bad_points=q * bad_x)
+                       good_points=n_affine - bad, bad_points=bad)
 
 
-def _right_side_val(ext: ExtDesc, v: int) -> int:
-    """x^(2q+1) + x^(q+2) at v as x^(2q) x + x^q x^2, by scalar products
-    on plain ints."""
-    mul, vq = ext.big.mul_val, ext.frob_val(v)
+def _right_side(mul, frob, v):
+    """x^(2q+1) + x^(q+2) at v as x^(2q) x + x^q x^2, by the products mul
+    and the Frobenius frob: on one int in ffield, or on an array."""
+    vq = frob(v)
     return mul(mul(vq, vq), v) ^ mul(vq, mul(v, v))
 
 
 def trace_identity_check(q: int, budget: int | None = None) -> int:
     """Confirm Tr((x^q + x)^3) = Tr(x^(2q+1) + x^(q+2)) on all of F_{q^6}
-    by polarization, in scalar ffield arithmetic; returns q^6, the points
-    covered.  Squaring and x -> x^q are additive, so each bit of the
-    difference of the sides is an F_2-quadratic form on the m = 6k index
-    bits, zero everywhere iff zero at every e_i and e_i + e_j: the m(m + 1)/2
-    values (1 << i) | (1 << j), i <= j."""
+    by polarization; returns q^6, the points covered.  Squaring and
+    x -> x^q are additive, so each bit of the difference of the sides is an
+    F_2-quadratic form on the m = 6k index bits, zero everywhere iff zero
+    at every e_i and e_i + e_j: the m(m + 1)/2 values (1 << i) | (1 << j),
+    i <= j.  They are evaluated twice, by routes that share no arithmetic:
+    one by one in scalar ffield arithmetic, then as one array by `ClmulOps`
+    products and the scan's Frobenius and trace maps."""
     k = _require_vector_q(q)
     ext = make_ext(2, k, 6, limit=budget)
     mul, m = ext.big.mul_val, ext.big.m
-    for v in (1 << i | 1 << j for i in range(m) for j in range(i, m)):
+    points = [1 << i | 1 << j for i in range(m) for j in range(i, m)]
+    for v in points:
         y = ext.frob_val(v) ^ v
-        d = mul(y, mul(y, y)) ^ _right_side_val(ext, v)
+        d = mul(y, mul(y, y)) ^ _right_side(mul, ext.frob_val, v)
         require(ext.trace_val(d) == 0,
                 "Tr identity fails at a polarization point")
+    scan, mul = _ext_scan(2, k, 6, budget), ClmulOps(ext.big).mul
+    v = np.array(points, dtype=np.uint64)
+    d = _right_side(mul, scan.frob, v)
+    y = scan.frob(v) ^ v
+    require(not scan.trace(d ^ mul(y, mul(y, y))).any(),
+            "Tr identity fails at a polarization point in ClmulOps")
     return q**6

@@ -317,7 +317,7 @@ def check_curve(q: int, budget: int | None = None,
     jsearch._require_vector_q(q)  # a code limit, not a false claim
 
     def body():
-        census = ascurve.curve_census(q, budget=budget, threads=threads)
+        census = ascurve.curve_census(q, budget=budget)
         if q > 2:
             require(census.good_points >= 1, "no good fiber point")
         # the second count route, with no Tower: the surface's N projective

@@ -214,14 +214,6 @@ class ChunkMap:
         """Whether L(v) = 0, for v in [lo, hi): the two tables agree."""
         return self._apply(np.equal, lo, hi, out)
 
-    def at(self, v: int) -> int:
-        """L(v) as a sweep reads it: L at the start of v's aligned range,
-        xor the two tables at v's offset in the range."""
-        i = v % self.size
-        cols = self.low.size
-        return (self.map.scalar(v - i) ^ int(self.high[i // cols])
-                ^ int(self.low[i % cols]))
-
 
 # -- set-up arithmetic on plain ints: shift-and-xor with reduction by the
 # full modulus f (its t^m bit included)

@@ -1,19 +1,25 @@
 """Fiber census of the additive cover: counts, Weil interval, bound
 inequality, and the links back to generator search and the surface scan."""
 
+import functools
 import math
+import operator
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from joubert2 import ascurve, checks, cubic, fastscan
+from hypothesis import given, settings, strategies as st
+
+from joubert2 import ascurve, checks, cubic, fastscan, ffield, jsearch
 from joubert2.ascurve import (bound_inequality, counts_from_surface,
                               curve_census, genus_of, trace_identity_check,
                               weil_window)
 from joubert2.cubic import surface_census
 from joubert2.errors import BudgetError, CheckFailed, DomainError
-from joubert2.ffield import FElt, make_ext, rel_frobenius, rel_trace
+from joubert2.ffield import (FElt, in_subfield, make_ext, rel_frobenius,
+                             rel_trace)
 from joubert2.jsearch import count_joubert_generators, enumerate_joubert_polys
 from test_cubic import _OFF_LINE, _flipped_form_coefficient
 
@@ -64,26 +70,37 @@ class TestCensus:
         assert count == 80 == curve_census(2).n_affine
 
     def test_thread_count_never_changes_results(self):
-        # q = 16: the sweep of W has 16 chunks (one at q = 8)
+        # threads is accepted and unread: the census sweeps nothing
         a = curve_census(16, threads=1)
         b = curve_census(16, threads=3)
         for key in ("n_affine", "n_smooth", "good_points", "bad_points"):
             assert getattr(a, key) == getattr(b, key)
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16])
-    def test_census_sweeps_a_complement_of_the_base_field(self, monkeypatch,
-                                                          q):
-        # one run_chunked call over the q^5 x of W, not the q^6 of L
-        totals = []
-        real = ascurve.run_chunked
+    def test_census_runs_no_sweep(self, monkeypatch, q):
+        # with the scan built, the census calls no Tower or TowerView method,
+        # no run_chunked and no scalar ffield product, Frobenius, trace or
+        # K-index: its route is ClmulOps, the scan's maps and F_2 algebra
+        scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
 
-        def spy(total, fn, **kwargs):
-            totals.append(total)
-            return real(total, fn, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census left its route")
 
-        monkeypatch.setattr(ascurve, "run_chunked", spy)
-        assert curve_census(q).bad_points == q**5
-        assert totals == [q**5]
+        for cls in (fastscan.Tower, fastscan.TowerView):
+            for name, attr in list(vars(cls).items()):
+                if callable(attr):
+                    monkeypatch.setattr(cls, name, refuse)
+        for module in (fastscan, jsearch):
+            monkeypatch.setattr(module, "run_chunked", refuse)
+        for cls in vars(ffield).values():
+            if isinstance(cls, type) and "mul_val" in vars(cls):
+                monkeypatch.setattr(cls, "mul_val", refuse)
+        for name in ("frob_val", "trace_val", "k_index"):
+            monkeypatch.setattr(ffield.ExtDesc, name, refuse)
+        with pytest.raises(AssertionError):
+            scan.ext.trace_val(1)
+        c = curve_census(q)
+        assert {key: getattr(c, key) for key in PINNED[q]} == PINNED[q]
 
     def test_budget_and_domain_guards(self):
         with pytest.raises(BudgetError) as exc:
@@ -95,7 +112,12 @@ class TestCensus:
 
 
 class TestTowerCensus:
+    """The census against the tower of subfields of F_{q^6} and against the
+    Tower census of L_0 that the generator count sweeps."""
+
     def test_tower_path_runs_at_small_q(self, monkeypatch):
+        # the L_0 sweep cubes through the Tower in one chunk at q = 2 and 4,
+        # in K = GF(2^(3k)), and its count gives the census's good points
         calls = []
         real = fastscan.Tower.cube_hi
 
@@ -104,33 +126,19 @@ class TestTowerCensus:
             return real(self, *args, **kwargs)
 
         for q, k in ((2, 1), (4, 2)):
-            scan = ascurve._ext_scan(2, k, 6)
-            scan.tower  # built and sample-checked
+            jsearch._l0_tables(ascurve._ext_scan(2, k, 6))  # built, checked
             monkeypatch.setattr(fastscan.Tower, "cube_hi", spy)
             calls.clear()
-            c = curve_census(q)
-            assert (c.n_affine, c.bad_points) == (PINNED[q]["n_affine"],
-                                                  PINNED[q]["bad_points"])
-            assert calls == [3 * k]  # one chunk, in K = GF(2^(3k))
-
-    def test_dropped_cube_term_fails_the_trace_identity(self, monkeypatch):
-        # (1 + c) y1^3 planted away from the w-half of y^3, after the tower
-        # view's own sample check: the in-scan cross-check must see it
-        tower = ascurve._ext_scan(2, 3, 6).tower.tower
-        monkeypatch.setattr(tower, "c1_log", int(tower.log[0]))
-        with pytest.raises(CheckFailed,
-                           match="solvability differs from the trace"):
-            curve_census(8)
-        result = checks.check_curve(8)
-        assert result.outcome == "fail"
-        assert result.witness == {
-            "error": "solvability differs from the trace identity"}
+            count = count_joubert_generators(q).count
+            assert calls == [3 * k]
+            assert curve_census(q).good_points == q * q * count
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("bit", [0, 17])
     def test_flipped_frobenius_bit_fails(self, monkeypatch, bit):
         # one bit of one composed tower-Frobenius image: the view's sample
-        # check raises when the view is built, and the census fails when
-        # the flip bypasses that check
+        # check raises when the view is built; one bit of the canonical
+        # x -> x^q image that the census reads makes the census fail
         real = fastscan._in_tower
         hit = []
 
@@ -149,34 +157,35 @@ class TestTowerCensus:
             scan.tower
         assert hit == [scan._frob]
         monkeypatch.undo()
-        tables = ascurve._census_tables(ascurve._ext_scan(2, 3, 6))
-        images = list(tables.y.map.images)
+        scan = ascurve._ext_scan(2, 3, 6)
+        images = list(scan._frob.images)
         images[5] ^= 1 << bit
-        monkeypatch.setattr(tables, "y", fastscan.ChunkMap(
-            fastscan.LinearMap(images), 8**5))
+        monkeypatch.setattr(scan, "_frob", fastscan.LinearMap(images))
         with pytest.raises(CheckFailed):
             curve_census(8)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_planted_frobenius_kernel_fails(self, monkeypatch, k):
-        # a kernel of x^q + x one vector short of F_q
+        # a kernel of x -> (x^q + x)^(q^3) + x^q + x one vector short
         real = ascurve.kernel
         monkeypatch.setattr(ascurve, "kernel",
                             lambda matrix, field: real(matrix, field)[1:])
-        with pytest.raises(CheckFailed, match=r"ker\(x\^q \+ x\) is not F_q"):
-            ascurve._CensusTables(ascurve._ext_scan(2, k, 6))
+        with pytest.raises(CheckFailed, match=r"does not have dimension 4k"):
+            curve_census(2**k)
 
-    def test_swept_map_is_one_to_one_onto_trace_zero(self):
-        # y = x^q + x on W against the canonical maps: 2^15 distinct y of
-        # trace 0 at q = 8, that is all of L_0
-        scan = ascurve._ext_scan(2, 3, 6)
-        tables = ascurve._census_tables(scan)
-        x = tables.basis(np.arange(tables.order, dtype=np.uint32))
-        y = scan.frob(x) ^ x
-        assert np.array_equal(scan.ops._tower.to_tower(y),
-                              tables.y(0, tables.order))
-        assert np.unique(y).size == tables.order == 8**5
-        assert not np.any(scan.trace(y))
+    def test_subfield_preimages_match_a_scalar_walk(self):
+        # the spans of the census's kernels against every x of F_{q^6} by
+        # the scalar Frobenius and subfield test, at q = 2 and 4
+        for k in (1, 2):
+            scan, q = ascurve._ext_scan(2, k, 6), 2**k
+            ext = scan.ext
+            for d, dim in ((3, 4 * k), (2, 2 * k)):
+                basis = [sum(b << i for i, b in enumerate(row))
+                         for row in ascurve._subfield_preimage(scan, d)]
+                span = set(fastscan._span(basis).tolist())
+                want = {x for x in range(ext.big.order) if in_subfield(
+                    FElt(ext.big, ext.frob_val(x) ^ x), ext, d)}
+                assert len(basis) == dim and span == want, (q, d)
 
     def test_form_counts_match_the_census(self):
         # the cubic form's N projective zeros give |S| = q + (q^2 - q) N
@@ -199,119 +208,130 @@ class TestTowerCensus:
         assert calls == [2, 4, 8, 16]
 
 
+def _index_bits(x, m):
+    return np.asarray(x, np.uint64)[:, None] >> np.arange(
+        m, dtype=np.uint64) & np.uint64(1)
+
+
+def _brute_character_sum(rows, diag):
+    # sum of (-1)^Q(x) over all x, with Q(x) from its definition
+    n, total = len(rows), 0
+    for x in range(1 << n):
+        bits = [i for i in range(n) if x >> i & 1]
+        qx = sum(diag[i] for i in bits) + sum(
+            rows[i] >> j & 1 for a, i in enumerate(bits) for j in bits[a + 1:])
+        total += (-1) ** qx
+    return total
+
+
+@st.composite
+def _binary_forms(draw):
+    n = draw(st.integers(0, 10))
+    pairs = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pairs[i * n + j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
 class TestTraceForm:
     @pytest.mark.parametrize("bits,total", [(6, 64), (14, 4096),
                                                 (20, 4 * fastscan.CHUNK)])
     def test_form_matches_its_gram(self, bits, total):
-        # a random symmetric Gram matrix: the chunk evaluation against the
-        # scalar one, and the scalar one against the form's definition
+        # a random symmetric Gram matrix: Q at 300 points below total, and
+        # at every e_i and e_i + e_j, against the form's definition
         rng = np.random.default_rng(bits)
         gram = rng.integers(0, 2**24, size=(bits, bits), dtype=np.uint32)
         gram = np.triu(gram) ^ np.triu(gram, 1).T
-        form = ascurve.QuadraticForm(gram, total)
-        assert form.size == min(total, fastscan.CHUNK)
-        for i in range(bits):
-            assert form.scalar(1 << i) == gram[i, i]
-            for j in range(i):
-                assert form.scalar(1 << i | 1 << j) == (gram[i, i] ^ gram[j, j]
-                                                        ^ gram[i, j])
-        for lo in range(0, total, 3 * fastscan.CHUNK):
-            got = form(lo, lo + form.size)
-            offsets = rng.integers(0, form.size, size=300).tolist()
-            assert [int(got[i]) for i in offsets] == [form.scalar(lo + i)
-                                                      for i in offsets]
-        with pytest.raises(CheckFailed, match="not aligned"):
-            form(0, form.size // 2)
+        points = rng.integers(0, total, size=300).tolist()
+        want = [functools.reduce(operator.xor, (
+            int(gram[i, j]) for i in range(bits) for j in range(i, bits)
+            if v >> i & v >> j & 1), 0) for v in points]
+        got = ascurve._form_values(gram, _index_bits(points, bits))
+        assert got.tolist() == want
+        pairs = [1 << i | 1 << j for i in range(bits) for j in range(i, bits)]
+        got = ascurve._form_values(gram, _index_bits(pairs, bits)).tolist()
+        assert got == [gram[i, i] if i == j else gram[i, i] ^ gram[j, j]
+                       ^ gram[i, j] for i in range(bits)
+                       for j in range(i, bits)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_binary_forms())
+    def test_character_sum_matches_brute_force(self, form):
+        rows, diag = form
+        assert ascurve._character_sum(rows, diag) == _brute_character_sum(
+            rows, diag)
+
+    def test_character_sum_reads_radical_and_arf(self):
+        # a hyperbolic plane with Arf 1 (x_0^2 + x_0 x_1 + x_1^2), then with
+        # a radical line where Q is 0 and where it is 1
+        assert ascurve._character_sum([2, 1], [1, 1]) == -2
+        assert ascurve._character_sum([2, 1, 0], [1, 1, 0]) == -4
+        assert ascurve._character_sum([2, 1, 0], [1, 1, 1]) == 0
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16])
     def test_form_is_the_right_side_trace(self, q):
         # Q(x) = Tr(x^(2q+1) + x^(q+2)) by scalar ffield arithmetic: every x
-        # of W at q = 2 and 4, 256 spread indices of its only chunk at q = 8
-        # and of chunk 3 at q = 16
+        # at q = 2, 256 spread x at q = 4, 8 and 16
         scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
-        tables = ascurve._census_tables(scan)
-        lo = 3 * fastscan.CHUNK if q == 16 else 0
-        size = tables.form.size
-        got = tables.form(lo, lo + size)
-        offsets = range(size) if q <= 4 else range(7, size, size // 256)
-        for i in offsets:
-            x = FElt(scan.ext.big, tables.basis.scalar(lo + i))
-            want = rel_trace(x ** (2 * q + 1) + x ** (q + 2), scan.ext)
-            assert int(got[i]) == want.val, (q, i)
+        big = scan.ext.big
+        xs = range(big.order) if q == 2 else range(7, big.order,
+                                                   big.order // 256)
+        got = ascurve._form_values(ascurve._trace_gram(scan),
+                                   _index_bits(list(xs), big.m))
+        for x, val in zip(xs, got.tolist()):
+            e = FElt(big, x)
+            assert val == rel_trace(e ** (2 * q + 1) + e ** (q + 2),
+                                    scan.ext).val, (q, x)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gram_matches_scalar_products(self, k):
         # every entry, not only those the sample sees through Q: e_i R(e_j)
         # by the scalar shift-and-xor on plain ints, then traced
         scan = ascurve._ext_scan(2, k, 6)
-        tables = ascurve._census_tables(scan)
         big = scan.ext.big
         f = sum(c << i for i, c in enumerate(big.modulus))
-        e = tables.basis.images
-        fx = f5 = scan.frob(np.array(e, dtype=np.uint32))
-        for _ in range(4):
-            f5 = scan.frob(f5)
-        re = scan.ops.square(fx ^ f5).tolist()
+        e = [1 << i for i in range(big.m)]
+        re = ascurve._r_map(scan, np.array(e, dtype=np.uint32)).tolist()
         prod = np.array([[fastscan._mulmod(a, b, f, big.m) for b in re]
                          for a in e], dtype=np.uint32)
         n = len(e)
         want = scan.trace((prod ^ prod.T).ravel()).reshape(n, n)
         np.fill_diagonal(want, scan.trace(prod.diagonal().copy()))
-        assert tables.form.gram.tolist() == want.tolist()
+        assert ascurve._trace_gram(scan).tolist() == want.tolist()
 
     def test_planted_gram_fails_its_build_check(self, monkeypatch):
-        class Planted(ascurve.QuadraticForm):
-            def __init__(self, gram, order):
-                gram[2, 3] ^= 1
-                gram[3, 2] ^= 1
-                super().__init__(gram, order)
-
-        monkeypatch.setattr(ascurve, "QuadraticForm", Planted)
+        # e_2 R(e_3) in the Gram's broadcast product off by a t^b of nonzero
+        # trace, so B(e_2, e_3) moves and the sampled Q sees it
         scan = ascurve._ext_scan(2, 2, 6)
+        bit = next(b for b in range(12)
+                   if scan.trace(np.array([1 << b], dtype=np.uint32))[0])
+
+        class Planted(fastscan.ClmulOps):
+            def mul(self, a, b):
+                r = super().mul(a, b)
+                if r.ndim == 2:
+                    r[2, 3] ^= np.uint64(1 << bit)
+                return r
+
+        monkeypatch.setattr(ascurve, "ClmulOps", Planted)
         with pytest.raises(fastscan.TableError, match="quadratic form"):
-            ascurve._trace_form(scan, scan.tower.tower.from_tower)
+            ascurve._trace_gram(scan)
 
-    def test_census_memory_stays_small(self, monkeypatch):
-        # the arrays the census caches at q = 16 beyond the scan's own (the
-        # tower view and maps, shared with the other sweeps), and its
-        # Workspace names: no more than before the form replaced products
-        scan = ascurve._ext_scan(2, 4, 6)
-        assert _array_bytes(ascurve._census_tables(scan),
-                            skip=scan) <= 128 * 1024
-        names = set()
-        get, arange = fastscan.Workspace.get, fastscan.Workspace.arange
-        monkeypatch.setattr(fastscan.Workspace, "get", lambda ws, name, *a:
-                            names.add(name) or get(ws, name, *a))
-        monkeypatch.setattr(fastscan.Workspace, "arange", lambda ws, name, *a:
-                            names.add(name) or arange(ws, name, *a))
-        curve_census(8)
-        assert names <= {"y", "form", "solvable", "cubic", "quadratic",
-                         "p_idx", "p_u", "p_sum0", "p_sum1", "p_sum2", "p_lb",
-                         "p_ta", "p_tb", "win0"}, names
-
-
-def _array_bytes(root, skip) -> int:
-    """Bytes of the numpy arrays reachable from root through instance
-    attributes, lists, tuples and dicts, leaving out those reachable from
-    skip."""
-    seen = set()
-
-    def walk(obj):
-        if id(obj) in seen:
-            return 0
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            return obj.nbytes
-        if isinstance(obj, dict):
-            obj = obj.values()
-        elif hasattr(obj, "__dict__"):
-            obj = vars(obj).values()
-        elif not isinstance(obj, (list, tuple)):
-            return 0
-        return sum(walk(o) for o in list(obj))
-
-    walk(skip)
-    return walk(root)
+    def test_census_memory_stays_small(self):
+        # one warm census at q = 16 allocates at most 256 KB at its peak,
+        # the size of one 2^16-element uint32 scratch array of a sweep
+        curve_census(16)
+        tracemalloc.start()
+        try:
+            curve_census(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
 
 
 class TestFibers:
@@ -333,8 +353,8 @@ class TestFibers:
             for xv in range(ext.big.order):
                 x = FElt(ext.big, xv)
                 xq = rel_frobenius(x, ext)
-                assert ascurve._right_side_val(ext, xv) == (x * xq
-                                                            * (xq + x)).val
+                assert ascurve._right_side(ext.big.mul_val, ext.frob_val,
+                                           xv) == (x * xq * (xq + x)).val
 
     def test_rel_frobenius(self):
         ext = make_ext(2, 2, 6)
@@ -348,35 +368,56 @@ class TestIdentityAndBounds:
             assert trace_identity_check(q) == q**6
 
     def test_trace_identity_is_a_scalar_certificate(self, monkeypatch):
-        # the difference of the sides is evaluated once at each e_i and
-        # e_i + e_j, i < j, of the m = 6k index bits, and no vector kernel
-        # runs: the census's Q check is the identity's other route
-        def refuse(*args, **kwargs):
-            raise AssertionError("the certificate called fastscan code")
+        # the difference of the sides is evaluated at each e_i and e_i + e_j,
+        # i <= j, of the m = 6k index bits: first one by one with no vector
+        # kernel, then, once ClmulOps is built, as one array with no scalar
+        # ffield product, Frobenius or trace
+        vector = []
 
+        def guard(real, in_vector):
+            def call(*args, **kwargs):
+                if bool(vector) != in_vector:
+                    raise AssertionError("a certificate left its arithmetic")
+                return real(*args, **kwargs)
+            return call
+
+        scans = {k: ascurve._ext_scan(2, k, 6) for k in (1, 2, 3, 4)}
         for cls in (fastscan.ExtScan, fastscan.Gf2Scan):
             for name, attr in list(vars(cls).items()):
                 if callable(attr):
-                    monkeypatch.setattr(cls, name, refuse)
-        for module in (fastscan, ascurve):
-            monkeypatch.setattr(module, "run_chunked", refuse)
-            monkeypatch.setattr(module, "ExtScan", refuse)
-        monkeypatch.setattr(ascurve, "_ext_scan", refuse)
-        seen = []
-        real = ascurve._right_side_val
+                    monkeypatch.setattr(cls, name, guard(attr, True))
+        for cls, name in ((fastscan.LinearMap, "__call__"),
+                          (fastscan.ClmulOps, "mul")):
+            monkeypatch.setattr(cls, name, guard(getattr(cls, name), True))
+        for cls in vars(ffield).values():
+            if isinstance(cls, type) and "mul_val" in vars(cls):
+                monkeypatch.setattr(cls, "mul_val", guard(cls.mul_val, False))
+        for name in ("frob_val", "trace_val"):
+            monkeypatch.setattr(ffield.ExtDesc, name, guard(
+                getattr(ffield.ExtDesc, name), False))
+        real_ops = ascurve.ClmulOps
+        monkeypatch.setattr(ascurve, "ClmulOps", lambda field: (
+            vector.append(field) or real_ops(field)))
+        seen = {False: [], True: []}
+        real = ascurve._right_side
 
-        def spy(ext, v):
-            seen.append(v)
-            return real(ext, v)
+        def spy(mul, frob, v):
+            seen[bool(vector)].append(v)
+            return real(mul, frob, v)
 
-        monkeypatch.setattr(ascurve, "_right_side_val", spy)
+        monkeypatch.setattr(ascurve, "_right_side", spy)
         for k, points in ((1, 21), (2, 78), (3, 171), (4, 300)):
-            seen.clear()
+            vector.clear()
+            seen[False].clear()
+            seen[True].clear()
             q, m = 2**k, 6 * k
             assert trace_identity_check(q) == q**6
-            assert len(seen) == points == m * (m + 1) // 2
-            assert set(seen) == {1 << i | 1 << j
-                                 for i in range(m) for j in range(i, m)}
+            want = {1 << i | 1 << j for i in range(m) for j in range(i, m)}
+            assert len(seen[False]) == points == len(want)
+            assert set(seen[False]) == want
+            (arr,) = seen[True]
+            assert sorted(arr.tolist()) == sorted(want)
+            assert vector == [scans[k].ext.big]
 
     def test_genus(self):
         assert [genus_of(q) for q in (2, 4, 8, 16)] == [2, 12, 56, 240]
@@ -432,88 +473,87 @@ class TestCrossModule:
 # Plants for the curve check: each takes a setattr (monkeypatch.setattr),
 # breaks one part of it, and maps each q to the error it must report.
 
-def _first_read_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
-    # the exp entry at the log sum log y0 + log y1 + log(y0 + y1) of the
-    # first index whose swept y = x^q + x has three nonzero halves (indices
-    # 8, 32 and 128, entries 10, 38 and 670 at q = 2, 4 and 8): the census's
-    # cube_hi reads it, and it holds a unit, not the zero tail
-    tables = ascurve._census_tables(ascurve._ext_scan(2, q.bit_length() - 1,
-                                                      6))
-    tower = tables.view.tower
-    y = tables.y(0, tables.y.size)
-    sums = sum(tower.logs(y))
-    zero = int(tower.log[0])  # the log of 0, above every sum of unit logs
-    return tower, int(sums[np.argmax(sums < zero)])
-
-
-def _flipped_exp_entry(patch):
-    # bit 0 of a subfield exp entry that the census reads, in the table
-    # that Gf2Scan's products and the tower view share, after the view's
-    # sample check: Tr(y^3) changes by Tr(1) = 1 there, Q(x) does not
-    for q in (2, 4, 8):
-        tower, entry = _first_read_exp_entry(q)
-        exp = tower.exp.copy()
-        exp[entry] ^= 1
-        patch(tower, "exp", exp)
-
-
 def _flipped_gram_entry(patch):
-    # G[0, 1] = G[1, 0] = B(e_0, e_1) off by 1, after the build check:
-    # Q(x) changes by 1 wherever index bits 0 and 1 are both set
-    for k in (1, 2, 3):
-        tables = ascurve._census_tables(ascurve._ext_scan(2, k, 6))
-        gram = tables.form.gram.copy()
+    # the element 1 of K xored into B(e_0, e_1) = B(e_1, e_0), after the
+    # Gram's build check: Q(x) moves by x_0 x_1 for every functional s with
+    # s(1) = 1
+    real = ascurve._trace_gram
+
+    def planted(scan):
+        gram = real(scan)
         gram[0, 1] ^= 1
         gram[1, 0] ^= 1
-        patch(tables, "form", ascurve.QuadraticForm(gram, 2 ** (5 * k)))
+        return gram
+
+    patch(ascurve, "_trace_gram", planted)
 
 
-def _flipped_w_map_image(patch):
-    # bit 0 of the swept y's image of W's first basis vector, after build:
-    # y moves by 1, in F_q, which the cross-check cannot see, since
-    # Tr((y + 1)^3) = Tr(y^3) when Tr(y) = 0
+def _flipped_frobenius_image(patch):
+    # x^q of the index bit 1 off by 1, in the map the census reads for R
+    # and for its subfield preimages (the scan's own tables are not rebuilt)
     for k in (1, 2, 3):
-        tables = ascurve._census_tables(ascurve._ext_scan(2, k, 6))
-        images = list(tables.y.map.images)
-        images[0] ^= 1
-        patch(tables, "y", fastscan.ChunkMap(fastscan.LinearMap(images),
-                                             tables.order))
+        scan = ascurve._ext_scan(2, k, 6)
+        images = list(scan._frob.images)
+        images[1] ^= 1
+        patch(scan, "_frob", fastscan.LinearMap(images))
 
 
-def _stray_cube_term(patch):
-    # x^3 added to the certificate's right side: the difference of the
+def _dropped_arf_sign(patch):
+    # every character sum taken as +2^((n + w)/2): visible only where some
+    # Arf invariant is 1, at q = 4 and 16 (2 of 3 and 10 of 15 functionals)
+    # and not at q = 2 and 8, where every one is 0
+    real = ascurve._character_sum
+    patch(ascurve, "_character_sum", lambda rows, diag: abs(real(rows, diag)))
+
+
+def _flipped_arf_sign(patch):
+    # every character sum with the opposite sign, as from a wrong Arf bit
+    real = ascurve._character_sum
+    patch(ascurve, "_character_sum", lambda rows, diag: -real(rows, diag))
+
+
+def _stray_cube_term(vector: bool):
+    # x^3 added to one certificate's right side: the difference of the
     # sides becomes Tr(x^3), still a quadratic form, nonzero at some e_i
-    # or e_i + e_j
-    real = ascurve._right_side_val
+    # or e_i + e_j; the scalar certificate takes ints, the vector one arrays
+    def plant(patch):
+        real = ascurve._right_side
 
-    def planted(ext, v):
-        mul = ext.big.mul_val
-        return real(ext, v) ^ mul(v, mul(v, v))
+        def planted(mul, frob, v):
+            out = real(mul, frob, v)
+            if isinstance(v, np.ndarray) != vector:
+                return out
+            return out ^ mul(v, mul(v, v))
 
-    patch(ascurve, "_right_side_val", planted)
+        patch(ascurve, "_right_side", planted)
+
+    return plant
 
 
 _QS = (2, 4, 8)
+_COUNTS = "curve counts differ from the cubic form"
 
 CURVE_PLANTS = {
-    "tower-exp-entry": (
-        _flipped_exp_entry,
-        dict.fromkeys(_QS, "solvability differs from the trace identity")),
-    "qform-gram-entry": (
+    "arf-gram-entry": (
         _flipped_gram_entry,
-        dict.fromkeys(_QS, "solvability differs from the trace identity")),
-    "w-map-image": (
-        _flipped_w_map_image,
-        dict.fromkeys(_QS, "swept x -> x^q differs from the scalar Frobenius")),
+        dict.fromkeys(_QS, "Q does not vanish where x^q + x lies in F_{q^3}")),
+    "frobenius-image": (
+        _flipped_frobenius_image,
+        dict.fromkeys(_QS, "Q does not vanish where x^q + x lies in F_{q^3}")),
+    "arf-sign": (_dropped_arf_sign, dict.fromkeys((4, 16), _COUNTS)),
+    "arf-sign-flipped": (_flipped_arf_sign, dict.fromkeys(_QS, _COUNTS)),
     "certificate-cube-term": (
-        _stray_cube_term,
+        _stray_cube_term(False),
         dict.fromkeys(_QS, "Tr identity fails at a polarization point")),
+    "vector-certificate-cube-term": (
+        _stray_cube_term(True),
+        dict.fromkeys(_QS, "Tr identity fails at a polarization point in "
+                      "ClmulOps")),
     # the count route: at q = 4 the form still vanishes on the line, and
     # only its total moves
     "cubic-form-coefficient": (
         _flipped_form_coefficient,
-        {2: _OFF_LINE, 4: "curve counts differ from the cubic form",
-         8: _OFF_LINE}),
+        {2: _OFF_LINE, 4: _COUNTS, 8: _OFF_LINE}),
 }
 
 

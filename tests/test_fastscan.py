@@ -148,7 +148,7 @@ def test_scans_independent_of_thread_count():
     count = [count_joubert_generators(8, threads=t) for t in (1, 2)]
     assert count[0] == count[1]
     assert count[0].count == 4032
-    # q = 16: 16 chunks of the curve's sweep, one at q = 8
+    # the curve census takes threads and sweeps nothing
     assert curve_census(16, threads=1) == curve_census(16, threads=2)
 
 
@@ -294,9 +294,9 @@ def test_chunk_map_matches_the_window_gather(bits, total, whole_rows):
         want = lm(vals)
         assert np.array_equal(cm.zeros(lo, hi), want == 0)
         assert np.array_equal(cm(lo, hi), want)
-        offsets = (0, 1, (hi - lo) // 2, hi - lo - 1)
-        assert [cm.at(lo + i) for i in offsets] == [int(want[i])
-                                                    for i in offsets]
+        got, offsets = cm(lo, hi), (0, 1, (hi - lo) // 2, hi - lo - 1)
+        assert [int(got[i]) for i in offsets] == [int(want[i])
+                                                  for i in offsets]
     with pytest.raises(CheckFailed, match="not aligned"):
         cm(starts[-1] + 1, total)
     with pytest.raises(CheckFailed, match="not aligned"):
