@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TableError, require
-from .fastscan import ClmulOps, ExtScan, _sample
+from .fastscan import ClmulOps, ExtScan, _form_values, _sample
 from .ffield import make_ext
 from .gflinalg import kernel, rref
 from .jsearch import _Bits, _ext_scan, _require_pow2, _require_vector_q
@@ -105,15 +105,6 @@ def _r_map(scan: ExtScan, x: np.ndarray) -> np.ndarray:
     for _ in range(4):
         f5 = scan.frob(f5)
     return scan.ops.square(fx ^ f5)
-
-
-def _form_values(gram: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Q at the points whose index bits are the 0/1 rows of bits: the xor
-    of gram[i, j] over their set bits i <= j, one row i at a time."""
-    out, upper = 0, np.triu(gram)
-    for i, row in enumerate(upper):
-        out ^= bits[:, i] * np.bitwise_xor.reduce(bits * row, axis=1)
-    return out
 
 
 def _trace_gram(scan: ExtScan) -> np.ndarray:

@@ -12,10 +12,12 @@ form C(v) = sum c_ij v_i^2 v_j over K, evaluated on all of P^3(K) with a
 product table of K, and `jsearch`'s L_0 sweep, the vector count of
 generators y in L_0 with Tr(y^3) = 0, which is q(q-1) per generator point
 since each class has exactly that many affine representatives.  The form's
-line of F_{q^3}-classes comes from linear algebra over K.  The form's
-arithmetic is `ffield`'s scalar products and traces and `gflinalg`; the
-sweep's is the `fastscan` tower and its carry-less audit, so the two routes
-share no arithmetic.
+line of F_{q^3}-classes, and its smoothness, come from linear algebra over
+K, and its count must have the Weil shape of a smooth cubic surface.  The
+form's arithmetic is `ffield`'s scalar products and traces and `gflinalg`;
+the sweep's is the `fastscan` tower, at the Gram points of Tr(y^3) over
+F_2 and at the audited y, with xor span tables in between, and its own
+carry-less audit, so the two routes share no arithmetic.
 """
 
 from __future__ import annotations
@@ -110,6 +112,30 @@ def _form_values(coeffs, mul: np.ndarray, k: int, v) -> np.ndarray:
     return acc
 
 
+def _is_smooth(frame: QuotientFrame) -> bool:
+    """Whether C = 0 has no singular point over the algebraic closure of K.
+    In characteristic 2, dC/dv_l = sum_i c_il v_i^2, and Euler's formula
+    C = sum_l v_l dC/dv_l puts every common zero of the partials on C.
+    Squaring is a bijection, so a singular point is a nonzero kernel vector
+    (v_i^2) of the 4x4 matrix (c_il) over K, and det(c_il) != 0 is
+    smoothness: expanded along the first row, with no signs in
+    characteristic 2 and no inversion."""
+    ext = frame.ext
+    k_vals, mul = ext.k_elements(), ext.big.mul_val
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = 0
+        for j, a in enumerate(rows[0]):
+            if a:
+                acc ^= mul(a, det([r[:j] + r[j + 1:] for r in rows[1:]]))
+        return acc
+
+    return det([[k_vals[c] for c in row]
+                for row in _form_coefficients(frame)]) != 0
+
+
 def _subfield_kernel(frame: QuotientFrame, d: int) -> list[list[int]]:
     """K-basis of the v in K^4 whose y = sum v_i b_i lies in F_{q^d}: the
     kernel of
@@ -159,19 +185,26 @@ def surface_census(q: int, budget: int | None = None,
                    threads: int = 1) -> SurfaceCensus:
     """Count the surface's K-points and classify them.
 
-    The cubic form gives the total and places the q + 1 points of the
-    F_{q^3}-line by linear algebra, so every other point is a generator
-    point.  The count must meet the Manin floor, and the L_0 sweep's
-    generator count, the second route, must be q^2 - q per generator point
-    at every q.
+    The surface must be smooth (`_is_smooth`).  The cubic form gives the
+    total N and places the q + 1 points of the F_{q^3}-line by linear
+    algebra, so every other point is a generator point.  A smooth cubic
+    surface has N = q^2 + t q + 1 with t, the trace of Frobenius on its
+    Picard group, in [-2, 7] (Manin, Cubic Forms; Swinnerton-Dyer, 1967),
+    which implies the Manin floor q^2 - 7q + 1.  The L_0 sweep's generator
+    count, the second route, must then be q^2 - q per generator point at
+    every q.
     """
     _require_vector_q(q)
     frame = build_frame(q, budget)
+    require(_is_smooth(frame), "the trace cubic surface is singular")
     total = _form_total(frame)
+    t, rest = divmod(total - q * q - 1, q)
+    require(rest == 0, "q does not divide N - 1 for the surface count N")
+    require(-2 <= t <= 7, "the surface count N = q^2 + t q + 1 has t "
+            "outside [-2, 7]")
     on_line = q + 1
     generator_points = total - on_line
     manin_floor = q * q - 7 * q + 1
-    require(total >= manin_floor, "surface count is below the Manin floor")
 
     # the L_0 sweep, which also requires the q^3 elements of F_{q^3} in S
     count = jsearch.count_joubert_generators(q, budget=budget,

@@ -15,16 +15,18 @@ table gathers:
   riding in the log sum; one window map brings the result back.  Odd m
   has no such tower and is rejected.  `ClmulOps` is the reference every
   table is derived from and checked against.
-- A scan that only counts can stay in tower coordinates throughout:
-  `ExtScan.tower`, built on first use, composes the relative Frobenius
+- `ExtScan.tower`, built on first use, composes the relative Frobenius
   and the trace with the maps of the scan's own tower, and `Tower` takes a
   cube's w-half from the logs of the halves, with no map in or out.
 - On the aligned ranges of `run_chunked` a linear map costs no gather at
   all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), and L on
   [0, CHUNK) is a broadcast xor of its tables on the low WINDOW bits of i
-  and on the rest (`ChunkMap`).  A sweep of a subspace such as
-  L_0 = ker Tr indexes it by basis images this way, with its subfield
-  tests on the same index (`SubfieldTests`).
+  and on the rest (`ChunkMap`).  An F_2-quadratic form costs one xor more:
+  Q(lo + i) = Q(lo) xor Q(i) xor B(lo, i), with Q on [0, CHUNK) one table
+  and B(lo, .) a ChunkMap (`ChunkForm`, from the Gram matrix that
+  `_form_values` evaluates).  The sweep of L_0 = ker Tr reads Tr(y^3) so,
+  a form whose Gram matrix the tower gives at a few points, with its
+  subfield tests on the same index (`SubfieldTests`).
 
 Independence: every table comes from the field's modulus alone, through
 `ClmulOps` and set-up steps on plain ints, so the vector layer builds
@@ -195,24 +197,76 @@ class ChunkMap:
         self.low, self.high = (_span(lm.images[i:j])
                                for i, j in ((0, cut), (cut, bits)))
 
-    def _apply(self, op, lo: int, hi: int, out) -> np.ndarray:
+    def _apply(self, op, lo: int, hi: int, out, fold: int = 0
+               ) -> np.ndarray:
         n = hi - lo
         cols = min(n, self.low.size)
         require(lo % CHUNK == 0 and 0 < n <= self.size and n % cols == 0,
                 "range is not aligned to the chunk table")
-        high = self.high[:n // cols, None] ^ np.uint32(self.map.scalar(lo))
+        high = self.high[:n // cols, None] ^ np.uint32(
+            self.map.scalar(lo) ^ fold)
         return op(high, self.low[:cols], out=None if out is None else
                   out.reshape(-1, cols)).reshape(n)
 
-    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """L(v) for v in [lo, hi)."""
-        return self._apply(np.bitwise_xor, lo, hi, out)
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None,
+                 fold: int = 0) -> np.ndarray:
+        """L(v) xor fold for v in [lo, hi)."""
+        return self._apply(np.bitwise_xor, lo, hi, out, fold)
 
     def zeros(self, lo: int, hi: int, out: np.ndarray | None = None
               ) -> np.ndarray:
         """Whether L(v) = 0, for v in [lo, hi): the two tables agree."""
         return self._apply(np.equal, lo, hi, out)
+
+
+def _form_values(gram: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The F_2-quadratic form Q of the Gram matrix gram, B(e_i, e_j) above
+    the diagonal and Q(e_i) on it, at the points whose index bits are the
+    0/1 rows of bits: the xor of gram[i, j] over their set bits i <= j, one
+    row i at a time."""
+    out, upper = 0, np.triu(gram)
+    for i, row in enumerate(upper):
+        out ^= bits[:, i] * np.bitwise_xor.reduce(bits * row, axis=1)
+    return out
+
+
+class ChunkForm:
+    """An F_2-quadratic form Q on the aligned ranges of run_chunked, from
+    its Gram matrix (the `_form_values` convention; the upper triangle is
+    read).
+
+    lo + i = lo xor i on disjoint bits, so Q(lo + i) = Q(lo) xor Q(i) xor
+    B(lo, i).  Q on [0, CHUNK) is one table, built by doubling; B(lo, .) is
+    linear, a `ChunkMap` with Q(lo) folded into its high table, so a range
+    costs one broadcast xor and one xor, and no gather.
+    """
+
+    def __init__(self, gram: np.ndarray, order: int):
+        self.gram = upper = np.triu(np.asarray(gram, dtype=np.uint32))
+        self.size = min(order, CHUNK)
+        bits = (self.size - 1).bit_length()
+        # Q(x xor e_j) = Q(x) xor Q(e_j) xor B(x, e_j) for x < 2^j
+        table = np.zeros(1, dtype=np.uint32)
+        for j in range(bits):
+            table = np.concatenate(
+                [table, table ^ _span(upper[:j, j]) ^ upper[j, j]])
+        self.table = table
+        # per range: Q(lo), and B(lo, e_i) for the bits i below CHUNK, read
+        # at rows i and the set bits of lo above them
+        starts = np.arange(0, order, CHUNK, dtype=np.uint64)
+        lo_bits = starts[:, None] >> np.arange(len(upper), dtype=np.uint64)
+        lo_bits &= np.uint64(1)
+        self._at_lo = _form_values(upper, lo_bits).tolist()
+        self._polar = np.bitwise_xor.reduce(
+            lo_bits[:, None, :] * upper[None, :bits, :], axis=2).tolist()
+
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Q(v) for v in [lo, hi)."""
+        c = lo // CHUNK
+        polar = ChunkMap(LinearMap(self._polar[c]), self.size)
+        out = polar(lo, hi, out=out, fold=self._at_lo[c])
+        return np.bitwise_xor(out, self.table[:hi - lo], out=out)
 
 
 # -- set-up arithmetic on plain ints: shift-and-xor with reduction by the

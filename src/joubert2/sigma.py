@@ -58,15 +58,17 @@ def sigma_profile(y: FElt, ext: ExtDesc) -> SigmaProfile:
     return SigmaProfile(ext, tuple(sig))
 
 
-def _poly_from_roots(ops: TableOps | ClmulOps, roots) -> list:
+def _poly_from_roots(ops: TableOps | ClmulOps, roots) -> np.ndarray:
     """fpoly.poly_from_roots on one array per coefficient: the coefficient
-    arrays, low first, of the product of t - r over the root arrays."""
-    c = [np.ones_like(roots[0])]
+    arrays, low first, of the product of t - r over the root arrays, as the
+    rows of one array.  Each root takes one broadcast product over the
+    stacked coefficients: c'_0 = -r c_0, c'_i = c_{i-1} - r c_i, and the
+    leading 1 moves up."""
+    c = np.ones_like(roots[0])[None]
     for r in roots:
-        c.append(c[-1])
-        for i in range(len(c) - 2, 0, -1):
-            c[i] = ops.sub(c[i - 1], ops.mul(r, c[i]))
-        c[0] = ops.neg(ops.mul(r, c[0]))
+        rc = ops.mul(r, c)
+        c = np.concatenate([ops.neg(rc[:1]), ops.sub(c[:-1], rc[1:]),
+                            c[-1:]])
     return c
 
 
@@ -115,20 +117,24 @@ _clmul_ops = functools.lru_cache(maxsize=None)(ClmulOps)
 
 def joubert_mask(vals, ext: ExtDesc) -> np.ndarray:
     """`is_joubert` of many packed values of a characteristic-2 big field
-    with m + 1 <= 64, as one bool array, on `fastscan.ClmulOps` products:
-    the n conjugates y^(q^i) by k squarings each (y^(q^n) = y required),
-    the generator test y^(q^(n/r)) != y for each prime r dividing n, and
-    a_{n-1} = a_{n-3} = 0 in the product of the t - y^(q^i)."""
+    with m + 1 <= 64, as one bool array, on `fastscan.ClmulOps` products.
+    x -> x^q is F_2-linear: the images of the bits t^j, by k squarings of
+    one array in each call, give the n conjugates y^(q^i) as xors of images
+    over y's set bits (y^(q^n) = y required).  Then the generator test
+    y^(q^(n/r)) != y for each prime r dividing n, and a_{n-1} = a_{n-3} = 0
+    in the product of the t - y^(q^i)."""
     n = ext.n
     if n < 3:
         raise DomainError(f"need extension degree >= 3, got {n}")
     ops = _clmul_ops(ext.big)
+    bits = np.arange(ops.m, dtype=np.uint64)
+    img = np.uint64(1) << bits
+    for _ in range(ext.base_deg):
+        img = ops.mul(img, img)
     roots = [np.asarray(vals, dtype=np.uint64)]
     for _ in range(n):
-        x = roots[-1]
-        for _ in range(ext.base_deg):
-            x = ops.mul(x, x)
-        roots.append(x)
+        x = roots[-1][:, None] >> bits & np.uint64(1)
+        roots.append(np.bitwise_xor.reduce(x * img, axis=1))
     require(np.array_equal(roots.pop(), roots[0]),
             "an audited y is not fixed by x -> x^(q^n)")
     c = _poly_from_roots(ops, roots)

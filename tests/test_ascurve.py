@@ -115,9 +115,13 @@ class TestTowerCensus:
     """The census against the tower of subfields of F_{q^6} and against the
     Tower census of L_0 that the generator count sweeps."""
 
-    def test_tower_path_runs_at_small_q(self, monkeypatch):
-        # the L_0 sweep cubes through the Tower in one chunk at q = 2 and 4,
-        # in K = GF(2^(3k)), and its count gives the census's good points
+    @pytest.mark.parametrize("q,k", [(2, 1), (4, 2), (16, 4)])
+    def test_tower_cubes_once_per_gram_and_once_per_audit(self, monkeypatch,
+                                                         q, k):
+        # the L_0 sweep cubes through the Tower in K = GF(2^(3k)) once when
+        # its Gram matrix is built and once for the audited y, never per
+        # chunk (16 chunks at q = 16); its count gives the census's good
+        # points
         calls = []
         real = fastscan.Tower.cube_hi
 
@@ -125,14 +129,16 @@ class TestTowerCensus:
             calls.append(self.h)
             return real(self, *args, **kwargs)
 
-        for q, k in ((2, 1), (4, 2)):
-            jsearch._l0_tables(ascurve._ext_scan(2, k, 6))  # built, checked
-            monkeypatch.setattr(fastscan.Tower, "cube_hi", spy)
-            calls.clear()
-            count = count_joubert_generators(q).count
-            assert calls == [3 * k]
-            assert curve_census(q).good_points == q * q * count
-            monkeypatch.undo()
+        scan = ascurve._ext_scan(2, k, 6)
+        scan.tower  # built and checked on the seeded sample
+        monkeypatch.setattr(fastscan.Tower, "cube_hi", spy)
+        tables = jsearch._L0Tables(scan)
+        assert calls == [3 * k]
+        monkeypatch.setattr(jsearch, "_l0_tables", lambda scan: tables)
+        calls.clear()
+        count = count_joubert_generators(q).count
+        assert calls == [3 * k]
+        assert curve_census(q).good_points == q * q * count
 
     @pytest.mark.parametrize("bit", [0, 17])
     def test_flipped_frobenius_bit_fails(self, monkeypatch, bit):
@@ -250,10 +256,10 @@ class TestTraceForm:
         want = [functools.reduce(operator.xor, (
             int(gram[i, j]) for i in range(bits) for j in range(i, bits)
             if v >> i & v >> j & 1), 0) for v in points]
-        got = ascurve._form_values(gram, _index_bits(points, bits))
+        got = fastscan._form_values(gram, _index_bits(points, bits))
         assert got.tolist() == want
         pairs = [1 << i | 1 << j for i in range(bits) for j in range(i, bits)]
-        got = ascurve._form_values(gram, _index_bits(pairs, bits)).tolist()
+        got = fastscan._form_values(gram, _index_bits(pairs, bits)).tolist()
         assert got == [gram[i, i] if i == j else gram[i, i] ^ gram[j, j]
                        ^ gram[i, j] for i in range(bits)
                        for j in range(i, bits)]
@@ -280,8 +286,8 @@ class TestTraceForm:
         big = scan.ext.big
         xs = range(big.order) if q == 2 else range(7, big.order,
                                                    big.order // 256)
-        got = ascurve._form_values(ascurve._trace_gram(scan),
-                                   _index_bits(list(xs), big.m))
+        got = fastscan._form_values(ascurve._trace_gram(scan),
+                                    _index_bits(list(xs), big.m))
         for x, val in zip(xs, got.tolist()):
             e = FElt(big, x)
             assert val == rel_trace(e ** (2 * q + 1) + e ** (q + 2),

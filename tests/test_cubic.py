@@ -116,6 +116,10 @@ def test_census_totals(q, total):
     assert c.total == c.on_line + c.generator_points
     assert c.total >= c.manin_floor
     assert c.affine_zero_count == total * (q * q - q) + q
+    # a smooth surface; observed, not proved here: N = q^2 + t q + 1 with
+    # t = 2 for odd k and t = 0 for even k (q = 2^k)
+    assert cubic._is_smooth(build_frame(q))
+    assert total == q * q + {2: 2, 4: 0, 8: 2, 16: 0}[q] * q + 1
 
 
 def test_census_matches_generator_count():
@@ -229,12 +233,37 @@ def test_surface_check_runs_two_routes_once(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_form_total_is_checked_by_the_sweep(monkeypatch, q):
-    # a form total one point high is caught by the L_0 sweep's element count
+    # a form total q points high, still of the Weil shape q^2 + t q + 1 with
+    # t in [-2, 7], is caught by the L_0 sweep's element count
     real = cubic._form_total
-    monkeypatch.setattr(cubic, "_form_total", lambda frame: real(frame) + 1)
+    monkeypatch.setattr(cubic, "_form_total", lambda frame: real(frame) + q)
     with pytest.raises(CheckFailed,
                        match="^class count and element count disagree$"):
         surface_census(q)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_singular_form_fails(monkeypatch, q):
+    # all c_ij = 0 in one row: (c_il) has a nonzero kernel
+    real = cubic._form_coefficients
+
+    def singular(frame):
+        coeffs = real(frame)
+        coeffs[2] = [0] * 4
+        return coeffs
+
+    monkeypatch.setattr(cubic, "_form_coefficients", singular)
+    assert not cubic._is_smooth(build_frame(q))
+    with pytest.raises(CheckFailed,
+                       match="^the trace cubic surface is singular$"):
+        surface_census(q)
+
+
+def test_surface_count_outside_the_weil_shape_fails(monkeypatch):
+    # N = q^2 + 8q + 1 at q = 4 is 1 mod q, but t = 8 > 7
+    monkeypatch.setattr(cubic, "_form_total", lambda frame: 16 + 32 + 1)
+    with pytest.raises(CheckFailed, match=r"has t outside \[-2, 7\]$"):
+        surface_census(4)
 
 
 def test_census_thread_independent():
@@ -261,28 +290,40 @@ def test_manin_floor_binding_at_16():
 # must report.
 
 
-def _first_swept_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
-    # the exp entry at 3 log y1 + log(1 + c) of the first swept y outside
-    # F_{q^3}, the tower's subfield, so y1 != 0 (entries 12, 189 and 803 at
-    # q = 2, 4 and 8): the sweep's cube_hi reads it for every swept y with
-    # that y1, and it holds a unit, not the zero tail
+def _gram_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
+    # the exp entry at 3 log y1 + log(1 + c) of the first Gram point outside
+    # F_{q^3}, the tower's subfield, so y1 != 0 (entries 12, 189, 803 and
+    # 10384 at q = 2, 4, 8 and 16): the L_0 tables' Gram build reads it at
+    # that point, and it holds a unit, not the zero tail
     tables = _l0_tables(_ext_scan(2, q.bit_length() - 1, 6))
     tower = tables.view.tower
-    log_y1 = tower.logs(tables.sweep(0, tables.sweep.size))[1]
+    log_y1 = tower.logs(np.array(tables.to_tower.images, dtype=np.uint32))[1]
     zero = int(tower.log[0])  # the log of 0, above every unit's log
     return tower, 3 * int(log_y1[np.argmax(log_y1 < zero)]) + tower.c1_log
 
 
 def _flipped_exp_entry(patch):
-    # bit 0 of that entry, after the tower view's sample check: Tr(y^3)
-    # changes by Tr_K(1) = 1 for every swept y that reads it, which moves
-    # the count; the scalar audit meets one of them at q = 2 and 4, and at
-    # q = 8 only the sweep's count moves away from the form's total
-    for q in (2, 4, 8):
-        tower, entry = _first_swept_exp_entry(q)
+    # bit 0 of that entry, after the tower view's sample check, with the
+    # L_0 tables rebuilt under it: Tr(y^3) changes by Tr_K(1) = 1 at every
+    # Gram point that reads it, so the swept form is no longer Tr(y^3).
+    # The scalar audit meets a wrong kept y at q = 2, the Tower check of the
+    # audited y fails at q = 4, and F_{q^3} leaves the zeros at q = 8, 16
+    for q in (2, 4, 8, 16):
+        tower, entry = _gram_exp_entry(q)
         exp = tower.exp.copy()
         exp[entry] ^= 1
         patch(tower, "exp", exp)
+    patch(jsearch, "_l0_tables", jsearch._L0Tables)
+
+
+def _flipped_gram_entry(patch):
+    # 1 in K xored into B(e_0, e_1) of the built Gram matrix: the swept
+    # form gains x_0 x_1, which is nonzero on part of F_{q^3}
+    for q in (2, 4, 8, 16):
+        tables = _l0_tables(_ext_scan(2, q.bit_length() - 1, 6))
+        gram = tables.form.gram.copy()
+        gram[0, 1] ^= 1
+        patch(tables, "form", fastscan.ChunkForm(gram, tables.order))
 
 
 def _flipped_audit_modulus_bit(patch):
@@ -292,6 +333,12 @@ def _flipped_audit_modulus_bit(patch):
     for q in (2, 4, 8):
         ops = sigma._clmul_ops(_ext_scan(2, q.bit_length() - 1, 6).ext.big)
         patch(ops, "f", ops.f ^ np.uint64(2))
+
+
+def _form_total_plus_one(patch):
+    # the form's total one point high: N - 1 is then 0 mod q no more
+    real = cubic._form_total
+    patch(cubic, "_form_total", lambda frame: real(frame) + 1)
 
 
 def _flipped_form_coefficient(patch):
@@ -325,13 +372,17 @@ def _flipped_k_product(patch):
 
 
 _OFF_LINE = "cubic form does not vanish on the F_{q^3}-line"
+_CUBIC_ZERO = "an element of F_{q^3} has Tr(y^3) != 0"
 
 SURFACE_PLANTS = {
     "sweep-tower-exp-entry": (
         _flipped_exp_entry,
         {2: "is_joubert disagrees on kept element 20",
-         4: "is_joubert disagrees on kept element 2",
-         8: "class count and element count disagree"}),
+         4: "TableError: the Gram matrix of Tr(y^3) disagrees with the Tower "
+            "at an audited y",
+         8: _CUBIC_ZERO, 16: _CUBIC_ZERO}),
+    "sweep-gram-entry": (
+        _flipped_gram_entry, dict.fromkeys((2, 4, 8, 16), _CUBIC_ZERO)),
     "audit-kernel-modulus-bit": (
         _flipped_audit_modulus_bit,
         dict.fromkeys((2, 4, 8), "an audited y is not fixed by x -> x^(q^n)")),
@@ -343,6 +394,9 @@ SURFACE_PLANTS = {
         _flipped_k_product,
         {2: "class count and element count disagree", 4: _OFF_LINE,
          8: _OFF_LINE, 16: _OFF_LINE}),
+    "form-total-plus-one": (
+        _form_total_plus_one, dict.fromkeys(
+            (2, 4, 8, 16), "q does not divide N - 1 for the surface count N")),
 }
 
 

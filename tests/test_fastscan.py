@@ -11,8 +11,8 @@ import pytest
 from joubert2 import checks, fastscan, ffield, jsearch
 from joubert2.ascurve import curve_census
 from joubert2.errors import CheckFailed, DomainError
-from joubert2.fastscan import (CHUNK, ChunkMap, ClmulOps, ExtScan, Gf2Scan,
-                               LinearMap)
+from joubert2.fastscan import (CHUNK, ChunkForm, ChunkMap, ClmulOps, ExtScan,
+                               Gf2Scan, LinearMap)
 from joubert2.ffield import make_ext, make_field
 from joubert2.jsearch import count_joubert_generators
 
@@ -306,6 +306,29 @@ def test_chunk_map_matches_the_window_gather(bits, total, whole_rows):
             cm(0, 4097)
 
 
+@pytest.mark.parametrize("bits,total", [
+    (18, 3 * CHUNK + 1000),  # a partial last chunk
+    (20, 4 * CHUNK),
+    (10, 1000)])  # order below CHUNK: one short chunk
+def test_chunk_form_matches_its_gram(bits, total):
+    # a random Gram matrix, lower triangle included, which the form must
+    # not read: every value of three chunks against the Gram's evaluator
+    rng = np.random.default_rng(bits)
+    gram = rng.integers(0, 2**24, size=(bits, bits), dtype=np.uint32)
+    form = ChunkForm(gram, total)
+    starts = sorted({0, (total // CHUNK // 2) * CHUNK,
+                     (total - 1) // CHUNK * CHUNK})
+    for lo in starts:
+        hi = min(lo + CHUNK, total)
+        index = np.arange(lo, hi, dtype=np.uint64)
+        want = fastscan._form_values(
+            np.triu(gram), index[:, None] >> np.arange(bits, dtype=np.uint64)
+            & np.uint64(1))
+        assert np.array_equal(form(lo, hi), want)
+    with pytest.raises(CheckFailed, match="not aligned"):
+        form(starts[-1] + 1, total)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_l0_tables_match_the_canonical_maps(k):
     # every index of the sweep is a distinct trace-zero element, the tower
@@ -320,7 +343,8 @@ def test_l0_tables_match_the_canonical_maps(k):
     for lo in range(0, tables.order, 5 * CHUNK):  # chunks 0, 5 and 10
         hi = min(lo + CHUNK, tables.order)
         v = vals[lo:hi]
-        assert np.array_equal(tables.sweep(lo, hi), to_tower(v))
+        index = np.arange(lo, hi, dtype=np.uint32)
+        assert np.array_equal(tables.to_tower(index), to_tower(v))
         v2 = scan.frob(scan.frob(v))
         tests = tables.tests
         assert np.array_equal(tests.cubic.zeros(lo, hi), scan.frob(v2) == v)

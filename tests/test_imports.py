@@ -334,3 +334,13 @@ def test_scan_catches_an_unreferenced_function():
     bench = ast.parse("TRACED = ['recursive']\nm.C().used()\n")
     assert _unreferenced_functions({"m.py": tree}, [tree], [bench]) == [
         "m.py:5:recursive"]
+
+
+def test_the_audit_takes_only_clmul_ops_from_fastscan():
+    # joubert_mask takes its conjugates and products from its own ClmulOps
+    # instance: no LinearMap, window table or Tower enters the audit
+    tree = ast.parse((ROOT / "src" / "joubert2" / "sigma.py").read_text())
+    assert {a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "fastscan"
+            for a in node.names} == {"ClmulOps"}

@@ -24,6 +24,7 @@ from joubert2.jsearch import (
     hermite_search,
 )
 from joubert2.sigma import is_joubert, sigma_profile
+from test_cubic import _gram_exp_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -336,11 +337,48 @@ def test_count_matches_root_multiplicity():
     assert c4.count == 144 == 6 * len(enumerate_joubert_polys(4))
 
 
-def test_count_thread_independent():
-    # L_0 is a single chunk up to q = 8; at q = 16 it splits into 16
-    for q, threads in ((4, 4), (8, 2), (16, 2)):
+def test_count_thread_independent(monkeypatch):
+    # L_0 is a single chunk up to q = 8; at q = 16 it splits into 16: the
+    # same report and the same audited values at 1 and 2 threads
+    real, audited = jsearch.joubert_mask, []
+
+    def spy(vals, ext):
+        audited.append(vals)
+        return real(vals, ext)
+
+    monkeypatch.setattr(jsearch, "joubert_mask", spy)
+    for q in (4, 8, 16):
+        audited.clear()
         assert (count_joubert_generators(q, threads=1)
-                == count_joubert_generators(q, threads=threads))
+                == count_joubert_generators(q, threads=2))
+        assert len(audited) == 2 and audited[0] == audited[1]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_polar_form_is_the_tower_trace_of_the_cube(q):
+    # at every index of L_0: the swept form against Tr(y^3) by the Tower's
+    # logs, cube_hi and trace_hi
+    scan = jsearch._ext_scan(2, q.bit_length() - 1, 6)
+    tables = jsearch._l0_tables(scan)
+    tower, trace_hi = tables.view.tower, tables.view.trace_hi
+    for lo in range(0, tables.order, CHUNK):
+        hi = min(lo + CHUNK, tables.order)
+        y = tables.to_tower(np.arange(lo, hi, dtype=np.uint32))
+        want = trace_hi(tower.cube_hi(tower.logs(y), out=y))
+        assert np.array_equal(tables.form(lo, hi), want)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_count_checks_the_gram_against_the_tower(monkeypatch, q):
+    # a Tower exp entry that a Gram point read, flipped after the Gram was
+    # built: the audited y read it too, and the Tower check raises
+    tower, entry = _gram_exp_entry(q)
+    exp = tower.exp.copy()
+    exp[entry] ^= 1
+    monkeypatch.setattr(tower, "exp", exp)
+    with pytest.raises(jsearch.TableError, match="disagrees with the Tower "
+                       "at an audited y"):
+        count_joubert_generators(q)
 
 
 def test_count_sweeps_the_trace_kernel():
