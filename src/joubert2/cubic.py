@@ -15,9 +15,10 @@ since each class has exactly that many affine representatives.  The form's
 line of F_{q^3}-classes, and its smoothness, come from linear algebra over
 K, and its count must have the Weil shape of a smooth cubic surface.  The
 form's arithmetic is `ffield`'s scalar products and traces and `gflinalg`;
-the sweep's is the `fastscan` tower, at the Gram points of Tr(y^3) over
-F_2 and at the audited y, with xor span tables in between, and its own
-carry-less audit, so the two routes share no arithmetic.
+the sweep's is `fastscan`'s `Gf2Scan.cube`, a `Tower` product, and the
+scan's trace, at the Gram points of Tr(y^3) over F_2 and at the audited
+y, with xor span tables in between, and its own carry-less audit, so the
+two routes share no arithmetic.
 """
 
 from __future__ import annotations

@@ -15,9 +15,6 @@ table gathers:
   riding in the log sum; one window map brings the result back.  Odd m
   has no such tower and is rejected.  `ClmulOps` is the reference every
   table is derived from and checked against.
-- `ExtScan.tower`, built on first use, composes the relative Frobenius
-  and the trace with the maps of the scan's own tower, and `Tower` takes a
-  cube's w-half from the logs of the halves, with no map in or out.
 - On the aligned ranges of `run_chunked` a linear map costs no gather at
   all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), and L on
   [0, CHUNK) is a broadcast xor of its tables on the low WINDOW bits of i
@@ -25,8 +22,8 @@ table gathers:
   Q(lo + i) = Q(lo) xor Q(i) xor B(lo, i), with Q on [0, CHUNK) one table
   and B(lo, .) a ChunkMap (`ChunkForm`, from the Gram matrix that
   `_form_values` evaluates).  The sweep of L_0 = ker Tr reads Tr(y^3) so,
-  a form whose Gram matrix the tower gives at a few points, with its
-  subfield tests on the same index (`SubfieldTests`).
+  a form whose Gram matrix `Gf2Scan.cube` and the trace give at a few
+  points, with its subfield tests on the same index (`SubfieldTests`).
 
 Independence: every table comes from the field's modulus alone, through
 `ClmulOps` and set-up steps on plain ints, so the vector layer builds
@@ -37,9 +34,7 @@ the scalar shift-and-xor `_mulmod`, and its product is checked against
 product table is verified when it is built, and a failure raises
 TableError: exp over one period is a permutation of the units and g^N = 1;
 the tower map composed with its inverse is the identity; the table product
-agrees with `ClmulOps` on a fixed seeded sample; the tower view's maps
-agree with the canonical ones, and its cube kernel with `ClmulOps`, on
-that sample.
+and the table cube agree with `ClmulOps` on a fixed seeded sample.
 
 `ClmulOps` is the one kernel without tables: shift-and-xor products on
 uint64 arrays of any GF(2^m) with m + 1 <= 64.  Each `Gf2Scan` keeps its
@@ -380,10 +375,11 @@ def _log_exp(times: np.ndarray, h: int, terms: int
     logs.  The exp walk is verified to run once through every unit and
     back to 1.
 
-    With N = 2^h - 1 and Z = terms * N: log[0] = Z, and exp[k] = g^(k mod N)
-    for k < Z and 0 from Z to terms * Z.  So exp[log a + log b + ...] is the
-    product for any `terms` factors, constants included: a sum of nonzero
-    logs stays below Z, and one zero factor lands it in the zero tail.
+    With N = 2^h - 1 and Z = terms * N: log[0] = Z, and exp, of
+    terms * Z + 1 entries, holds g^(k mod N) at k < Z and 0 from Z on.  So
+    exp[log a + log b + ...] is the product for any `terms` factors,
+    constants included: a sum of nonzero logs stays below Z, and one zero
+    factor lands it in the zero tail.
     """
     n = (1 << h) - 1
     powers = _exp_walk(times, n)
@@ -396,7 +392,7 @@ def _log_exp(times: np.ndarray, h: int, terms: int
     log[units] = np.arange(n)
     log[0] = zero = terms * n
     exp = np.zeros(terms * zero + 1, dtype=np.uint32)
-    exp[:zero] = np.resize(units, zero)
+    exp[:zero].reshape(terms, n)[:] = units  # in place: no Z-entry copy
     return log, exp
 
 
@@ -419,10 +415,10 @@ class Tower:
     ch. 9).  Tower coordinates pack a0 + a1 w as a0 | a1 << h, each a_i
     over the basis gamma^0..gamma^(h-1) of K for a primitive gamma.
 
-    K's log/exp tables take sums of up to three logs and one constant's,
-    so a product, c times a product, and a cube's monomials are one exp
-    gather each.  Built from the packed modulus f alone; the tower map and
-    its inverse are verified to invert each other.
+    K's log/exp tables take sums of up to two logs and one constant's, so
+    a product and c times a product are one exp gather each.  Built from
+    the packed modulus f alone; the tower map and its inverse are verified
+    to invert each other.
     """
 
     def __init__(self, f: int, m: int):
@@ -459,11 +455,9 @@ class Tower:
                              "closed")
         # the subfield times-gamma map on K's coordinates
         times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
-        self.log, self.exp = _log_exp(times, h, 4)
+        self.log, self.exp = _log_exp(times, h, 3)
         self.h, self.mask = h, (1 << h) - 1
         self.c_log = int(self.log[c_coord])
-        # log(1 + c); 1 + c = 0, and its log Z, when c = 1, as odd h allows
-        self.c1_log = int(self.log[c_coord ^ 1])
         for lo in range(0, m, WINDOW):
             v = np.arange(1 << min(WINDOW, m - lo), dtype=np.uint32) << lo
             if not (np.array_equal(self.from_tower(self.to_tower(v)), v)
@@ -483,29 +477,20 @@ class Tower:
         hi ^= x
         yield np.bitwise_and(hi, self.mask, out=idx)
 
-    def logs(self, x):
-        """log x0, log x1 and log(x0 + x1) of tower coordinates x, in the
-        product's three scratch sums."""
-        out = [_SCRATCH.get(f"p_sum{i}", x.size, np.intp) for i in range(3)]
+    def product(self, x, y):
+        """Halves r0, r1 of the product of tower coordinates x and y: with
+        p0 = x0 y0, p1 = x1 y1 and p2 = (x0 + x1)(y0 + y1), r0 = p0 + c p1
+        and r1 = p2 + p0, each p_i one exp gather at the sum of its factors'
+        logs (p1's gains log c).  The halves land in the product's scratch
+        operands p_ta and p_tb, which x and y may be."""
+        n = x.size
+        sums = [_SCRATCH.get(f"p_sum{i}", n, np.intp) for i in range(3)]
         for i, idx in enumerate(self._halves(x)):
-            np.take(self.log, idx, out=out[i], mode="wrap")
-        return out
-
-    def add_logs(self, x, sums):
-        """sums[i] += the i-th log of `logs(x)`, one log array at a time."""
-        lb = _SCRATCH.get("p_lb", x.size, np.intp)
-        for i, idx in enumerate(self._halves(x)):
+            np.take(self.log, idx, out=sums[i], mode="wrap")
+        lb = _SCRATCH.get("p_lb", n, np.intp)
+        for i, idx in enumerate(self._halves(y)):
             np.add(sums[i], np.take(self.log, idx, out=lb, mode="wrap"),
                    out=sums[i])
-        return sums
-
-    def product(self, sums):
-        """Halves r0, r1 of the product from `sums`, the summed logs of both
-        factors' x0, x1 and x0 + x1 (sums[1] gains log c): with p0 = x0 y0,
-        p1 = x1 y1 and p2 = (x0 + x1)(y0 + y1), r0 = p0 + c p1 and
-        r1 = p2 + p0.  The halves land in the product's scratch operands
-        p_ta and p_tb."""
-        n = sums[0].size
         np.add(sums[1], self.c_log, out=sums[1])
         r0 = np.take(self.exp, sums[1], out=_SCRATCH.get("p_ta", n),
                      mode="wrap")
@@ -516,20 +501,6 @@ class Tower:
         r0 ^= p0
         r1 ^= p0
         return r0, r1
-
-    def cube_hi(self, ly, out):
-        """r1 = y0 y1 (y0 + y1) + (1 + c) y1^3 of y^3 = r0 + r1 w, from y's
-        logs `ly`; r0 = y0^3 + c y1^2 (y0 + y1) is not needed for a
-        trace."""
-        idx = _SCRATCH.get("p_idx", out.size, np.intp)
-        np.add(ly[0], ly[1], out=idx)
-        np.add(idx, ly[2], out=idx)
-        np.take(self.exp, idx, out=out, mode="wrap")
-        np.multiply(ly[1], 3, out=idx)
-        np.add(idx, self.c1_log, out=idx)
-        return np.bitwise_xor(out, np.take(
-            self.exp, idx, out=_SCRATCH.get("p_u", out.size), mode="wrap"),
-            out=out)
 
 
 class Gf2Scan:
@@ -573,7 +544,7 @@ class Gf2Scan:
         s, tower = _SCRATCH, self._tower
         ta = tower.to_tower(a, out=s.get("p_ta", n))
         tb = (b_map or tower.to_tower)(b, out=s.get("p_tb", n))
-        r0, r1 = tower.product(tower.add_logs(tb, tower.logs(ta)))
+        r0, r1 = tower.product(ta, tb)
         r1 <<= tower.h
         r1 |= r0
         return tower.from_tower(r1, out=out)
@@ -615,11 +586,6 @@ class ExtScan:
             images.append(self._frob(images[-1]))
         self._trace = LinearMap(np.bitwise_xor.reduce(images).tolist())
 
-    @functools.cached_property
-    def tower(self) -> TowerView:
-        """The big field in tower coordinates, built on first use."""
-        return TowerView(self)
-
     def frob(self, v: np.ndarray, out: np.ndarray | None = None
              ) -> np.ndarray:
         """The relative Frobenius x -> x^q, element-wise."""
@@ -630,57 +596,13 @@ class ExtScan:
         return self._trace(v, out=out)
 
 
-def _in_tower(tower: Tower, lm: LinearMap, tower_out: bool = True
-              ) -> LinearMap:
-    """lm on tower coordinates: images of the tower basis, mapped back to
-    tower coordinates when tower_out."""
-    back = tower.to_tower.scalar if tower_out else int
-    return LinearMap(back(lm.scalar(x)) for x in tower.from_tower.images)
-
-
-class TowerView:
-    """An extension's big field in tower coordinates (see Tower), with the
-    relative Frobenius x -> x^q and the relative trace composed into them
-    from basis images.  The trace of r0 + r1 w is Tr_K(r1) for r0, r1 in
-    K = GF(q^3), since w + w^(q^3) = 1 and Tr_{L/K}(r0) = 2 r0 = 0:
-    `trace_hi` maps r1 alone.  Both maps and Tower's cube kernel are
-    checked on the seeded sample against the canonical maps and the
-    scan's `ClmulOps` reference; a mismatch raises TableError.
-    """
-
-    def __init__(self, scan: "ExtScan"):
-        ops = scan.ops
-        self.tower = tower = ops._tower
-        h = tower.h
-        self.frob = _in_tower(tower, scan._frob)
-        trace = _in_tower(tower, scan._trace, tower_out=False)
-        if any(trace.images[:h]):
-            raise TableError("trace of the tower's subfield is not zero")
-        self.trace_hi = LinearMap(trace.images[h:])
-        self._verify(scan)
-
-    def _verify(self, scan: "ExtScan") -> None:
-        tower, mul = self.tower, scan.ops._ref.mul
-        to, h, n = tower.to_tower, tower.h, 256
-        a, b = _sample(scan.ops.m)
-        ta, tb = to(a), to(b)
-        ok = np.array_equal(self.frob(ta), to(scan.frob(a)))
-        ok &= np.array_equal(self.trace_hi(ta >> h), scan.trace(a))
-        ok &= np.array_equal(
-            tower.cube_hi(tower.logs(tb), np.empty(n, dtype=np.uint32)),
-            to(mul(b, mul(b, b))) >> h)
-        if not ok:
-            raise TableError(f"tower view of GF(2^{scan.ops.m}) disagrees "
-                             "with the canonical maps")
-
-
 class SubfieldTests:
     """ChunkMaps of (F^3 + 1) y and (F^2 + 1) y, zero on F_{q^3} and F_{q^2},
-    for a sweep whose index bit j stands for y = images[j] in a tower
-    view's coordinates, composed from basis images of the view's F."""
+    for a sweep whose index bit j stands for y = images[j], composed from
+    the basis images under the relative Frobenius F, the map `frob`."""
 
-    def __init__(self, view: TowerView, images, order: int):
-        f = view.frob.scalar
+    def __init__(self, frob: LinearMap, images, order: int):
+        f = frob.scalar
         f2 = [f(f(v)) for v in images]
         self.cubic, self.quadratic = (
             ChunkMap(LinearMap(u ^ v for u, v in zip(fi, images)), order)

@@ -19,8 +19,7 @@ from .errors import DomainError, TableError, require
 from .ffield import (ExtDesc, FElt, FieldDesc, _pack, check_budget, make_ext,
                      make_field, prime_divisors)
 from .fastscan import (CHUNK, MAX_DEGREE, ChunkForm, ExtScan, LinearMap,
-                       SubfieldTests, TowerView, Workspace, _form_values,
-                       run_chunked)
+                       SubfieldTests, Workspace, _form_values, run_chunked)
 from .fpoly import UPoly, compress_poly, is_irreducible, min_poly
 from .gflinalg import kernel, rref_vals
 from .sigma import is_joubert, joubert_mask
@@ -131,23 +130,15 @@ class _Bits:
     mul_val, sub_val = staticmethod(int.__and__), staticmethod(int.__xor__)
 
 
-def _trace_cube(view: TowerView, y: np.ndarray) -> np.ndarray:
-    """Tr(y^3) of tower coordinates y, by the view's `Tower` kernels."""
-    tower = view.tower
-    return view.trace_hi(tower.cube_hi(tower.logs(y), out=np.empty(
-        y.size, dtype=np.uint32)))
-
-
 class _L0Tables:
     """L_0 = ker Tr on an F_2-basis from the trace's kernel over GF(2), not
     the K-basis of `cubic`: index bit j stands for basis[j], packed by
-    `canonical` and in tower coordinates by `to_tower`, with subfield
-    `tests`.
+    `canonical`, with subfield `tests` composed from the scan's Frobenius.
 
     In characteristic 2, y^3 = y y^2 with y -> y^2 F_2-linear, so Tr(y^3)
     is a K-valued F_2-quadratic form on the index bits, swept by `form`.
-    Its Gram matrix is Tr(y^3), by the `Tower`, at the 5k(5k + 1)/2 points
-    e_i and e_i + e_j: Q(e_i) on the diagonal, and
+    Its Gram matrix is Tr(y^3), by `Gf2Scan.cube` and the scan's trace, at
+    the 5k(5k + 1)/2 points e_i and e_i + e_j: Q(e_i) on the diagonal, and
     B(e_i, e_j) = Q(e_i + e_j) + Q(e_i) + Q(e_j) off it."""
 
     def __init__(self, scan: ExtScan):
@@ -163,13 +154,10 @@ class _L0Tables:
                 "the basis of ker Tr is dependent over F_2")
         self.canonical = LinearMap(basis)
         self.order = order = 1 << len(basis)
-        self.view = view = scan.tower
-        images = [view.tower.to_tower.scalar(b) for b in basis]
-        self.to_tower = LinearMap(images)
-        self.tests = SubfieldTests(view, images, order)
+        self.tests = SubfieldTests(scan._frob, basis, order)
         i, j = np.triu_indices(len(basis))
         unit = np.uint64(1) << np.arange(len(basis), dtype=np.uint64)
-        t = _trace_cube(view, self.to_tower(unit[i] | unit[j]))
+        t = scan.trace(scan.ops.cube(self.canonical(unit[i] | unit[j])))
         gram = np.zeros((len(basis),) * 2, dtype=np.uint32)
         gram[i, j] = t
         diag = gram.diagonal().copy()
@@ -196,11 +184,12 @@ def count_joubert_generators(q: int, budget: int | None = None,
     Tr(y^3) = s_3 = 0 outside F_{q^3}, of which there must be q^3.
     Tr(y^3) is read from its Gram matrix by the tables' `ChunkForm`, two
     xors per chunk.  Up to 32 kept and 32 rejected y per chunk (2 above
-    q = 16), 1,024 in all at q = 16, are audited: the Tower's Tr(y^3) must
-    equal the Gram's value at each (TableError if not), the batched
-    `sigma.joubert_mask` re-verifies each, and the scalar `is_joubert` must
-    share its verdict on the first sampled y of each kind (kept, in
-    F_{q^3}, Tr(y^3) != 0) in every chunk.
+    q = 16), 1,024 in all at q = 16, are audited: Tr(y^3) by `Gf2Scan.cube`
+    and the scan's trace, the Gram's own route, must equal the Gram's value
+    at each (TableError if not), the batched `sigma.joubert_mask`
+    re-verifies each, and the scalar `is_joubert` must share its verdict on
+    the first sampled y of each kind (kept, in F_{q^3}, Tr(y^3) != 0) in
+    every chunk.
     """
     k = _require_vector_q(q)
     scan = _ext_scan(2, k, 6, budget)
@@ -229,11 +218,12 @@ def count_joubert_generators(q: int, budget: int | None = None,
     index = [i for sample in samples for i in sample]
     audited = np.array(index, dtype=np.uint64)
     bits = audited[:, None] >> np.arange(5 * k, dtype=np.uint64) & np.uint64(1)
-    if not np.array_equal(_trace_cube(tables.view, tables.to_tower(audited)),
+    vals = tables.canonical(audited)
+    if not np.array_equal(scan.trace(scan.ops.cube(vals)),
                           _form_values(tables.form.gram, bits)):
         raise TableError("the Gram matrix of Tr(y^3) disagrees with the "
                          "Tower at an audited y")
-    vals = tables.canonical(audited).tolist()
+    vals = vals.tolist()
     val = dict(zip(index, vals))
     verdict = dict(zip(index, joubert_mask(vals, ext).tolist()))
     for sample in samples:

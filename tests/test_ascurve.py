@@ -78,18 +78,20 @@ class TestCensus:
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16])
     def test_census_runs_no_sweep(self, monkeypatch, q):
-        # with the scan built, the census calls no Tower or TowerView method,
-        # no run_chunked and no scalar ffield product, Frobenius, trace or
-        # K-index: its route is ClmulOps, the scan's maps and F_2 algebra
+        # with the scan built, the census calls no Tower method, no Gf2Scan
+        # product or cube, no run_chunked and no scalar ffield product,
+        # Frobenius, trace or K-index: its route is ClmulOps, the scan's
+        # maps and F_2 algebra
         scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the census left its route")
 
-        for cls in (fastscan.Tower, fastscan.TowerView):
-            for name, attr in list(vars(cls).items()):
-                if callable(attr):
-                    monkeypatch.setattr(cls, name, refuse)
+        for name, attr in list(vars(fastscan.Tower).items()):
+            if callable(attr):
+                monkeypatch.setattr(fastscan.Tower, name, refuse)
+        for name in ("mul", "cube"):
+            monkeypatch.setattr(fastscan.Gf2Scan, name, refuse)
         for module in (fastscan, jsearch):
             monkeypatch.setattr(module, "run_chunked", refuse)
         for cls in vars(ffield).values():
@@ -118,51 +120,31 @@ class TestTowerCensus:
     @pytest.mark.parametrize("q,k", [(2, 1), (4, 2), (16, 4)])
     def test_tower_cubes_once_per_gram_and_once_per_audit(self, monkeypatch,
                                                          q, k):
-        # the L_0 sweep cubes through the Tower in K = GF(2^(3k)) once when
+        # the L_0 sweep cubes through Gf2Scan.cube in GF(2^(6k)) once when
         # its Gram matrix is built and once for the audited y, never per
         # chunk (16 chunks at q = 16); its count gives the census's good
         # points
         calls = []
-        real = fastscan.Tower.cube_hi
+        real = fastscan.Gf2Scan.cube
 
         def spy(self, *args, **kwargs):
-            calls.append(self.h)
+            calls.append(self.m)
             return real(self, *args, **kwargs)
 
-        scan = ascurve._ext_scan(2, k, 6)
-        scan.tower  # built and checked on the seeded sample
-        monkeypatch.setattr(fastscan.Tower, "cube_hi", spy)
+        scan = ascurve._ext_scan(2, k, 6)  # its sample check cubes by _cube
+        monkeypatch.setattr(fastscan.Gf2Scan, "cube", spy)
         tables = jsearch._L0Tables(scan)
-        assert calls == [3 * k]
+        assert calls == [6 * k]
         monkeypatch.setattr(jsearch, "_l0_tables", lambda scan: tables)
         calls.clear()
         count = count_joubert_generators(q).count
-        assert calls == [3 * k]
+        assert calls == [6 * k]
         assert curve_census(q).good_points == q * q * count
 
     @pytest.mark.parametrize("bit", [0, 17])
     def test_flipped_frobenius_bit_fails(self, monkeypatch, bit):
-        # one bit of one composed tower-Frobenius image: the view's sample
-        # check raises when the view is built; one bit of the canonical
-        # x -> x^q image that the census reads makes the census fail
-        real = fastscan._in_tower
-        hit = []
-
-        def planted(tower, lm, tower_out=True):
-            out = real(tower, lm, tower_out)
-            if hit or not tower_out:  # x -> x^q, not the trace
-                return out
-            hit.append(lm)
-            images = list(out.images)
-            images[5] ^= 1 << bit
-            return fastscan.LinearMap(images)
-
-        monkeypatch.setattr(fastscan, "_in_tower", planted)
-        scan = fastscan.ExtScan(make_ext(2, 3, 6))
-        with pytest.raises(fastscan.TableError, match="tower view"):
-            scan.tower
-        assert hit == [scan._frob]
-        monkeypatch.undo()
+        # one bit of the canonical x -> x^q image that the census reads
+        # makes the census fail
         scan = ascurve._ext_scan(2, 3, 6)
         images = list(scan._frob.images)
         images[5] ^= 1 << bit

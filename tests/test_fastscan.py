@@ -116,6 +116,24 @@ def test_corrupted_exp_entry_raises(monkeypatch):
             Gf2Scan(make_field(2, m))
 
 
+def test_exp_table_is_sized_for_the_product(monkeypatch):
+    # a product sums two logs and log c: exp holds 9N + 1 entries (36,856
+    # for K = GF(2^12)), and the sample's 0 operands read its zero tail,
+    # so a tail that is not zero fails the build
+    assert Gf2Scan(make_field(2, 24))._tower.exp.size == 9 * 4095 + 1
+    real = fastscan._log_exp
+
+    def corrupted(times, h, terms):
+        log, exp = real(times, h, terms)
+        exp[log[0]:] = 1
+        return log, exp
+
+    monkeypatch.setattr(fastscan, "_log_exp", corrupted)
+    for m in (2, 12, 24):
+        with pytest.raises(fastscan.TableError, match="disagrees"):
+            Gf2Scan(make_field(2, m, limit=2**m))
+
+
 def test_corrupted_tower_map_raises(monkeypatch):
     real = fastscan._invert
 
@@ -331,36 +349,32 @@ def test_chunk_form_matches_its_gram(bits, total):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_l0_tables_match_the_canonical_maps(k):
-    # every index of the sweep is a distinct trace-zero element, the tower
-    # sweep is its tower map, and the subfield tests find F_{q^3}, F_{q^2}
+    # every index of the sweep is a distinct trace-zero element, and the
+    # subfield tests find F_{q^3}, F_{q^2}
     scan = ExtScan(make_ext(2, k, 6))
     tables = jsearch._l0_tables(scan)
     assert tables.order == 2 ** (5 * k)
     vals = tables.canonical(np.arange(tables.order, dtype=np.uint32))
     assert np.unique(vals).size == tables.order
     assert not np.any(scan.trace(vals))
-    to_tower = scan.ops._tower.to_tower
     for lo in range(0, tables.order, 5 * CHUNK):  # chunks 0, 5 and 10
         hi = min(lo + CHUNK, tables.order)
         v = vals[lo:hi]
-        index = np.arange(lo, hi, dtype=np.uint32)
-        assert np.array_equal(tables.to_tower(index), to_tower(v))
         v2 = scan.frob(scan.frob(v))
         tests = tables.tests
         assert np.array_equal(tests.cubic.zeros(lo, hi), scan.frob(v2) == v)
         assert np.array_equal(tests.quadratic.zeros(lo, hi), v2 == v)
 
 
-def test_tower_of_gf2_30_is_built_on_first_use():
-    # q = 32: the view over K = GF(2^15) shares the product's tower, and
-    # is composed only when asked for
+def test_l0_gram_of_gf2_30_matches_the_tower():
+    # q = 32, over a tower on K = GF(2^15): the L_0 form of the Gram matrix
+    # at 500 random indices of its 2^25 against Tr(y^3) by Gf2Scan.cube
     scan = ExtScan(make_ext(2, 5, 6, limit=2**30))
-    assert "tower" not in vars(scan)
-    tower = scan.tower.tower
-    assert tower is scan.ops._tower and tower.h == 15
+    assert scan.ops._tower.h == 15
+    tables = jsearch._L0Tables(scan)
     rng = np.random.default_rng(30)
-    a = rng.integers(0, 2**30, size=500, dtype=np.uint64)
-    ta = tower.to_tower(a)
-    assert np.array_equal(scan.tower.frob(ta),
-                          tower.to_tower(scan.frob(a)))
-    assert np.array_equal(scan.tower.trace_hi(ta >> 15), scan.trace(a))
+    index = rng.integers(0, tables.order, size=500, dtype=np.uint64)
+    bits = index[:, None] >> np.arange(25, dtype=np.uint64) & np.uint64(1)
+    assert np.array_equal(
+        fastscan._form_values(tables.form.gram, bits),
+        scan.trace(scan.ops.cube(tables.canonical(index))))

@@ -298,7 +298,6 @@ def test_every_function_is_referenced_from_the_program():
 _BENCH_ONLY = {
     "build_tables": "FieldDesc.build_tables, a no-op that micro.py and "
                     "workloads.py call, until the benchmark revision",
-    "cube": "Gf2Scan.cube, the kernel that micro.chunked times",
     "strip_timing": "the manifest normalization of the registry workload",
 }
 
@@ -336,11 +335,27 @@ def test_scan_catches_an_unreferenced_function():
         "m.py:5:recursive"]
 
 
+def _fastscan_names(tree: ast.Module) -> set[str]:
+    """The names a module imports from fastscan."""
+    return {a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "fastscan"
+            for a in node.names}
+
+
 def test_the_audit_takes_only_clmul_ops_from_fastscan():
     # joubert_mask takes its conjugates and products from its own ClmulOps
     # instance: no LinearMap, window table or Tower enters the audit
     tree = ast.parse((ROOT / "src" / "joubert2" / "sigma.py").read_text())
-    assert {a.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.module or "").split(".")[-1] == "fastscan"
-            for a in node.names} == {"ClmulOps"}
+    assert _fastscan_names(tree) == {"ClmulOps"}
+
+
+def test_the_sweep_takes_no_tower_coordinates():
+    # the L_0 sweep reaches the Tower only through Gf2Scan.cube, in packed
+    # canonical coordinates: jsearch imports no tower class or map from
+    # fastscan and reads no tower attribute
+    tree = ast.parse((ROOT / "src" / "joubert2" / "jsearch.py").read_text())
+    names = _fastscan_names(tree) | {node.attr for node in ast.walk(tree)
+                                     if isinstance(node, ast.Attribute)}
+    assert "ExtScan" in names and "cube" in names
+    assert not [name for name in names if "tower" in name.lower()]

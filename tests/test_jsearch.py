@@ -10,7 +10,7 @@ from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
 from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
-from joubert2.fastscan import CHUNK
+from joubert2.fastscan import CHUNK, ClmulOps
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -357,15 +357,32 @@ def test_count_thread_independent(monkeypatch):
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_polar_form_is_the_tower_trace_of_the_cube(q):
     # at every index of L_0: the swept form against Tr(y^3) by the Tower's
-    # logs, cube_hi and trace_hi
+    # cube, Gf2Scan.cube, and the scan's trace
     scan = jsearch._ext_scan(2, q.bit_length() - 1, 6)
     tables = jsearch._l0_tables(scan)
-    tower, trace_hi = tables.view.tower, tables.view.trace_hi
     for lo in range(0, tables.order, CHUNK):
         hi = min(lo + CHUNK, tables.order)
-        y = tables.to_tower(np.arange(lo, hi, dtype=np.uint32))
-        want = trace_hi(tower.cube_hi(tower.logs(y), out=y))
+        y = tables.canonical(np.arange(lo, hi, dtype=np.uint32))
+        want = scan.trace(scan.ops.cube(y))
         assert np.array_equal(tables.form(lo, hi), want)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_l0_gram_matches_a_shift_and_xor_gram(q):
+    # the Gram matrix the sweep reads, by Gf2Scan.cube, against one taken
+    # by ClmulOps products and the canonical trace at the same points e_i
+    # and e_i + e_j, polarized the same way
+    scan = jsearch._ext_scan(2, q.bit_length() - 1, 6, 2**30)
+    tables = jsearch._l0_tables(scan)
+    basis = np.array(tables.canonical.images, dtype=np.uint64)
+    i, j = np.triu_indices(basis.size)
+    y = np.where(i == j, basis[i], basis[i] ^ basis[j])
+    ref = ClmulOps(scan.ext.big)
+    t = scan.trace(ref.mul(y, ref.mul(y, y)))
+    diag = t[i == j]
+    want = np.zeros((basis.size,) * 2, dtype=np.uint32)
+    want[i, j] = np.where(i == j, t, t ^ diag[i] ^ diag[j])
+    assert np.array_equal(tables.form.gram, want)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
