@@ -355,16 +355,34 @@ class FieldDesc:
 def _span(field: FieldDesc, images) -> array:
     """Table of the F_p-linear map with the given basis images over every
     packed value of len(images) digits: entry sum(c_j p^j) holds
-    sum(c_j images[j]).  Grown in place in a compact array, like the log
-    tables: the block of entries with c_j = c is the block for c - 1 plus
-    images[j]."""
+    sum(c_j images[j]).  A compact array, like the log tables, grown in
+    place through a numpy view of it: the block of entries with c_j = c is
+    the block for c - 1 plus images[j], an xor of packed values for p = 2;
+    for odd p the blocks are sums mod p of digit rows, packed once at the
+    end."""
     code = next(c for c in "HIQ" if field.order <= 1 << 8 * array(c).itemsize)
-    table = array(code, [0])
-    for img in images:
-        size = len(table)
-        for _ in range(field.p - 1):
-            table.extend([field.add_val(x, img) for x in table[-size:]])
-    return table
+    p, size = field.p, field.p ** len(images)
+    out = array(code, [0]) * size
+    table = np.frombuffer(out, dtype=code)  # filled in place
+    if p == 2:
+        for j, img in enumerate(images):
+            np.bitwise_xor(table[:1 << j], img, out=table[1 << j:2 << j])
+    else:
+        # digit i of every entry in row i; a sum of two digits fits the type
+        digits = np.zeros((field.m, size), dtype=np.min_scalar_type(2 * p))
+        block = 1
+        for img in images:
+            step = np.array(_unpack(img, p, field.m), dtype=digits.dtype)
+            for c in range(1, p):
+                new = digits[:, c * block:(c + 1) * block]
+                np.add(digits[:, (c - 1) * block:c * block], step[:, None],
+                       out=new)
+                np.remainder(new, p, out=new)
+            block *= p
+        for row in digits[::-1]:  # Horner, top digit first
+            table *= p
+            table += row
+    return out
 
 
 class _PrimeField(FieldDesc):
@@ -565,6 +583,21 @@ class _ClmulField(_Char2, FieldDesc):
 
     def mul_val(self, a: int, b: int) -> int:
         return _mod2(_clmul(a, b), self._mod_int)
+
+    def inv_val(self, a: int) -> int:
+        """Extended Euclid on GF(2)[t] as packed ints: s a = u and
+        w a = v mod the modulus throughout, and the remainder u reaches 1
+        since the modulus is irreducible."""
+        if a == 0:
+            raise ZeroDivisionError(f"inversion of zero in {self!r}")
+        u, v, s, w = a, self._mod_int, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, s, w, j = v, u, w, s, -j
+            u ^= v << j
+            s ^= w << j
+        return s
 
 
 class _DigitField(FieldDesc):

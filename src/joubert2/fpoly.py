@@ -212,36 +212,61 @@ def char_poly_det(y: FElt, ext: ExtDesc) -> UPoly:
     """Characteristic polynomial computed a second way, as det(t*I - M) for
     M the multiplication-by-y matrix over the base field.
 
-    Bareiss fraction-free elimination over K[t]: step k replaces each a[i][j]
-    below and right of the pivot by (a[k][k] a[i][j] - a[i][k] a[k][j]) / prev,
-    prev being the previous pivot, and the last pivot is the determinant.
-    After step k - 1 the pivot a[k][k] is the leading (k+1)-minor of
-    t*I - M, a characteristic polynomial and so monic: no row swap is ever
-    needed and every division is exact.  Serves as an independent check of
-    char_poly, since it uses neither conjugates nor Frobenius.
+    Hessenberg reduction over K (Cohen, *A Course in Computational Algebraic
+    Number Theory*, GTM 138, Alg. 2.2.9): for each column j, a row and
+    column swap brings a nonzero entry below the diagonal to (j + 1, j),
+    and similarity transforms (row i minus u row j + 1, then column j + 1
+    plus u column i) clear the entries below it, with one inversion per
+    column; a column already zero there is left as it is.  The
+    characteristic polynomials p_k of the leading k x k blocks of the
+    Hessenberg matrix H then satisfy
+    p_(k+1) = (t - h_kk) p_k - sum_(i<k) h_ik (prod_(i<j<=k) h_(j,j-1)) p_i.
+    Field operations only, with no polynomial division: it serves as an
+    independent check of char_poly, since it uses neither conjugates nor
+    Frobenius.
     """
     if y.field != ext.big:
         raise DomainError(f"{y!r} does not live in {ext.big!r}")
     big = ext.big
+    add, sub, mul = big.add_val, big.sub_val, big.mul_val
     n = ext.n
     g = big.gen.val if big.m > 1 else 1
     cols = []
     pw = 1
     for _ in range(n):
-        cols.append(ext.rel_coordinates(big.mul_val(y.val, pw)))
-        pw = big.mul_val(pw, g)
-    # entry (i, j) of t*I - M as a degree <= 1 polynomial
-    a = [[UPoly(big, (big.neg_val(cols[j][i]), 1 if i == j else 0))
-          for j in range(n)] for i in range(n)]
-    prev = UPoly(big, [1])
-    for k in range(n - 1):
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                quo, rem = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-                require(rem.is_zero(), "inexact Bareiss division")
-                a[i][j] = quo
-        prev = a[k][k]
-    return a[n - 1][n - 1]
+        cols.append(ext.rel_coordinates(mul(y.val, pw)))
+        pw = mul(pw, g)
+    h = [list(row) for row in zip(*cols)]  # M: column j holds y g^j
+    for j in range(n - 2):
+        r = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if r is None:
+            continue
+        if r != j + 1:
+            h[r], h[j + 1] = h[j + 1], h[r]
+            for row in h:
+                row[r], row[j + 1] = row[j + 1], row[r]
+        inv = big.inv_val(h[j + 1][j])
+        for i in range(j + 2, n):
+            u = mul(h[i][j], inv)
+            if u:
+                h[i] = [sub(a, mul(u, b)) for a, b in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = add(row[j + 1], mul(u, row[i]))
+    polys = [[1]]  # p_k, coefficients low first
+    for k in range(n):
+        p = [0] + polys[k]
+        for d, c in enumerate(polys[k]):
+            p[d] = sub(p[d], mul(h[k][k], c))
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = mul(prod, h[i + 1][i])
+            if not prod:
+                break
+            c = mul(h[i][k], prod)
+            for d, pc in enumerate(polys[i]):
+                p[d] = sub(p[d], mul(c, pc))
+        polys.append(p)
+    return UPoly(big, polys[n])
 
 
 def compress_poly(poly: UPoly, ext: ExtDesc) -> UPoly:

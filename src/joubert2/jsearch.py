@@ -168,11 +168,9 @@ class _L0Tables:
 _l0_tables = functools.lru_cache(maxsize=None)(_L0Tables)
 
 
-def _spread(mask: np.ndarray, lo: int, n: int, kind: str) -> dict:
-    """Up to n of the lo + i with mask[i], evenly spread, each to `kind`."""
-    idx = np.flatnonzero(mask)
-    pick = np.linspace(0, idx.size - 1, min(n, idx.size)).astype(np.intp)
-    return dict.fromkeys((idx[pick] + lo).tolist(), kind)
+def _spread(count: int, n: int) -> np.ndarray:
+    """Up to n of the ranks 0, ..., count - 1, evenly spread."""
+    return np.linspace(0, count - 1, min(n, count)).astype(np.intp)
 
 
 def count_joubert_generators(q: int, budget: int | None = None,
@@ -202,12 +200,23 @@ def count_joubert_generators(q: int, budget: int | None = None,
     def tally(lo: int, hi: int) -> tuple[int, int, dict[int, str]]:
         solvable, in_cubic = tables.tests.split(
             tables.form(lo, hi, out=ws.get("t", hi - lo)), lo, hi, ws)
-        kept = np.greater(solvable, in_cubic, out=solvable)
+        # one index list a chunk, the y with Tr(y^3) = 0, which split
+        # requires to hold F_{q^3}; the r-th y with Tr(y^3) != 0 is then
+        # r plus the number of those up to it
+        zero = np.flatnonzero(solvable)
+        at_cubic = in_cubic[zero]
+        kept, cubic = zero[~at_cubic], zero[at_cubic]
+
+        def tag(idx: np.ndarray, kind: str) -> dict[int, str]:
+            return dict.fromkeys((idx + lo).tolist(), kind)
         # the rejected: up to half from F_{q^3}, the rest with Tr(y^3) != 0
-        cubic = _spread(in_cubic, lo, quota // 2, "cubic")
-        return (int(np.count_nonzero(kept)), int(np.count_nonzero(in_cubic)),
-                {**_spread(kept, lo, quota, "kept"), **cubic, **_spread(
-                    ~(kept | in_cubic), lo, quota - len(cubic), "trace")})
+        picked = tag(cubic[_spread(cubic.size, quota // 2)], "cubic")
+        rank = _spread(hi - lo - zero.size, quota - len(picked))
+        trace = rank + np.searchsorted(zero - np.arange(zero.size), rank,
+                                       "right")
+        return (kept.size, cubic.size,
+                {**tag(kept[_spread(kept.size, quota)], "kept"), **picked,
+                 **tag(trace, "trace")})
 
     parts = run_chunked(tables.order, tally, threads=threads)
     require(sum(part[1] for part in parts) == q**3,

@@ -257,6 +257,19 @@ def test_zero_and_negation_edge_cases(p, m):
         field.pow_val(0, -1)
 
 
+@pytest.mark.parametrize("m", [15, 18, 24])
+def test_clmul_inverse_matches_the_power_route(m):
+    # extended Euclid against a^(2^m - 2) by square-and-multiply
+    field = make_field(2, m)
+    assert type(field) is ffield._ClmulField
+    rng = random.Random(m)
+    for a in [rng.randrange(1, field.order) for _ in range(2000)]:
+        assert field.inv_val(a) == ffield.FieldDesc.pow_val(
+            field, a, field.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        field.inv_val(0)
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_first_use_from_threads(workers):
     # a fresh GF(5^6): threads that all start with arithmetic see exactly
@@ -473,6 +486,53 @@ def test_planted_basis_image_fails_table_build(monkeypatch, p, m, base_deg,
                  "trace": ext.trace_val}[key]
     with pytest.raises(ffield.TableError):
         first_use(p)
+
+
+# (p, m, block width) of every table that verify-all spans: one block over
+# the whole field up to 2^14 elements, blocks of at most 4096 entries above
+REGISTRY_SPANS = [(2, 5, 5), (2, 6, 6), (2, 10, 10), (2, 12, 12), (2, 15, 3),
+                  (2, 15, 12), (2, 18, 6), (2, 18, 12), (2, 24, 12),
+                  (3, 5, 5), (3, 10, 3), (3, 10, 7), (5, 4, 4), (5, 5, 5),
+                  (5, 6, 6), (7, 2, 2)]
+
+
+@pytest.mark.parametrize("p,m,width", REGISTRY_SPANS)
+def test_span_matches_the_scalar_table(p, m, width):
+    # the reference: each block of entries is the block before it plus the
+    # basis image, entry by entry through add_val
+    field = make_field(p, m)
+    rng = random.Random(f"{p},{m},{width}")
+    images = [rng.randrange(field.order) for _ in range(width)]
+    table = [0]
+    for img in images:
+        size = len(table)
+        for _ in range(p - 1):
+            table += [field.add_val(x, img) for x in table[-size:]]
+    span = ffield._span(field, images)
+    assert span.typecode == ("H" if field.order <= 1 << 16 else "I")
+    assert span.tolist() == table
+
+
+@pytest.mark.parametrize("p,m,base_deg", [(2, 6, 1), (5, 4, 1), (2, 24, 4),
+                                          (3, 10, 2)])
+@pytest.mark.parametrize("key", ["frob", "trace"])
+@pytest.mark.parametrize("at", [0, -1])
+def test_perturbed_basis_image_fails_table_build(monkeypatch, p, m, base_deg,
+                                                 key, at):
+    # the images come right from square-and-multiply; one of them is
+    # changed on its way into the table, so only the table is wrong
+    big = make_field(p, m)
+    real = type(big).linear_map
+
+    def planted(self, images):
+        images = list(images)
+        images[at] = self.add_val(images[at], 1)
+        return real(self, images)
+
+    monkeypatch.setattr(type(big), "linear_map", planted)
+    ext = ffield.ExtDesc(big, base_deg)  # no map built yet
+    with pytest.raises(ffield.TableError, match=f"{key!r} table"):
+        ext._build_linear(key)
 
 
 def test_subfield_lattice_sizes():

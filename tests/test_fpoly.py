@@ -255,6 +255,68 @@ def test_charpoly_check_fails_on_planted_coordinate(monkeypatch):
     assert checks.check_charpoly_routes().outcome == "fail"
 
 
+@pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 6), (5, 1, 4)])
+def test_hessenberg_route_matches_conjugates_everywhere(p, k, n):
+    ext = make_ext(p, k, n)
+    for y in iter_elements(ext.big):
+        assert char_poly_det(y, ext) == char_poly(y, ext)
+
+
+def test_hessenberg_route_matches_conjugates_over_gf4():
+    ext = make_ext(2, 2, 6)
+    rng = random.Random(4096)
+    for _ in range(4096):
+        y = ext.big.element(rng.randrange(ext.big.order))
+        assert char_poly_det(y, ext) == char_poly(y, ext)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 6), (2, 2, 6), (3, 1, 6),
+                                   (5, 1, 4), (3, 2, 3)])
+def test_hessenberg_route_on_subfield_elements(p, k, n):
+    # 0, 1 and the members of F_{q^d}, d < n: their minimal polynomial has
+    # degree below n, so some subdiagonal entry of the Hessenberg form is 0
+    ext = make_ext(p, k, n)
+    vals = {0, 1}
+    for d in (1, 2, 3):
+        if n % d == 0 and d < n:
+            vals.update(ext.subfield_vals(d))
+    for v in sorted(vals):
+        y = ext.big.element(v)
+        assert char_poly_det(y, ext) == char_poly(y, ext)
+
+
+def _flipped_matrix_entry(setattr) -> None:
+    """Adds 1 to coordinate 0 of the coordinates of 1, which is entry
+    (0, j) of the multiplication matrix of y = g^(-j) and no other entry."""
+    real = ExtDesc.rel_coordinates
+
+    def planted(self, v):
+        coords = real(self, v)
+        if v != 1:
+            return coords
+        return (self.big.add_val(coords[0], 1),) + coords[1:]
+
+    setattr(ExtDesc, "rel_coordinates", planted)
+
+
+CHARPOLY_PLANTS = {"multiplication-matrix-entry": _flipped_matrix_entry}
+
+
+@pytest.mark.parametrize("name", CHARPOLY_PLANTS)
+def test_charpoly_check_fails_on_a_plant(monkeypatch, name):
+    CHARPOLY_PLANTS[name](monkeypatch.setattr)
+    result = checks.check_charpoly_routes()
+    assert result.outcome == "fail"
+    assert result.witness == {"error": "char_poly routes disagree"}
+
+
+def test_charpoly_plants_fail_under_optimize():
+    # every plant in the one `python -O` run of test_planted,
+    # after an unplanted pass, with the same errors
+    from test_planted import assert_plants_fail_under_optimize
+    assert_plants_fail_under_optimize("check_charpoly_routes")
+
+
 def test_generator_iff_full_degree():
     # y generates GF(64) over GF(4) exactly when its min poly has degree 3
     gens = sum(min_poly(y, E64_4).degree == E64_4.n for y in iter_elements(F64))

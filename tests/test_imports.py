@@ -359,3 +359,34 @@ def test_the_sweep_takes_no_tower_coordinates():
                                      if isinstance(node, ast.Attribute)}
     assert "ExtScan" in names and "cube" in names
     assert not [name for name in names if "tower" in name.lower()]
+
+
+def _names_read_in(tree: ast.Module, function: str) -> set[str]:
+    """Names and attributes read anywhere in the named top-level function."""
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == function)
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(fn)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+_CONJUGATE_ROUTE = {"conjugates", "min_poly", "frob_val", "frob_iter_val",
+                    "_frob"}
+
+
+def test_the_determinant_route_takes_no_conjugates():
+    # char_poly_det reads the multiplication matrix and field operations
+    # only, so it stays a route independent of char_poly
+    tree = ast.parse((ROOT / "src" / "joubert2" / "fpoly.py").read_text())
+    names = _names_read_in(tree, "char_poly_det")
+    assert {"rel_coordinates", "inv_val"} <= names
+    assert not names & _CONJUGATE_ROUTE
+
+
+def test_scan_catches_a_conjugate_in_the_determinant_route():
+    src = ("def char_poly_det(y, ext):\n"
+           "    orbit = conjugates(y, ext)\n"
+           "    return ext._frob(y.val), ext.frob_iter_val(y.val, 2)\n"
+           "def char_poly(y, ext):\n"
+           "    return min_poly(y, ext)\n")
+    assert _names_read_in(ast.parse(src), "char_poly_det") & _CONJUGATE_ROUTE \
+        == {"conjugates", "_frob", "frob_iter_val"}

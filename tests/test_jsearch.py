@@ -10,7 +10,7 @@ from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
 from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
-from joubert2.fastscan import CHUNK, ClmulOps
+from joubert2.fastscan import CHUNK, ClmulOps, Workspace
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -352,6 +352,39 @@ def test_count_thread_independent(monkeypatch):
         assert (count_joubert_generators(q, threads=1)
                 == count_joubert_generators(q, threads=2))
         assert len(audited) == 2 and audited[0] == audited[1]
+
+
+def test_audit_picks_match_a_three_pass_reference(monkeypatch):
+    # q = 16, 16 chunks: the audited values against picks made from one
+    # flatnonzero per kind and chunk, over the kept, F_{q^3} and
+    # Tr(y^3) != 0 masks
+    real, audited = jsearch.joubert_mask, []
+
+    def spy(vals, ext):
+        audited.append(vals)
+        return real(vals, ext)
+
+    monkeypatch.setattr(jsearch, "joubert_mask", spy)
+    count_joubert_generators(16)
+    tables = jsearch._l0_tables(jsearch._ext_scan(2, 4, 6))
+
+    def spread(mask, lo, n, kind):
+        idx = np.flatnonzero(mask)
+        pick = np.linspace(0, idx.size - 1, min(n, idx.size)).astype(np.intp)
+        return dict.fromkeys((idx[pick] + lo).tolist(), kind)
+
+    index = []
+    for lo in range(0, tables.order, CHUNK):
+        hi = min(lo + CHUNK, tables.order)
+        solvable, in_cubic = tables.tests.split(tables.form(lo, hi), lo, hi,
+                                                Workspace())
+        kept = solvable & ~in_cubic
+        cubic = spread(in_cubic, lo, 16, "cubic")
+        index += {**spread(kept, lo, 32, "kept"), **cubic,
+                  **spread(~(kept | in_cubic), lo, 32 - len(cubic), "trace")}
+    assert len(index) == 1024
+    assert audited == [
+        tables.canonical(np.array(index, dtype=np.uint64)).tolist()]
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])

@@ -2,12 +2,13 @@
 
 Each table lives next to its in-process tests: `CURVE_PLANTS`
 (test_ascurve), `SURFACE_PLANTS` (test_cubic), the enum plants
-(test_jsearch), `BRUTE_PLANTS` (test_obstruct) and `NEWTON_PLANTS`
-(test_sigma).  Under `-O` every check must still pass unplanted, and every
-plant must still turn its check's outcome into `fail` with the same error:
-`errors.require` is not an assert, so the interpreter flag strips none of
-the verification.  The process runs once per session; each table's own
-`*_under_optimize` test asserts its check's lines of that run.
+(test_jsearch), `BRUTE_PLANTS` (test_obstruct), `NEWTON_PLANTS`
+(test_sigma) and `CHARPOLY_PLANTS` (test_fpoly).  Under `-O` every check
+must still pass unplanted, and every plant must still turn its check's
+outcome into `fail` with the same error: `errors.require` is not an
+assert, so the interpreter flag strips none of the verification.  The
+process runs once per session; each table's own `*_under_optimize` test
+asserts its check's lines of that run.
 """
 
 import functools
@@ -20,6 +21,7 @@ import pytest
 from joubert2 import checks
 from test_ascurve import CURVE_PLANTS
 from test_cubic import SURFACE_PLANTS
+from test_fpoly import CHARPOLY_PLANTS
 from test_jsearch import ENUM_PLANT_ERRORS, _plant
 from test_obstruct import BRUTE_PLANTS
 from test_sigma import NEWTON_PLANTS
@@ -42,6 +44,8 @@ def _rows() -> list:
              for plant, error in BRUTE_PLANTS.values()]
     rows += [("check_newton_identities", (), plant,
               "sigma left the base field") for plant in NEWTON_PLANTS.values()]
+    rows += [("check_charpoly_routes", (), plant, "char_poly routes disagree")
+             for plant in CHARPOLY_PLANTS.values()]
     return rows
 
 
