@@ -18,7 +18,7 @@ by the radical dimension w and the Arf invariant of the binary form s o Q
 (Lidl & Niederreiter, Finite Fields, 6.2; van der Geer & van der Vlugt,
 Compositio Math. 84, 1992).  Its Gram matrix comes from `ClmulOps` products
 and the scan's Frobenius and trace maps, and the rest is F_2 linear algebra
-on ints: no Tower, sweep or scalar `ffield` product.
+on ints: no sweep and no scalar `ffield` product.
 
 The counts' second route is the trace cubic surface: counts_from_surface
 turns |S| and the generator count into the curve's three counts, and the

@@ -320,9 +320,9 @@ def check_curve(q: int, budget: int | None = None,
         census = ascurve.curve_census(q, budget=budget)
         if q > 2:
             require(census.good_points >= 1, "no good fiber point")
-        # the second count route, with no Tower: the surface's N projective
-        # zeros of the cubic form give |S| = q + (q^2 - q) N, and every
-        # zero off the F_{q^3}-line is a class of q^2 - q generators
+        # the second count route, in scalar K arithmetic: the surface's N
+        # projective zeros of the cubic form give |S| = q + (q^2 - q) N, and
+        # every zero off the F_{q^3}-line is a class of q^2 - q generators
         n = cubic._form_total(cubic.build_frame(q, budget))
         require(ascurve.counts_from_surface(q, q + (q * q - q) * n,
                                             (q * q - q) * (n - q - 1))

@@ -1,20 +1,14 @@
 """Vectorized characteristic-2 kernels for exhaustive scans.
 
 Canonical packed GF(2^m) values (m <= 32) go in as unsigned integer numpy
-arrays and come out as uint32 arrays.  Every kernel is a short sequence of
-table gathers:
+arrays.  Two kinds of kernel cover every scan:
 
 - F_2-linear maps (squaring, the relative Frobenius, the relative
-  trace) take one 4096-entry uint32 table per 12-bit window of the input:
-  one gather for m <= 12, two for m = 18 and 24.
-- Products have one kernel, for every even m <= 32: a quadratic tower
-  over GF(2^(m/2)), the composite-field method (C. Paar, PhD thesis,
-  1994; Lidl & Niederreiter ch. 9), in `Tower`.  One window map puts each
-  operand into tower coordinates a0 + a1 w with w^2 = w + c; a Karatsuba
-  step takes 3 subfield log/exp products, the multiply by the constant c
-  riding in the log sum; one window map brings the result back.  Odd m
-  has no such tower and is rejected.  `ClmulOps` is the reference every
-  table is derived from and checked against.
+  trace) take one 4096-entry uint32 table per 12-bit window of the input,
+  and return uint32: one gather for m <= 12, two for m = 18 and 24.
+- Products are `ClmulOps`, shift-and-xor on uint64 arrays, the one
+  product kernel of characteristic 2.  `Gf2Scan` is a `ClmulOps` with the
+  square as a window map and the cube as a product by it.
 - On the aligned ranges of `run_chunked` a linear map costs no gather at
   all: lo is a multiple of CHUNK, so L(lo + i) = L(lo) xor L(i), and L on
   [0, CHUNK) is a broadcast xor of its tables on the low WINDOW bits of i
@@ -28,21 +22,17 @@ table gathers:
 Independence: every table comes from the field's modulus alone, through
 `ClmulOps` and set-up steps on plain ints, so the vector layer builds
 nothing in the scalar `ffield` backends and the test suite can
-cross-validate the two layers element by element.  `Tower` is set up by
-the scalar shift-and-xor `_mulmod`, and its product is checked against
-`ClmulOps`, so two independent shift-and-xor codes check each other.  Each
-product table is verified when it is built, and a failure raises
-TableError: exp over one period is a permutation of the units and g^N = 1;
-the tower map composed with its inverse is the identity; the table product
-and the table cube agree with `ClmulOps` on a fixed seeded sample.
+cross-validate the two layers element by element.  Each `Gf2Scan` checks
+its products against the scalar shift-and-xor `_mulmod` on a fixed seeded
+sample, and its square table against its products, when it is built, and
+a failure raises TableError.
 
-`ClmulOps` is the one kernel without tables: shift-and-xor products on
-uint64 arrays of any GF(2^m) with m + 1 <= 64.  Each `Gf2Scan` keeps its
-own instance as the reference; the audits of the sweeps build theirs.
+`ClmulOps` takes any GF(2^m) with m + 1 <= 64.  Each `ExtScan` keeps its
+own `Gf2Scan`; the audits of the sweeps build their own instances.
 
-Kernels write into `out=` when it is given and keep their scratch arrays in
-per-thread buffers, so a chunked scan allocates its arrays once per worker
-thread instead of once per chunk.
+Linear maps write into `out=` when it is given and keep their scratch
+arrays in per-thread buffers, so a chunked scan allocates its arrays once
+per worker thread instead of once per chunk.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError, TableError, require
-from .ffield import ExtDesc, FieldDesc, _pack, prime_divisors
+from .ffield import ExtDesc, FieldDesc, _pack
 
 #: Elements per run_chunked range in the exhaustive scans.
 CHUNK = 1 << 16
@@ -108,19 +98,6 @@ def _span(images) -> np.ndarray:
     return t
 
 
-def _sliced(kernel, out, *args):
-    """kernel(*args, out) over CHUNK-element slices, so that no scratch
-    array outgrows CHUNK whatever the input length."""
-    n = args[0].size
-    if n <= CHUNK:
-        return kernel(*args, out)
-    if out is None:
-        out = np.empty(n, dtype=np.uint32)
-    for lo in range(0, n, CHUNK):
-        kernel(*(x[lo:lo + CHUNK] for x in args), out[lo:lo + CHUNK])
-    return out
-
-
 class LinearMap:
     """The F_2-linear map sending input bit j to images[j] (below 2^32),
     applied as one table gather per 12-bit window of the input.  The tables
@@ -146,7 +123,15 @@ class LinearMap:
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-        return _sliced(self._apply, out, v)
+        # CHUNK-element slices, so that no scratch array outgrows CHUNK
+        n = v.size
+        if n <= CHUNK:
+            return self._apply(v, out)
+        if out is None:
+            out = np.empty(n, dtype=np.uint32)
+        for lo in range(0, n, CHUNK):
+            self._apply(v[lo:lo + CHUNK], out[lo:lo + CHUNK])
+        return out
 
     def _apply(self, v, out):
         n = v.size
@@ -286,8 +271,8 @@ class ClmulOps:
     shaped like `ffield.TableOps`: shift-and-xor products with the
     reduction by the packed modulus f interleaved, from the top bit of b
     down (r <- r t mod f, then r ^= a), so that no value exceeds m + 1 bits.
-    No table, `Tower` or `LinearMap`: it is the reference those are built
-    from and checked against, and it audits the sweeps built on them."""
+    No table or `LinearMap`: every table is built from its products, and
+    it audits the sweeps built on them."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2 or field.m + 1 > 64:
@@ -315,87 +300,6 @@ class ClmulOps:
         return a
 
 
-def _powmod(a: int, e: int, f: int, m: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _mulmod(r, a, f, m)
-        a = _mulmod(a, a, f, m)
-        e >>= 1
-    return r
-
-
-def _has_order(x: int, n: int, f: int, m: int) -> bool:
-    return (_powmod(x, n, f, m) == 1
-            and all(_powmod(x, n // r, f, m) != 1 for r in prime_divisors(n)))
-
-
-def _invert(images: list[int]) -> list[int]:
-    """Images of the inverse of the invertible map bit j -> images[j]."""
-    rows = {}  # pivot bit -> (vector, combination of inputs giving it)
-    for j, img in enumerate(images):
-        vec, comb = img, 1 << j
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in rows:
-                rows[top] = (vec, comb)
-                break
-            vec ^= rows[top][0]
-            comb ^= rows[top][1]
-        else:
-            raise TableError("tower basis is not linearly independent")
-    inv = [0] * len(images)
-    for bit in range(len(images)):  # lower pivots are unit vectors by now
-        vec, comb = rows[bit]
-        low = vec ^ (1 << bit)
-        while low:
-            lsb = low & -low
-            comb ^= inv[lsb.bit_length() - 1]
-            low ^= lsb
-        inv[bit] = comb
-    return inv
-
-
-def _exp_walk(times: np.ndarray, n: int) -> np.ndarray:
-    """g^0, ..., g^n from the table `times` of x -> g*x, by doubling: with
-    T the table of x -> g^k x, the next k powers are T[powers], and T[T] is
-    the table of x -> g^(2k) x."""
-    powers = np.ones(1, dtype=np.intp)
-    t = times.astype(np.intp)
-    while powers.size <= n:
-        powers = np.concatenate([powers, t[powers]])
-        t = t[t]
-    return powers[:n + 1]
-
-
-def _log_exp(times: np.ndarray, h: int, terms: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(log, exp) of GF(2^h) to the base g, on the coordinates that the
-    table `times` of x -> g*x is written in, for sums of up to `terms`
-    logs.  The exp walk is verified to run once through every unit and
-    back to 1.
-
-    With N = 2^h - 1 and Z = terms * N: log[0] = Z, and exp, of
-    terms * Z + 1 entries, holds g^(k mod N) at k < Z and 0 from Z on.  So
-    exp[log a + log b + ...] is the product for any `terms` factors,
-    constants included: a sum of nonzero logs stays below Z, and one zero
-    factor lands it in the zero tail.
-    """
-    n = (1 << h) - 1
-    powers = _exp_walk(times, n)
-    units = powers[:n]
-    if powers[n] != 1 or not np.array_equal(np.sort(units),
-                                            np.arange(1, n + 1)):
-        raise TableError(f"exp table of GF(2^{h}) is not one cycle of the "
-                         "units")
-    log = np.empty(n + 1, dtype=np.intp)
-    log[units] = np.arange(n)
-    log[0] = zero = terms * n
-    exp = np.zeros(terms * zero + 1, dtype=np.uint32)
-    exp[:zero].reshape(terms, n)[:] = units  # in place: no Z-entry copy
-    return log, exp
-
-
 def _sample(m: int) -> tuple[np.ndarray, np.ndarray]:
     """A fixed pair of 256-value samples of GF(2^m), spread by Fibonacci
     hashing, with the edge values first; importing numpy.random would cost
@@ -409,105 +313,12 @@ def _sample(m: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-class Tower:
-    """GF(2^m), m = 2h, as K[w] / (w^2 + w + c) over K = GF(2^h): the
-    composite-field method (C. Paar, PhD thesis, 1994; Lidl & Niederreiter
-    ch. 9).  Tower coordinates pack a0 + a1 w as a0 | a1 << h, each a_i
-    over the basis gamma^0..gamma^(h-1) of K for a primitive gamma.
-
-    K's log/exp tables take sums of up to two logs and one constant's, so
-    a product and c times a product are one exp gather each.  Built from
-    the packed modulus f alone; the tower map and its inverse are verified
-    to invert each other.
-    """
-
-    def __init__(self, f: int, m: int):
-        h = m // 2
-        if m != 2 * h or h < 1:
-            raise DomainError(f"GF(2^{m}) has no quadratic tower")
-
-        def mul(a, b):
-            return _mulmod(a, b, f, m)
-
-        def frob(x):  # x -> x^(2^h), generating Gal(GF(2^m)/K)
-            for _ in range(h):
-                x = mul(x, x)
-            return x
-
-        # a primitive element of K: a norm z^(2^h+1)
-        n = (1 << h) - 1
-        gamma = next(y for y in (mul(z, frob(z)) for z in range(2, 1 << m))
-                     if _has_order(y, n, f, m))
-        # w = t / (t + t^(2^h)) has w + w^(2^h) = 1, so w^2 = w + c for its
-        # norm c = w^(2^h+1) in K; t + t^(2^h) is a nonzero element of K
-        s = 2 ^ frob(2)
-        w = mul(2, _powmod(s, n - 1, f, m))
-        c = mul(w, frob(w))
-        gpow = [1]
-        for _ in range(h):
-            gpow.append(mul(gpow[-1], gamma))
-        self.from_tower = LinearMap(gpow[:h] + [mul(x, w) for x in gpow[:h]])
-        self.to_tower = LinearMap(_invert(list(self.from_tower.images)))
-        to_tower = self.to_tower.scalar
-        gamma_h, c_coord = to_tower(gpow[h]), to_tower(c)
-        if (gamma_h | c_coord) >> h or not c_coord:
-            raise TableError(f"tower of GF(2^{m}) over GF(2^{h}) is not "
-                             "closed")
-        # the subfield times-gamma map on K's coordinates
-        times = _span([1 << (i + 1) for i in range(h - 1)] + [gamma_h])
-        self.log, self.exp = _log_exp(times, h, 3)
-        self.h, self.mask = h, (1 << h) - 1
-        self.c_log = int(self.log[c_coord])
-        for lo in range(0, m, WINDOW):
-            v = np.arange(1 << min(WINDOW, m - lo), dtype=np.uint32) << lo
-            if not (np.array_equal(self.from_tower(self.to_tower(v)), v)
-                    and np.array_equal(self.to_tower(self.from_tower(v)),
-                                       v)):
-                raise TableError(f"tower map of GF(2^{m}) does not invert")
-
-    def _halves(self, x):
-        """x0, x1 and x0 + x1 of tower coordinates x = x0 | x1 << h, in
-        turn, as log-table indices in one reused array."""
-        idx = _SCRATCH.get("p_idx", x.size, np.intp)
-        hi = _SCRATCH.get("p_u", x.size)
-        np.right_shift(x, self.h, out=hi)
-        yield np.bitwise_and(x, self.mask, out=idx)
-        np.copyto(idx, hi)
-        yield idx
-        hi ^= x
-        yield np.bitwise_and(hi, self.mask, out=idx)
-
-    def product(self, x, y):
-        """Halves r0, r1 of the product of tower coordinates x and y: with
-        p0 = x0 y0, p1 = x1 y1 and p2 = (x0 + x1)(y0 + y1), r0 = p0 + c p1
-        and r1 = p2 + p0, each p_i one exp gather at the sum of its factors'
-        logs (p1's gains log c).  The halves land in the product's scratch
-        operands p_ta and p_tb, which x and y may be."""
-        n = x.size
-        sums = [_SCRATCH.get(f"p_sum{i}", n, np.intp) for i in range(3)]
-        for i, idx in enumerate(self._halves(x)):
-            np.take(self.log, idx, out=sums[i], mode="wrap")
-        lb = _SCRATCH.get("p_lb", n, np.intp)
-        for i, idx in enumerate(self._halves(y)):
-            np.add(sums[i], np.take(self.log, idx, out=lb, mode="wrap"),
-                   out=sums[i])
-        np.add(sums[1], self.c_log, out=sums[1])
-        r0 = np.take(self.exp, sums[1], out=_SCRATCH.get("p_ta", n),
-                     mode="wrap")
-        r1 = np.take(self.exp, sums[2], out=_SCRATCH.get("p_tb", n),
-                     mode="wrap")
-        p0 = np.take(self.exp, sums[0], out=_SCRATCH.get("p_u", n),
-                     mode="wrap")
-        r0 ^= p0
-        r1 ^= p0
-        return r0, r1
-
-
-class Gf2Scan:
-    """Element-wise field arithmetic on arrays over one GF(2^m), m even and
-    at most MAX_DEGREE, every product taken through the field's `Tower`.
-    Its tables are built from and checked against its own `ClmulOps`, an
-    instance no audit shares."""
+class Gf2Scan(ClmulOps):
+    """`ClmulOps` on one GF(2^m), m at most MAX_DEGREE, with the square as
+    a window `LinearMap` built from its products on the basis, and the cube
+    as a product by it.  The build checks the products against the scalar
+    `_mulmod` on the `_sample` pairs, and the square table against the
+    products."""
 
     def __init__(self, field: FieldDesc):
         if field.p != 2:
@@ -515,56 +326,24 @@ class Gf2Scan:
         if field.m > MAX_DEGREE:
             raise DomainError(f"packed degree {field.m} exceeds uint32 "
                               "headroom")
-        self.m = m = field.m
-        self._ref = ref = ClmulOps(field)
-        # (t^j)^2, reduced by the reference
-        basis = np.array([1 << j for j in range(m)], dtype=np.uint64)
-        self._sqr = LinearMap(ref.mul(basis, basis).tolist())
-        self._tower = Tower(_pack(field.modulus, 2), m)
-        to_tower = self._tower.to_tower.scalar
-        self._sqr_to_tower = LinearMap(to_tower(x) for x in self._sqr.images)
-        self._verify_product()
-
-    def _verify_product(self) -> None:
-        a, b = _sample(self.m)
-        mul = self._ref.mul
-        if not (np.array_equal(self._tower_mul(a, b, None), mul(a, b))
-                and np.array_equal(self._cube(a, None), mul(a, mul(a, a)))):
-            raise TableError(f"table product of GF(2^{self.m}) disagrees "
-                             "with shift-and-xor")
-
-    # -- the product kernel
-
-    def _tower_mul(self, a, b, out, b_map=None):
-        """a * b through tower coordinates; b enters through b_map (default
-        the tower map), so that cube can pass the map of a's square."""
-        n = a.size
-        if out is None:
-            out = np.empty(n, dtype=np.uint32)
-        s, tower = _SCRATCH, self._tower
-        ta = tower.to_tower(a, out=s.get("p_ta", n))
-        tb = (b_map or tower.to_tower)(b, out=s.get("p_tb", n))
-        r0, r1 = tower.product(ta, tb)
-        r1 <<= tower.h
-        r1 |= r0
-        return tower.from_tower(r1, out=out)
-
-    # -- public kernels
-
-    def mul(self, a: np.ndarray, b: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-        return _sliced(self._tower_mul, out, a, b)
+        super().__init__(field)
+        m, f = self.m, _pack(field.modulus, 2)
+        basis = np.uint64(1) << np.arange(m, dtype=np.uint64)
+        self._sqr = LinearMap(self.mul(basis, basis).tolist())
+        a, b = _sample(m)
+        if not (self.mul(a, b).tolist()
+                == [_mulmod(x, y, f, m) for x, y in zip(a.tolist(),
+                                                         b.tolist())]
+                and np.array_equal(self._sqr(a), self.mul(a, a))):
+            raise TableError(f"products of GF(2^{m}) disagree with the "
+                             "scalar shift-and-xor")
 
     def square(self, a: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
         return self._sqr(a, out=out)
 
-    def cube(self, a: np.ndarray, out: np.ndarray | None = None
-             ) -> np.ndarray:
-        return _sliced(self._cube, out, a)
-
-    def _cube(self, a, out):
-        return self._tower_mul(a, a, out, b_map=self._sqr_to_tower)
+    def cube(self, a: np.ndarray) -> np.ndarray:
+        return self.mul(a, self._sqr(a))
 
 
 class ExtScan:
@@ -573,14 +352,13 @@ class ExtScan:
     def __init__(self, ext: ExtDesc):
         self.ext = ext
         self.ops = Gf2Scan(ext.big)
-        # images of the basis t^j under x -> x^(q^i): x^q by squarings in
-        # the reference, so that they stay independent of the square and
-        # product tables, then x^(q^i) by its map
+        # images of the basis t^j under x -> x^(q^i): x^q by squaring
+        # products, then x^(q^i) by its map
         images = [np.array([1 << j for j in range(ext.big.m)],
                            dtype=np.uint64)]
         cur = images[0]
         for _ in range(ext.base_deg):
-            cur = self.ops._ref.mul(cur, cur)
+            cur = self.ops.mul(cur, cur)
         self._frob = LinearMap(cur.tolist())
         for _ in range(1, ext.n):
             images.append(self._frob(images[-1]))

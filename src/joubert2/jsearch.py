@@ -230,8 +230,8 @@ def count_joubert_generators(q: int, budget: int | None = None,
     vals = tables.canonical(audited)
     if not np.array_equal(scan.trace(scan.ops.cube(vals)),
                           _form_values(tables.form.gram, bits)):
-        raise TableError("the Gram matrix of Tr(y^3) disagrees with the "
-                         "Tower at an audited y")
+        raise TableError("the Gram matrix of Tr(y^3) disagrees with "
+                         "Gf2Scan.cube at an audited y")
     vals = vals.tolist()
     val = dict(zip(index, vals))
     verdict = dict(zip(index, joubert_mask(vals, ext).tolist()))

@@ -78,18 +78,15 @@ class TestCensus:
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16])
     def test_census_runs_no_sweep(self, monkeypatch, q):
-        # with the scan built, the census calls no Tower method, no Gf2Scan
-        # product or cube, no run_chunked and no scalar ffield product,
-        # Frobenius, trace or K-index: its route is ClmulOps, the scan's
-        # maps and F_2 algebra
+        # with the scan built, the census calls no Gf2Scan product or cube,
+        # no run_chunked and no scalar ffield product, Frobenius, trace or
+        # K-index: its route is its own ClmulOps, the scan's maps and F_2
+        # algebra
         scan = ascurve._ext_scan(2, q.bit_length() - 1, 6)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the census left its route")
 
-        for name, attr in list(vars(fastscan.Tower).items()):
-            if callable(attr):
-                monkeypatch.setattr(fastscan.Tower, name, refuse)
         for name in ("mul", "cube"):
             monkeypatch.setattr(fastscan.Gf2Scan, name, refuse)
         for module in (fastscan, jsearch):
@@ -115,7 +112,7 @@ class TestCensus:
 
 class TestTowerCensus:
     """The census against the tower of subfields of F_{q^6} and against the
-    Tower census of L_0 that the generator count sweeps."""
+    census of L_0 that the generator count sweeps."""
 
     @pytest.mark.parametrize("q,k", [(2, 1), (4, 2), (16, 4)])
     def test_tower_cubes_once_per_gram_and_once_per_audit(self, monkeypatch,
@@ -131,7 +128,7 @@ class TestTowerCensus:
             calls.append(self.m)
             return real(self, *args, **kwargs)
 
-        scan = ascurve._ext_scan(2, k, 6)  # its sample check cubes by _cube
+        scan = ascurve._ext_scan(2, k, 6)  # built before the spy
         monkeypatch.setattr(fastscan.Gf2Scan, "cube", spy)
         tables = jsearch._L0Tables(scan)
         assert calls == [6 * k]

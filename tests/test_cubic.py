@@ -295,35 +295,15 @@ def test_manin_floor_binding_at_16():
 # must report.
 
 
-def _gram_exp_entry(q: int) -> tuple[fastscan.Tower, int]:
-    # the exp entry at log(y0 + y1) + log(z0 + z1), z = y^2 in the tower's
-    # coordinates, for y the first basis element of L_0 outside F_{q^3},
-    # the tower's subfield: the Gram point e_1 at q = 2 to 16 and the first
-    # index of the sweep outside F_{q^3} (entries 5, 63, 292 and 6332 at
-    # q = 2, 4, 8 and 16).  Gf2Scan.cube reads it for p2 = (y0 + y1)(z0 + z1),
-    # a term of r1 alone, at that point, and it holds a unit, not the zero
-    # tail
-    scan = _ext_scan(2, q.bit_length() - 1, 6)
-    tower = scan.ops._tower
-    basis = np.array(_l0_tables(scan).canonical.images, dtype=np.uint32)
-    y, z = tower.to_tower(basis), scan.ops._sqr_to_tower(basis)
-    first = np.argmax(y >> tower.h != 0)
-    entry = sum(int(tower.log[(x ^ x >> tower.h) & tower.mask])
-                for x in (y[first], z[first]))
-    assert entry < tower.log[0]  # the log of 0, above every unit's log
-    return tower, entry
-
-
-def _flipped_exp_entry(patch):
-    # bit 0 of that entry, after the scan's sample check, with the L_0
-    # tables rebuilt under it: r1 gains 1, so Tr(y^3) changes by
-    # Tr(w) = Tr_K(1) = 1 at every Gram point that reads it, and the swept
-    # form is no longer Tr(y^3); F_{q^3} leaves its zeros at every q
+def _flipped_product_modulus_bit(patch):
+    # bit 3 of the modulus that the scan's own products reduce by, after
+    # its build check, with the L_0 tables rebuilt under it: the cubes at
+    # the Gram points leave the field, the swept form is no longer
+    # Tr(y^3), and F_{q^3} leaves its zeros at every q (a flip of bit 0, 1
+    # or 2 leaves q = 2 passing)
     for q in (2, 4, 8, 16):
-        tower, entry = _gram_exp_entry(q)
-        exp = tower.exp.copy()
-        exp[entry] ^= 1
-        patch(tower, "exp", exp)
+        ops = _ext_scan(2, q.bit_length() - 1, 6).ops
+        patch(ops, "f", ops.f ^ np.uint64(8))
     patch(jsearch, "_l0_tables", jsearch._L0Tables)
 
 
@@ -386,8 +366,9 @@ _OFF_LINE = "cubic form does not vanish on the F_{q^3}-line"
 _CUBIC_ZERO = "an element of F_{q^3} has Tr(y^3) != 0"
 
 SURFACE_PLANTS = {
-    "sweep-tower-exp-entry": (
-        _flipped_exp_entry, dict.fromkeys((2, 4, 8, 16), _CUBIC_ZERO)),
+    "sweep-product-modulus-bit": (
+        _flipped_product_modulus_bit,
+        dict.fromkeys((2, 4, 8, 16), _CUBIC_ZERO)),
     "sweep-gram-entry": (
         _flipped_gram_entry, dict.fromkeys((2, 4, 8, 16), _CUBIC_ZERO)),
     "audit-kernel-modulus-bit": (

@@ -1,7 +1,7 @@
 """Vector kernels against scalar arithmetic and the shift-and-xor reference:
-the tower product at every even degree, the window maps, the build-time
-table checks, and the Frobenius and trace tables of every registry
-extension."""
+the `ClmulOps` product of `Gf2Scan` at every degree, the window maps, the
+build-time table checks, and the Frobenius and trace tables of every
+registry extension."""
 
 from types import SimpleNamespace
 
@@ -51,7 +51,7 @@ def test_mul_seeded_pairs_match_scalar_and_reference(m, size):
     a[:4], b[:4] = (0, top, 0, top), (top, 0, 0, top)
     ref = ClmulOps(field).mul
     got = ops.mul(a, b)
-    assert got.dtype == np.uint32
+    assert got.dtype == np.uint64
     assert np.array_equal(got, ref(a, b))
     assert got.tolist() == [field.mul_val(x, y) for x, y
                             in zip(a.tolist(), b.tolist())]
@@ -59,19 +59,18 @@ def test_mul_seeded_pairs_match_scalar_and_reference(m, size):
 
 
 def test_long_inputs_in_place():
-    # longer than one chunk of scratch, and written over the input
+    # longer than one chunk of scratch; the square written over the input
     scan = ExtScan(make_ext(2, 4, 6))
     ops, ref = scan.ops, ClmulOps(scan.ext.big).mul
     rng = np.random.default_rng(7)
     a = rng.integers(0, 2**24, size=fastscan.CHUNK + 1000, dtype=np.uint32)
     b = rng.integers(0, 2**24, size=a.size, dtype=np.uint32)
     a2 = ref(a, a)
-    for kernel, want in ((lambda x, out: ops.mul(x, b, out=out), ref(a, b)),
-                         (ops.square, a2),
-                         (ops.cube, ref(a, a2))):
-        buf = a.copy()
-        assert kernel(buf, out=buf) is buf
-        assert np.array_equal(buf, want)
+    buf = a.copy()
+    assert ops.square(buf, out=buf) is buf
+    assert np.array_equal(buf, a2)
+    assert np.array_equal(ops.mul(a, b), ref(a, b))
+    assert np.array_equal(ops.cube(a), ref(a, a2))
 
 
 def test_window_map_with_partial_last_window():
@@ -102,63 +101,34 @@ def test_window_map_with_partial_last_window():
                                            for x in vals]
 
 
-def test_corrupted_exp_entry_raises(monkeypatch):
-    real = fastscan._exp_walk
+def test_flipped_reference_modulus_bit_raises(monkeypatch):
+    # products reducing by the modulus with bit 1 flipped: the scalar
+    # _mulmod, which packs the field's modulus itself, disagrees with them,
+    # so the build raises before any sweep
+    real = ClmulOps.__init__
 
-    def corrupted(times, n):
-        powers = real(times, n)
-        powers[5] ^= 1
-        return powers
+    def flipped(self, field):
+        real(self, field)
+        self.f ^= np.uint64(2)
 
-    monkeypatch.setattr(fastscan, "_exp_walk", corrupted)
-    for m in (12, 24):  # the subfield exp walks of GF(2^6) and GF(2^12)
-        with pytest.raises(fastscan.TableError):
-            Gf2Scan(make_field(2, m))
-
-
-def test_exp_table_is_sized_for_the_product(monkeypatch):
-    # a product sums two logs and log c: exp holds 9N + 1 entries (36,856
-    # for K = GF(2^12)), and the sample's 0 operands read its zero tail,
-    # so a tail that is not zero fails the build
-    assert Gf2Scan(make_field(2, 24))._tower.exp.size == 9 * 4095 + 1
-    real = fastscan._log_exp
-
-    def corrupted(times, h, terms):
-        log, exp = real(times, h, terms)
-        exp[log[0]:] = 1
-        return log, exp
-
-    monkeypatch.setattr(fastscan, "_log_exp", corrupted)
+    monkeypatch.setattr(ClmulOps, "__init__", flipped)
     for m in (2, 12, 24):
-        with pytest.raises(fastscan.TableError, match="disagrees"):
+        with pytest.raises(fastscan.TableError):
             Gf2Scan(make_field(2, m, limit=2**m))
 
 
-def test_corrupted_tower_map_raises(monkeypatch):
-    real = fastscan._invert
+def test_flipped_square_image_raises(monkeypatch):
+    # one bit of the square table's image of t, with the products intact:
+    # the table disagrees with mul(a, a) on the sample
+    class Flipped(LinearMap):
+        def __init__(self, images):
+            images = list(images)
+            images[1] ^= 1
+            super().__init__(images)
 
-    def corrupted(images):
-        inv = real(images)
-        inv[3] ^= 1 << 20
-        return inv
-
-    monkeypatch.setattr(fastscan, "_invert", corrupted)
-    with pytest.raises(fastscan.TableError):
-        Gf2Scan(make_field(2, 24))
-
-
-def test_flipped_reference_modulus_bit_raises(monkeypatch):
-    # a reference reducing by the modulus with bit 1 flipped: the square
-    # table it builds and the tower product it checks (set up by the scalar
-    # _mulmod) disagree with it, so the build raises before any sweep
-    class Flipped(ClmulOps):
-        def __init__(self, field):
-            super().__init__(field)
-            self.f ^= np.uint64(2)
-
-    monkeypatch.setattr(fastscan, "ClmulOps", Flipped)
+    monkeypatch.setattr(fastscan, "LinearMap", Flipped)
     for m in (2, 12, 24):
-        with pytest.raises(fastscan.TableError):
+        with pytest.raises(fastscan.TableError, match="disagree"):
             Gf2Scan(make_field(2, m, limit=2**m))
 
 
@@ -222,11 +192,19 @@ def test_clmul_ops_headroom():
             ClmulOps(SimpleNamespace(p=p, m=m, modulus=[1] * (m + 1)))
 
 
-def test_odd_degrees_rejected():
-    # no quadratic tower, hence no product kernel; 33 is past uint32 too
-    for m in (1, 3, 15, 31, 33):
-        with pytest.raises(DomainError):
-            Gf2Scan(make_field(2, m, limit=2**m))
+def test_odd_degrees_take_products():
+    # the product is ClmulOps' own at every degree up to MAX_DEGREE, odd
+    # ones included (33, past uint32, is test_degree_beyond_headroom_rejected)
+    assert Gf2Scan.mul is ClmulOps.mul
+    for m in (1, 3, 15, 31):
+        field = make_field(2, m, limit=2**m)
+        ops = Gf2Scan(field)
+        a, b = fastscan._sample(m)
+        vals = a.tolist()
+        assert ops.mul(a, b).tolist() == [field.mul_val(x, y) for x, y
+                                          in zip(vals, b.tolist())]
+        assert ops.cube(a).tolist() == [
+            field.mul_val(x, field.mul_val(x, x)) for x in vals]
 
 
 @pytest.mark.parametrize("where", ["at-one", "everywhere"])
@@ -366,11 +344,10 @@ def test_l0_tables_match_the_canonical_maps(k):
         assert np.array_equal(tests.quadratic.zeros(lo, hi), v2 == v)
 
 
-def test_l0_gram_of_gf2_30_matches_the_tower():
-    # q = 32, over a tower on K = GF(2^15): the L_0 form of the Gram matrix
-    # at 500 random indices of its 2^25 against Tr(y^3) by Gf2Scan.cube
+def test_l0_gram_of_gf2_30_matches_the_cube():
+    # q = 32: the L_0 form of the Gram matrix at 500 random indices of its
+    # 2^25 against Tr(y^3) by Gf2Scan.cube
     scan = ExtScan(make_ext(2, 5, 6, limit=2**30))
-    assert scan.ops._tower.h == 15
     tables = jsearch._L0Tables(scan)
     rng = np.random.default_rng(30)
     index = rng.integers(0, tables.order, size=500, dtype=np.uint64)

@@ -345,20 +345,9 @@ def _fastscan_names(tree: ast.Module) -> set[str]:
 
 def test_the_audit_takes_only_clmul_ops_from_fastscan():
     # joubert_mask takes its conjugates and products from its own ClmulOps
-    # instance: no LinearMap, window table or Tower enters the audit
+    # instance: no LinearMap or window table enters the audit
     tree = ast.parse((ROOT / "src" / "joubert2" / "sigma.py").read_text())
     assert _fastscan_names(tree) == {"ClmulOps"}
-
-
-def test_the_sweep_takes_no_tower_coordinates():
-    # the L_0 sweep reaches the Tower only through Gf2Scan.cube, in packed
-    # canonical coordinates: jsearch imports no tower class or map from
-    # fastscan and reads no tower attribute
-    tree = ast.parse((ROOT / "src" / "joubert2" / "jsearch.py").read_text())
-    names = _fastscan_names(tree) | {node.attr for node in ast.walk(tree)
-                                     if isinstance(node, ast.Attribute)}
-    assert "ExtScan" in names and "cube" in names
-    assert not [name for name in names if "tower" in name.lower()]
 
 
 def _names_read_in(tree: ast.Module, function: str) -> set[str]:

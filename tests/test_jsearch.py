@@ -10,7 +10,7 @@ from joubert2 import (BudgetError, DomainError, checks, ffield, jsearch,
 from joubert2.ascurve import curve_census, trace_identity_check
 from joubert2.cubic import surface_census
 from joubert2.errors import CheckFailed
-from joubert2.fastscan import CHUNK, ClmulOps, Workspace
+from joubert2.fastscan import CHUNK, Workspace
 from joubert2.fpoly import (
     UPoly,
     compress_poly,
@@ -24,7 +24,6 @@ from joubert2.jsearch import (
     hermite_search,
 )
 from joubert2.sigma import is_joubert, sigma_profile
-from test_cubic import _gram_exp_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -389,8 +388,8 @@ def test_audit_picks_match_a_three_pass_reference(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_polar_form_is_the_tower_trace_of_the_cube(q):
-    # at every index of L_0: the swept form against Tr(y^3) by the Tower's
-    # cube, Gf2Scan.cube, and the scan's trace
+    # at every index of L_0: the swept form against Tr(y^3) by
+    # Gf2Scan.cube and the scan's trace
     scan = jsearch._ext_scan(2, q.bit_length() - 1, 6)
     tables = jsearch._l0_tables(scan)
     for lo in range(0, tables.order, CHUNK):
@@ -403,15 +402,16 @@ def test_polar_form_is_the_tower_trace_of_the_cube(q):
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
 def test_l0_gram_matches_a_shift_and_xor_gram(q):
     # the Gram matrix the sweep reads, by Gf2Scan.cube, against one taken
-    # by ClmulOps products and the canonical trace at the same points e_i
-    # and e_i + e_j, polarized the same way
+    # by scalar ffield products and traces at the same points e_i and
+    # e_i + e_j, polarized the same way
     scan = jsearch._ext_scan(2, q.bit_length() - 1, 6, 2**30)
     tables = jsearch._l0_tables(scan)
     basis = np.array(tables.canonical.images, dtype=np.uint64)
     i, j = np.triu_indices(basis.size)
-    y = np.where(i == j, basis[i], basis[i] ^ basis[j])
-    ref = ClmulOps(scan.ext.big)
-    t = scan.trace(ref.mul(y, ref.mul(y, y)))
+    ext = scan.ext
+    mul = ext.big.mul_val
+    t = np.array([ext.trace_val(mul(y, mul(y, y))) for y in np.where(
+        i == j, basis[i], basis[i] ^ basis[j]).tolist()], dtype=np.uint32)
     diag = t[i == j]
     want = np.zeros((basis.size,) * 2, dtype=np.uint32)
     want[i, j] = np.where(i == j, t, t ^ diag[i] ^ diag[j])
@@ -420,14 +420,14 @@ def test_l0_gram_matches_a_shift_and_xor_gram(q):
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_count_checks_the_gram_against_the_tower(monkeypatch, q):
-    # a Tower exp entry that a Gram point read, flipped after the Gram was
-    # built: the audited y read it too, and the Tower check raises
-    tower, entry = _gram_exp_entry(q)
-    exp = tower.exp.copy()
-    exp[entry] ^= 1
-    monkeypatch.setattr(tower, "exp", exp)
-    with pytest.raises(jsearch.TableError, match="disagrees with the Tower "
-                       "at an audited y"):
+    # bit 3 of the modulus that the scan's products reduce by, flipped
+    # after the Gram was built: the audited y's cubes leave the field, and
+    # the check of the Gram against Gf2Scan.cube raises
+    scan = jsearch._ext_scan(2, q.bit_length() - 1, 6)
+    jsearch._l0_tables(scan)
+    monkeypatch.setattr(scan.ops, "f", scan.ops.f ^ np.uint64(8))
+    with pytest.raises(jsearch.TableError, match="disagrees with "
+                       "Gf2Scan.cube at an audited y"):
         count_joubert_generators(q)
 
 
